@@ -89,16 +89,13 @@ class UnknownExperiment(ValueError):
 # departure curve per shape (convex, affine, concave). The affine and
 # concave curves hit zero at the top reward, hence the mode flag.
 
-_GRID = (15.0, 60.0, 1.0)
+# one immutable grid shared by every instance built here, not 46 new floats a call
+_GRID = RewardSet.from_range(15.0, 60.0, 1.0)
 _DEPARTURES = (
     ExpFloor(alpha=0.07, floor=15.0),
     Linear(alpha=1.0 / 45.0, beta=4.0 / 3.0),
     Quadratic(alpha=1.0 / 2025.0, beta=2.0 / 135.0, gamma=8.0 / 9.0),
 )
-
-
-def _grid() -> RewardSet:
-    return RewardSet.from_range(*_GRID)
 
 
 def mixture_instance(lambdas: Sequence[float], revenue=None) -> MarketInstance:
@@ -112,7 +109,7 @@ def mixture_instance(lambdas: Sequence[float], revenue=None) -> MarketInstance:
     if not types:
         raise ValueError("at least one arrival rate must be positive")
     return MarketInstance(
-        rewards=_grid(),
+        rewards=_GRID,
         types=types,
         revenue=revenue if revenue is not None else Newsvendor(alpha=100.0, cap=150.0),
         eps_noisy_mode=True,
@@ -133,7 +130,7 @@ def single_type_instance(type_index: int, lam: float = 10.0) -> MarketInstance:
 def example1_instance(lam: float = 10.0) -> MarketInstance:
     """Single convex-departure type; used for the wage-vs-lottery curves."""
     return MarketInstance(
-        rewards=_grid(),
+        rewards=_GRID,
         types=(WorkerType(lam=lam, departure=_DEPARTURES[0]),),
         revenue=Newsvendor(alpha=100.0, cap=150.0),
     )
@@ -142,7 +139,7 @@ def example1_instance(lam: float = 10.0) -> MarketInstance:
 def example3_instance(lam: float = 10.0, alpha: float = 100.0, cap: float = 50.0) -> MarketInstance:
     """Single concave-departure type under a tight capacity."""
     return MarketInstance(
-        rewards=_grid(),
+        rewards=_GRID,
         types=(WorkerType(lam=lam, departure=_DEPARTURES[2]),),
         revenue=Newsvendor(alpha=alpha, cap=cap),
         eps_noisy_mode=True,

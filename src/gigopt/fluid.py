@@ -8,10 +8,23 @@ concave, so each slice is scanned globally before local refinement; exact
 newsvendor-kink candidates are added because kinked optima are common and
 the refinement alone cannot pin them to full precision.
 
+The pair slices are independent, so one batched kernel solves all of them
+with array operations, never a Python loop per slice or per point. The
+SCAN_POINTS-point scan runs over blocks of _PAIR_BLOCK slices, which bounds
+each temporary to _PAIR_BLOCK x SCAN_POINTS floats (66 KB) whatever the
+grid size. Local maxima of the scan are found with a mask, and every
+bracket around one is golden-section refined at the same time, each with its
+own stopping rule; the newsvendor kinks are bisected together the same way.
+Each step keeps the per-slice arithmetic and its order (supply summed type
+by type from 0.0, the scan grid exactly as np.linspace builds it), so every
+slice gets the bit-identical result a scalar scan would. The winner is then
+picked from all candidates in one vector pass with fluid_profit's arithmetic.
+
 The budgeted variant (maximize supply subject to an expected-pay budget)
-reuses the same slices, plus a support-reduction routine that rewrites any
-feasible distribution into an equally good one with at most two support
-points via mean-preserving mass transfers and budget rebalancing.
+reuses the same slices and their batched cost bisection, plus a
+support-reduction routine that rewrites any feasible distribution into an
+equally good one with at most two support points via mean-preserving mass
+transfers and budget rebalancing.
 """
 
 from __future__ import annotations
@@ -61,6 +74,9 @@ __all__ = [
 
 SCAN_POINTS = 1025  # uniform pre-scan of each pair slice
 REFINE_TOL = 1e-12  # golden-section bracket width target
+# Pair slices scanned together; a scan temporary holds _PAIR_BLOCK x SCAN_POINTS
+# floats (66 KB), so a whole solve stays near half a megabyte of temporaries.
+_PAIR_BLOCK = 8
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -125,86 +141,189 @@ class Dispersion(str, Enum):
 # Pair slices
 
 
-class _PairSlice:
-    """One-dimensional slice of the simplex: weight y on r_high, 1-y on r_low."""
+class _PairBatch:
+    """Pair slices as arrays, one row per slice: weight y on r_high and 1 - y
+    on r_low. Per-type parameters are (K, rows) arrays. Evaluation points y
+    have shape (rows,) or (rows, points)."""
 
-    def __init__(self, inst: MarketInstance, r_low: float, r_high: float):
-        if not r_low < r_high:
-            raise ValueError("need r_low < r_high")
-        self.inst = inst
-        self.r_low = float(r_low)
-        self.r_high = float(r_high)
-        i = inst.rewards.index_of(r_low)
-        j = inst.rewards.index_of(r_high)
+    def __init__(self, revenue, lam, lo, hi, r_low, r_high):
+        self.revenue = revenue
+        self.lam = lam
+        self.lo = lo
+        self.hi = hi
+        self.r_low = r_low
+        self.r_high = r_high
+
+    @classmethod
+    def of(cls, inst: MarketInstance, ii: np.ndarray, jj: np.ndarray) -> "_PairBatch":
+        """Slices between grid rewards ii[p] < jj[p] (index arrays)."""
         mat = inst.departure_matrix
-        self.lo = [float(v) for v in mat[:, i]]
-        self.hi = [float(v) for v in mat[:, j]]
-        self.lam = [float(v) for v in inst.lambdas]
+        vals = np.asarray(inst.rewards.values)
+        return cls(inst.revenue, inst.lambdas, mat[:, ii], mat[:, jj], vals[ii], vals[jj])
 
-    def admissible_max(self) -> float | None:
+    def take(self, rows) -> "_PairBatch":
+        return _PairBatch(self.revenue, self.lam, self.lo[:, rows], self.hi[:, rows],
+                          self.r_low[rows], self.r_high[rows])
+
+    def admissible_max(self) -> np.ndarray:
         """Largest weight on r_high keeping every mixture rate above the
-        degeneracy floor; None when the whole slice is degenerate."""
-        y = 1.0
+        degeneracy floor; NaN where the whole slice is degenerate."""
+        y = np.ones(self.lo.shape[1])
         for lo, hi in zip(self.lo, self.hi):
-            if hi < MIN_DEPARTURE_FLOOR:
-                if lo < MIN_DEPARTURE_FLOOR:
-                    return None
-                y = min(y, (lo - MIN_DEPARTURE_FLOOR) / (lo - hi))
+            lost = hi < MIN_DEPARTURE_FLOOR
+            y[lost & (lo < MIN_DEPARTURE_FLOOR)] = np.nan
+            cut = lost & (lo >= MIN_DEPARTURE_FLOOR)
+            y[cut] = np.minimum(y[cut], (lo[cut] - MIN_DEPARTURE_FLOOR) / (lo[cut] - hi[cut]))
         return y
 
-    def supply(self, y: float) -> float:
-        total = 0.0
+    def supply(self, y: np.ndarray) -> np.ndarray:
+        # summed type by type from 0.0, the order of a scalar loop over types
+        col = (slice(None),) + (None,) * (y.ndim - 1)
+        total = np.zeros(np.shape(y))
         for lam, lo, hi in zip(self.lam, self.lo, self.hi):
-            total += lam / (lo + (hi - lo) * y)
+            lhat = (hi - lo)[col] * y
+            lhat += lo[col]
+            total += np.divide(lam, lhat, out=lhat)
         return total
 
-    def rhat(self, y: float) -> float:
-        return self.r_low + (self.r_high - self.r_low) * y
+    def rhat(self, y: np.ndarray) -> np.ndarray:
+        col = (slice(None),) + (None,) * (y.ndim - 1)
+        out = (self.r_high - self.r_low)[col] * y
+        out += self.r_low[col]
+        return out
 
-    def profit(self, y: float) -> float:
+    def profit(self, y: np.ndarray) -> np.ndarray:
         n = self.supply(y)
-        return float(self.inst.revenue.value(n)) - self.rhat(y) * n
+        value = self.revenue.value(n)
+        cost = self.rhat(y)
+        cost *= n
+        return np.subtract(value, cost, out=cost)
 
-    def profit_grid(self, ys: np.ndarray) -> np.ndarray:
-        lo = np.asarray(self.lo)[:, None]
-        hi = np.asarray(self.hi)[:, None]
-        lhat = lo + (hi - lo) * ys[None, :]
-        n = (np.asarray(self.lam)[:, None] / lhat).sum(axis=0)
-        rhat = self.r_low + (self.r_high - self.r_low) * ys
-        return np.asarray(self.inst.revenue.value(n)) - rhat * n
+    def cost(self, y: np.ndarray) -> np.ndarray:
+        return self.rhat(y) * self.supply(y)
 
 
-def _golden_max(f, a: float, b: float, tol: float) -> float:
+def _golden_section(f, a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    """Golden-section maximum of f in every bracket [a[n], b[n]] at once.
+
+    f maps one point per bracket to one value per bracket. Each bracket
+    shrinks until its own width is at most tol and then stays put, so it
+    takes the same steps as it would alone.
+    """
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
+    active = b - a > tol
+    while active.any():
+        keep_left = fc >= fd
+        left = active & keep_left  # keep [a, d]; the old c becomes d
+        right = active & ~keep_left  # keep [c, b]; the old d becomes c
+        a, b = np.where(right, c, a), np.where(left, d, b)
+        probe = np.where(left, b - _INV_PHI * (b - a), a + _INV_PHI * (b - a))
+        f_probe = f(probe)
+        c, d, fc, fd = (
+            np.where(left, probe, np.where(right, d, c)),
+            np.where(right, probe, np.where(left, c, d)),
+            np.where(left, f_probe, np.where(right, fd, fc)),
+            np.where(right, f_probe, np.where(left, fc, fd)),
+        )
+        active = b - a > tol
     return 0.5 * (a + b)
 
 
-def _bisect_increasing(f, target: float, lo: float, hi: float) -> float | None:
-    """Root of f(y) = target for non-decreasing f; None if the target is not
-    strictly bracketed."""
+def _bisect_up(f, target, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Root of f(y) = target in every bracket [lo[n], hi[n]] at once, for f
+    non-decreasing; NaN where the target is not strictly bracketed.
+
+    Each bracket halves at most 200 times and stops as soon as its midpoint
+    rounds onto an end.
+    """
     flo, fhi = f(lo), f(hi)
-    if not (flo < target < fhi):
-        return None
+    found = (flo < target) & (target < fhi)
+    active = found.copy()
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
+        active &= (mid != lo) & (mid != hi)
+        if not active.any():
             break
-        if f(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        below = f(mid) < target
+        lo = np.where(active & below, mid, lo)
+        hi = np.where(active & ~below, mid, hi)
+    return np.where(found, 0.5 * (lo + hi), np.nan)
+
+
+def _live_pairs(inst: MarketInstance, ii: np.ndarray, jj: np.ndarray):
+    """(positions, slices, admissible maxima) of the pairs (ii[p], jj[p])
+    that are not degenerate throughout."""
+    pairs = _PairBatch.of(inst, ii, jj)
+    y_hi = pairs.admissible_max()
+    live = np.flatnonzero(~np.isnan(y_hi))
+    return live, pairs.take(live), y_hi[live]
+
+
+def _solve_pairs(
+    inst: MarketInstance, ii: np.ndarray, jj: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Slice optimum of every pair (ii[p], jj[p]) of grid indices, ii < jj.
+
+    Returns the weight on the higher reward and the profit there, NaN for
+    slices that are degenerate throughout. Per slice: scan SCAN_POINTS
+    weights, golden-refine around every scanned local maximum, add the
+    endpoints and (newsvendor revenue) the kink where supply crosses the cap,
+    and keep the best candidate, the smallest weight among ties.
+    """
+    best_y = np.full(len(ii), np.nan)
+    best_p = np.full(len(ii), np.nan)
+    live, pairs, top = _live_pairs(inst, ii, jj)
+    if live.size == 0:
+        return best_y, best_p
+    step = top / (SCAN_POINTS - 1)  # np.linspace(0, top, SCAN_POINTS), row by row
+    zero = np.zeros(len(live))
+    rows = [np.arange(len(live)), np.arange(len(live))]
+    ys = [zero, top]
+    profits = [pairs.profit(zero), pairs.profit(top)]
+
+    bracket_rows, bracket_k = [], []
+    for start in range(0, len(live), _PAIR_BLOCK):
+        block = slice(start, start + _PAIR_BLOCK)
+        grid = np.arange(SCAN_POINTS) * step[block, None]
+        grid[:, -1] = top[block]
+        p = pairs.take(block).profit(grid)
+        mid = p[:, 1:-1]
+        r, k = np.nonzero((mid >= p[:, :-2]) & (mid >= p[:, 2:]))
+        bracket_rows.append(r + start)
+        bracket_k.append(k + 1)
+    bracket_rows = np.concatenate(bracket_rows)
+    bracket_k = np.concatenate(bracket_k)
+    # a chunk of brackets holds as many points as a scan block
+    chunk = _PAIR_BLOCK * SCAN_POINTS
+    for start in range(0, len(bracket_rows), chunk):
+        r = bracket_rows[start:start + chunk]
+        k = bracket_k[start:start + chunk]
+        a = (k - 1) * step[r]
+        b = np.where(k + 1 == SCAN_POINTS - 1, top[r], (k + 1) * step[r])
+        brackets = pairs.take(r)
+        y = _golden_section(brackets.profit, a, b, tol)
+        rows.append(r)
+        ys.append(y)
+        profits.append(brackets.profit(y))
+    if isinstance(inst.revenue, Newsvendor):
+        # profit is kinked where total supply crosses the revenue cap
+        kink = _bisect_up(pairs.supply, inst.revenue.cap, zero, top)
+        hit = np.flatnonzero(~np.isnan(kink))
+        rows.append(hit)
+        ys.append(kink[hit])
+        profits.append(pairs.take(hit).profit(kink[hit]))
+
+    rows = np.concatenate(rows)
+    ys = np.concatenate(ys)
+    profits = np.concatenate(profits)
+    order = np.lexsort((ys, -profits, rows))
+    ranked = rows[order]
+    first = order[np.r_[True, ranked[1:] != ranked[:-1]]]
+    best_y[live[rows[first]]] = ys[first]
+    best_p[live[rows[first]]] = profits[first]
+    return best_y, best_p
 
 
 def optimize_pair(
@@ -215,36 +334,59 @@ def optimize_pair(
     Returns None when the whole slice is degenerate (both rewards fail to
     retain some type). Ties resolve to the smallest weight on r_high.
     """
-    sl = _PairSlice(inst, r_low, r_high)
-    y_hi = sl.admissible_max()
-    if y_hi is None:
+    if not r_low < r_high:
+        raise ValueError("need r_low < r_high")
+    ii = np.array([inst.rewards.index_of(r_low)])
+    jj = np.array([inst.rewards.index_of(r_high)])
+    y, p = _solve_pairs(inst, ii, jj, tol)
+    if np.isnan(y[0]):
         return None
-    ys = np.linspace(0.0, y_hi, SCAN_POINTS)
-    profits = sl.profit_grid(ys)
-    candidates = {0.0, y_hi}
-    n = len(ys)
-    for k in range(1, n - 1):
-        if profits[k] >= profits[k - 1] and profits[k] >= profits[k + 1]:
-            candidates.add(_golden_max(sl.profit, ys[k - 1], ys[k + 1], tol))
-    if isinstance(inst.revenue, Newsvendor):
-        # profit is kinked where total supply crosses the revenue cap
-        y_kink = _bisect_increasing(sl.supply, inst.revenue.cap, 0.0, y_hi)
-        if y_kink is not None:
-            candidates.add(y_kink)
-    best_y = None
-    best_p = -math.inf
-    for y in sorted(candidates):
-        p = sl.profit(y)
-        if p > best_p:
-            best_y, best_p = y, p
-    return PairSolution(r_low=sl.r_low, r_high=sl.r_high, weight_high=best_y, profit=best_p)
+    return PairSolution(r_low=float(r_low), r_high=float(r_high), weight_high=float(y[0]),
+                        profit=float(p[0]))
 
 
-def _pair_distribution(rewards: RewardSet, ps: PairSolution) -> RewardDistribution:
-    ws = [0.0] * len(rewards)
-    ws[rewards.index_of(ps.r_low)] = 1.0 - ps.weight_high
-    ws[rewards.index_of(ps.r_high)] = ps.weight_high
-    return RewardDistribution.on(rewards, ws)
+def _score(inst: MarketInstance, ii: np.ndarray, jj: np.ndarray, w: np.ndarray):
+    """fluid_profit's arithmetic, vectorised over the distributions with
+    weight 1 - w[n] on grid reward ii[n] and w[n] on jj[n] (a point mass
+    when ii[n] == jj[n] and w[n] == 0). Returns (profit, total supply,
+    expected reward, non-degenerate mask)."""
+    mat = inst.departure_matrix.T  # (m, K): rows gather into (n, K)
+    vals = np.asarray(inst.rewards.values)
+    v = 1.0 - w
+    lhat = np.clip(mat[ii] * v[:, None] + mat[jj] * w[:, None], 0.0, 1.0)
+    ok = (lhat >= MIN_DEPARTURE_FLOOR).all(axis=1)
+    total = (inst.lambdas / np.maximum(lhat, MIN_DEPARTURE_FLOOR)).sum(axis=1)
+    rhat = vals[ii] * v + vals[jj] * w
+    profit = np.asarray(inst.revenue.value(total)) - rhat * total
+    return profit, total, rhat, ok
+
+
+def _best_outcome(
+    inst: MarketInstance, ii: np.ndarray, jj: np.ndarray, w: np.ndarray, by: str
+) -> FluidOutcome | None:
+    """The candidate with the largest key (value, -expected reward, -r_high,
+    -r_low) among non-degenerate ones, value being the profit (by="profit")
+    or the total supply; None when every candidate is degenerate."""
+    profit, total, rhat, ok = _score(inst, ii, jj, w)
+    keep = np.flatnonzero(ok)
+    if keep.size == 0:
+        return None
+    value = profit if by == "profit" else total
+    vals = np.asarray(inst.rewards.values)
+    order = np.lexsort((-vals[ii[keep]], -vals[jj[keep]], -rhat[keep], value[keep]))
+    k = keep[order[-1]]
+    i, j, wk = int(ii[k]), int(jj[k]), float(w[k])
+    ws = [0.0] * len(vals)
+    if i == j:
+        ws[i] = 1.0
+    else:
+        ws[i], ws[j] = 1.0 - wk, wk
+    return fluid_profit(inst, RewardDistribution.on(inst.rewards, ws))
+
+
+def _interior(y: np.ndarray) -> np.ndarray:
+    """Weights strictly inside (0, 1); the others collapse to a singleton."""
+    return (y > 1e-12) & (y < 1.0 - 1e-12)
 
 
 def solve_fluid(inst: MarketInstance, tol: float = REFINE_TOL) -> FluidOutcome:
@@ -255,34 +397,18 @@ def solve_fluid(inst: MarketInstance, tol: float = REFINE_TOL) -> FluidOutcome:
     lower high reward, then the lower low reward, independently of
     enumeration order.
     """
-    grid = inst.rewards
-    best: FluidOutcome | None = None
-    best_key: tuple | None = None
-
-    def consider(outcome: FluidOutcome, r_high: float, r_low: float) -> None:
-        nonlocal best, best_key
-        key = (outcome.profit, -outcome.expected_reward, -r_high, -r_low)
-        if best_key is None or key > best_key:
-            best, best_key = outcome, key
-
-    for r in grid:
-        try:
-            out = fluid_profit(inst, RewardDistribution.point_mass(grid, r))
-        except DegenerateSupply:
-            continue
-        consider(out, r, r)
-    for r_low, r_high in itertools.combinations(grid.values, 2):
-        ps = optimize_pair(inst, r_low, r_high, tol)
-        if ps is None:
-            continue
-        w = ps.weight_high
-        if w <= 1e-12 or w >= 1.0 - 1e-12:
-            continue  # collapses to a singleton already considered
-        try:
-            out = fluid_profit(inst, _pair_distribution(grid, ps))
-        except DegenerateSupply:
-            continue  # admissible-boundary float dust
-        consider(out, r_high, r_low)
+    m = len(inst.rewards)
+    ii, jj = np.triu_indices(m, 1)
+    y, _ = _solve_pairs(inst, ii, jj, tol)
+    inner = _interior(y)
+    single = np.arange(m)
+    best = _best_outcome(
+        inst,
+        np.concatenate([single, ii[inner]]),
+        np.concatenate([single, jj[inner]]),
+        np.concatenate([np.zeros(m), y[inner]]),
+        by="profit",
+    )
     if best is None:
         raise DegenerateSupply("every candidate distribution is degenerate")
     return best
@@ -393,44 +519,21 @@ def solve_supply_opt(b: BudgetedInstance, tol: float = 1e-9) -> FluidOutcome:
     bisection when the budget binds).
     """
     inst, B = b.inst, b.budget
-    grid = inst.rewards
     slack = tol * max(1.0, abs(B))
-    best: FluidOutcome | None = None
-    best_key: tuple | None = None
-
-    def consider(x: RewardDistribution, r_high: float, r_low: float) -> None:
-        nonlocal best, best_key
-        try:
-            out = fluid_profit(inst, x)
-        except DegenerateSupply:
-            return
-        key = (out.total_supply, -out.expected_reward, -r_high, -r_low)
-        if best_key is None or key > best_key:
-            best, best_key = out, key
-
-    for r in grid:
-        if _singleton_cost(inst, r) <= B + slack:
-            consider(RewardDistribution.point_mass(grid, r), r, r)
-    for r_low, r_high in itertools.combinations(grid.values, 2):
-        sl = _PairSlice(inst, r_low, r_high)
-        y_hi = sl.admissible_max()
-        if y_hi is None:
-            continue
-
-        def cost(y: float) -> float:
-            return sl.rhat(y) * sl.supply(y)
-
-        if cost(0.0) > B + slack:
-            continue
-        if cost(y_hi) <= B + slack:
-            y_star = y_hi
-        else:
-            y_star = _bisect_increasing(cost, B, 0.0, y_hi)
-            if y_star is None:
-                continue
-        if y_star <= 1e-12 or y_star >= 1.0 - 1e-12:
-            continue  # collapses to a singleton already considered
-        consider(_pair_distribution(grid, PairSolution(r_low, r_high, y_star, 0.0)), r_high, r_low)
+    fits = [k for k, r in enumerate(inst.rewards) if _singleton_cost(inst, r) <= B + slack]
+    single = np.array(fits, dtype=np.intp)
+    ii, jj = np.triu_indices(len(inst.rewards), 1)
+    live, pairs, top = _live_pairs(inst, ii, jj)
+    zero = np.zeros(len(live))
+    y = np.where(pairs.cost(top) <= B + slack, top, _bisect_up(pairs.cost, B, zero, top))
+    pick = (pairs.cost(zero) <= B + slack) & _interior(y)
+    best = _best_outcome(
+        inst,
+        np.concatenate([single, ii[live][pick]]),
+        np.concatenate([single, jj[live][pick]]),
+        np.concatenate([np.zeros(len(single)), y[pick]]),
+        by="supply",
+    )
     if best is None:
         raise DegenerateSupply("no feasible non-degenerate distribution")
     return best
@@ -559,21 +662,15 @@ def _best_tight_pair(
             _, n, _ = _weights_stats(inst, {r: 1.0})
             if best is None or n > best[0]:
                 best = (n, {r: 1.0})
-    for r_lo, r_hi in itertools.combinations(support, 2):
-        sl = _PairSlice(inst, r_lo, r_hi)
-        y_hi = sl.admissible_max()
-        if y_hi is None:
-            continue
-
-        def cost(y: float) -> float:
-            return sl.rhat(y) * sl.supply(y)
-
-        y = _bisect_increasing(cost, B, 0.0, y_hi)
-        if y is None:
-            continue
-        n = sl.supply(y)
-        if best is None or n > best[0]:
-            best = (n, {r_lo: 1.0 - y, r_hi: y})
+    idx = np.array([inst.rewards.index_of(r) for r in support], dtype=np.intp)
+    lows, highs = np.triu_indices(len(support), 1)
+    live, pairs, top = _live_pairs(inst, idx[lows], idx[highs])
+    y = _bisect_up(pairs.cost, B, np.zeros(len(live)), top)
+    n = pairs.supply(y)
+    for k in np.flatnonzero(~np.isnan(y)):
+        if best is None or n[k] > best[0]:
+            r_lo, r_hi = support[lows[live[k]]], support[highs[live[k]]]
+            best = (float(n[k]), {r_lo: 1.0 - float(y[k]), r_hi: float(y[k])})
     if best is None or best[0] < n_floor - 1e-9:
         return None
     return best[1]

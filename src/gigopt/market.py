@@ -8,6 +8,7 @@ their arguments.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass
@@ -59,6 +60,16 @@ def _clamp01(a):
     return np.clip(a, 0.0, 1.0)
 
 
+def _require_finite(obj, *names: str) -> None:
+    """Reject NaN and infinite parameters: comparisons such as lam <= 0
+    are false for NaN, so range checks alone let them through."""
+    for name in names:
+        value = getattr(obj, name)
+        for v in value if isinstance(value, tuple) else (value,):
+            if not math.isfinite(v):
+                raise ValueError(f"{type(obj).__name__} {name} must be finite, got {v!r}")
+
+
 @dataclass(frozen=True)
 class RewardSet:
     """Finite, strictly increasing grid of per-period money rewards."""
@@ -68,6 +79,7 @@ class RewardSet:
     def __post_init__(self) -> None:
         vals = tuple(float(v) for v in self.values)
         object.__setattr__(self, "values", vals)
+        _require_finite(self, "values")
         if len(vals) < 2:
             raise ValueError("a reward set needs at least two rewards")
         if vals[0] < 0.0:
@@ -77,6 +89,8 @@ class RewardSet:
 
     @classmethod
     def from_range(cls, lo: float, hi: float, step: float = 1.0) -> "RewardSet":
+        if not all(math.isfinite(v) for v in (lo, hi, step)):
+            raise ValueError(f"reward range {lo!r}..{hi!r} step {step!r} must be finite")
         if step <= 0.0:
             raise ValueError("step must be positive")
         n = int(math.floor((hi - lo) / step + 1e-9))
@@ -91,9 +105,22 @@ class RewardSet:
         return self.values[-1]
 
     def index_of(self, r: float, tol: float = 1e-9) -> int:
-        for k, v in enumerate(self.values):
-            if abs(v - r) <= tol * max(1.0, abs(v)):
-                return k
+        """Index of the first grid reward within tol * max(1, |v|) of r.
+
+        Rewards are non-negative and increasing, so (for tol < 1) the matches
+        form one run around r's insertion point: bisect to it, then walk down
+        to the first match.
+        """
+        vals = self.values
+
+        def hit(k: int) -> bool:
+            return abs(vals[k] - r) <= tol * max(1.0, abs(vals[k]))
+
+        k = bisect.bisect_left(vals, r)
+        while k > 0 and hit(k - 1):
+            k -= 1
+        if k < len(vals) and hit(k):
+            return k
         raise ValueError(f"reward {r!r} is not on the grid")
 
     def __len__(self) -> int:
@@ -120,6 +147,7 @@ class Tabulated:
         vs = tuple(float(v) for v in self.values)
         object.__setattr__(self, "rewards", rs)
         object.__setattr__(self, "values", vs)
+        _require_finite(self, "rewards", "values")
         if len(rs) != len(vs):
             raise ValueError("rewards and values must have equal length")
         if any(b <= a for a, b in zip(rs, rs[1:])):
@@ -151,6 +179,7 @@ class ExpFloor:
     floor: float
 
     def __post_init__(self) -> None:
+        _require_finite(self, "alpha", "floor")
         if self.alpha <= 0.0:
             raise ValueError("alpha must be positive")
 
@@ -166,6 +195,7 @@ class Linear:
     beta: float
 
     def __post_init__(self) -> None:
+        _require_finite(self, "alpha", "beta")
         if self.alpha < 0.0:
             raise ValueError("alpha must be non-negative")
 
@@ -180,6 +210,9 @@ class Quadratic:
     alpha: float
     beta: float
     gamma: float
+
+    def __post_init__(self) -> None:
+        _require_finite(self, "alpha", "beta", "gamma")
 
     def rate(self, r):
         arr = np.asarray(r, dtype=float)
@@ -198,6 +231,7 @@ class EpsNoisy:
     eps: float
 
     def __post_init__(self) -> None:
+        _require_finite(self, "v", "eps")
         if self.eps <= 0.0:
             raise ValueError("eps must be positive")
 
@@ -217,6 +251,7 @@ class WorkerType:
     departure: Departure
 
     def __post_init__(self) -> None:
+        _require_finite(self, "lam")
         if self.lam <= 0.0:
             raise ValueError("arrival rate must be positive")
 
@@ -235,6 +270,7 @@ class Newsvendor:
     cap: float
 
     def __post_init__(self) -> None:
+        _require_finite(self, "alpha", "cap")
         if self.alpha <= 0.0 or self.cap <= 0.0:
             raise ValueError("alpha and cap must be positive")
 
@@ -260,6 +296,7 @@ class Power:
     beta: float
 
     def __post_init__(self) -> None:
+        _require_finite(self, "c", "beta")
         if self.c <= 0.0:
             raise ValueError("c must be positive")
         if not 0.0 < self.beta < 1.0:
@@ -282,6 +319,7 @@ class Log:
     c: float
 
     def __post_init__(self) -> None:
+        _require_finite(self, "c")
         if self.c <= 0.0:
             raise ValueError("c must be positive")
 
@@ -302,6 +340,7 @@ class LinearRev:
     alpha: float
 
     def __post_init__(self) -> None:
+        _require_finite(self, "alpha")
         if self.alpha <= 0.0:
             raise ValueError("alpha must be positive")
 

@@ -265,3 +265,20 @@ def test_cli_reproduce_set_overrides(tmp_path, capsys):
 def test_cli_missing_instance_file(capsys):
     assert main(["fluid-solve", "--instance", "/nonexistent.json"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where, value", [
+    (("types", 0, "lambda"), math.nan),
+    (("revenue", "cap"), math.inf),
+    (("types", 1, "departure", "alpha"), math.nan),
+    (("rewards", 3), math.nan),
+])
+def test_cli_rejects_non_finite_instance(tmp_path, capsys, where, value):
+    # NaN passes checks such as lam <= 0, so each value needs its own finiteness check
+    doc = instance_to_dict(canonical_instance())
+    node = doc
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    assert main(["fluid-solve", "--instance", _write(tmp_path, "bad.json", doc)]) == 2
+    assert "must be finite" in capsys.readouterr().err

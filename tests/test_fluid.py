@@ -1,11 +1,12 @@
 """Fluid solvers: pair optimization, the global solver vs. the brute-force
 oracle, budgeted supply maximization, support reduction, and lotteries."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gigopt import (
     BudgetedInstance,
@@ -16,10 +17,13 @@ from gigopt import (
     InfeasibleInput,
     InterlacingNotFound,
     InvalidMoments,
+    Linear,
     LinearRev,
+    Log,
     MarketInstance,
     Newsvendor,
     Power,
+    Quadratic,
     RewardDistribution,
     RewardSet,
     Tabulated,
@@ -40,6 +44,8 @@ from gigopt import (
     solve_supply_opt,
     support_reduce,
 )
+from gigopt.fluid import REFINE_TOL, SCAN_POINTS, _solve_pairs
+from gigopt.market import MIN_DEPARTURE_FLOOR
 
 
 def _tab_instance(rewards, rates, lam=1.0, revenue=None, **kw):
@@ -111,6 +117,177 @@ def test_pair_never_below_endpoints(lo_rate, hi_frac, y):
     except DegenerateSupply:
         return
     assert ps.profit >= sample - 1e-7 * max(1.0, abs(sample))
+
+
+# --------------------------------------------------------------------------
+# Batched pair kernel against a scalar reference
+
+
+def _scalar_pair(inst, r_low, r_high, tol=REFINE_TOL):
+    """Reference: one pair slice scanned and refined in plain Python, point by
+    point. Returns (weight_high, profit), or None for a degenerate slice."""
+    i, j = inst.rewards.index_of(r_low), inst.rewards.index_of(r_high)
+    lo = [float(v) for v in inst.departure_matrix[:, i]]
+    hi = [float(v) for v in inst.departure_matrix[:, j]]
+    lam = [float(v) for v in inst.lambdas]
+
+    def supply(y):
+        total = 0.0
+        for lm, a, b in zip(lam, lo, hi):
+            total += lm / (a + (b - a) * y)
+        return total
+
+    def profit(y):
+        n = supply(y)
+        return float(inst.revenue.value(n)) - (r_low + (r_high - r_low) * y) * n
+
+    def golden(a, b):
+        inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+        c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
+        fc, fd = profit(c), profit(d)
+        while b - a > tol:
+            if fc >= fd:
+                b, d, fd = d, c, fc
+                c = b - inv_phi * (b - a)
+                fc = profit(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + inv_phi * (b - a)
+                fd = profit(d)
+        return 0.5 * (a + b)
+
+    def bisect(f, target, a, b):
+        if not f(a) < target < f(b):
+            return None
+        for _ in range(200):
+            mid = 0.5 * (a + b)
+            if mid == a or mid == b:
+                break
+            if f(mid) < target:
+                a = mid
+            else:
+                b = mid
+        return 0.5 * (a + b)
+
+    y_hi = 1.0
+    for a, b in zip(lo, hi):
+        if b < MIN_DEPARTURE_FLOOR:
+            if a < MIN_DEPARTURE_FLOOR:
+                return None
+            y_hi = min(y_hi, (a - MIN_DEPARTURE_FLOOR) / (a - b))
+    ys = np.linspace(0.0, y_hi, SCAN_POINTS)
+    ps = [profit(float(y)) for y in ys]
+    candidates = {0.0, y_hi}
+    for k in range(1, len(ys) - 1):
+        if ps[k] >= ps[k - 1] and ps[k] >= ps[k + 1]:
+            candidates.add(golden(float(ys[k - 1]), float(ys[k + 1])))
+    if isinstance(inst.revenue, Newsvendor):
+        kink = bisect(supply, inst.revenue.cap, 0.0, y_hi)
+        if kink is not None:
+            candidates.add(kink)
+    best_y, best_p = None, -math.inf
+    for y in sorted(candidates):
+        p = profit(y)
+        if p > best_p:
+            best_y, best_p = y, p
+    return best_y, best_p
+
+
+_unit = st.floats(min_value=0.0, max_value=1.0)
+
+
+@st.composite
+def _random_instances(draw):
+    """Small instances over every departure and revenue family. Tabulated
+    and eps-noisy departures reach zero, so some slices are degenerate."""
+    m = draw(st.integers(min_value=2, max_value=9))
+    steps = draw(st.lists(st.floats(min_value=0.25, max_value=5.0), min_size=m - 1, max_size=m - 1))
+    grid = tuple(float(v) for v in np.cumsum([draw(st.floats(min_value=0.0, max_value=20.0))] + steps))
+    types = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        kind = draw(st.sampled_from(["tabulated", "exp_floor", "linear", "quadratic", "eps_noisy"]))
+        if kind == "tabulated":
+            dep = Tabulated(grid, tuple(sorted(draw(st.lists(_unit, min_size=m, max_size=m)), reverse=True)))
+        elif kind == "exp_floor":
+            dep = ExpFloor(draw(st.floats(min_value=0.01, max_value=0.5)), draw(st.floats(0.0, grid[-1])))
+        elif kind == "linear":
+            dep = Linear(draw(st.floats(0.0, 0.2)), draw(st.floats(0.2, 2.0)))
+        elif kind == "quadratic":
+            dep = Quadratic(draw(st.floats(0.0, 0.005)), draw(st.floats(-0.05, 0.0)), draw(st.floats(0.2, 1.2)))
+        else:
+            dep = EpsNoisy(draw(st.floats(grid[0], grid[-1])), draw(st.floats(0.5, 10.0)))
+        types.append(WorkerType(draw(st.floats(min_value=0.5, max_value=5.0)), dep))
+    lam = sum(t.lam for t in types)
+    kind = draw(st.sampled_from(["newsvendor", "power", "log", "linear"]))
+    if kind == "newsvendor":
+        # caps between the bottom and several times the typical supply put kinks inside slices
+        revenue = Newsvendor(draw(st.floats(grid[0] + 1.0, 2.0 * grid[-1] + 5.0)),
+                             lam * draw(st.floats(min_value=1.0, max_value=20.0)))
+    elif kind == "power":
+        revenue = Power(draw(st.floats(10.0, 500.0)), draw(st.floats(0.1, 0.9)))
+    elif kind == "log":
+        revenue = Log(draw(st.floats(10.0, 500.0)))
+    else:
+        revenue = LinearRev(draw(st.floats(1.0, 1.5 * grid[-1] + 2.0)))
+    return MarketInstance(RewardSet(grid), tuple(types), revenue, eps_noisy_mode=True)
+
+
+_PLATEAU = MarketInstance(
+    RewardSet((15.0, 25.0, 40.0)),
+    (WorkerType(10.0, EpsNoisy(v=25.0, eps=15.0)),),
+    Newsvendor(40.0, 300.0),
+    eps_noisy_mode=True,
+)
+
+
+@settings(deadline=None, max_examples=40)
+@given(_random_instances())
+@example(_PLATEAU)  # flat slices: hundreds of scanned local maxima per pair
+def test_pair_kernel_matches_scalar_reference(inst):
+    vals = inst.rewards.values
+    ii, jj = (np.array(v) for v in zip(*itertools.combinations(range(len(vals)), 2)))
+    ys, ps = _solve_pairs(inst, ii, jj, REFINE_TOL)
+    for i, j, y, p in zip(ii, jj, ys, ps):
+        want = _scalar_pair(inst, vals[i], vals[j])
+        if want is None:
+            assert np.isnan(y) and np.isnan(p)
+        else:
+            assert (float(y), float(p)) == want
+    ps_one = optimize_pair(inst, vals[0], vals[-1])
+    want = _scalar_pair(inst, vals[0], vals[-1])
+    assert (ps_one is None) if want is None else (ps_one.weight_high, ps_one.profit) == want
+
+
+def _tie_instance(grid, types, revenue):
+    rs = RewardSet(grid)
+    return MarketInstance(rs, tuple(WorkerType(lam, Tabulated(rs.values, l)) for lam, l in types), revenue)
+
+
+@pytest.mark.parametrize("inst, tied, want", [
+    # singletons 2 and 4 both earn exactly 12: the lower expected reward wins
+    (_tie_instance((2.0, 4.0), [(2.0, (1.0, 1.0)), (1.0, (1.0, 0.25))], LinearRev(6.0)),
+     (0.0, 1.0), ((2.0, 1.0),)),
+    # departure linear in the reward and profit peaking at expected reward 2:
+    # the singleton 2 and the even split of 0 and 4 tie; the lower r_high wins
+    (_tie_instance((0.0, 2.0, 4.0), [(0.75, (1.0, 0.75, 0.5))], Log(16.0)),
+     (0.5, 0.0, 0.5), ((2.0, 1.0),)),
+    # peak at 7: 6/8 split evenly and 4/8 split 1:3 tie; the lower r_low wins
+    (_tie_instance((4.0, 6.0, 8.0), [(0.5625, (0.75, 0.625, 0.5))], Log(32.0)),
+     (0.0, 0.5, 0.5), ((4.0, 0.25), (8.0, 0.75))),
+])
+def test_solve_fluid_tie_break_order(inst, tied, want):
+    # a tolerance wider than the scan step keeps every refined weight on the
+    # scan grid, where these weights and all the arithmetic are exact
+    out = solve_fluid(inst, tol=1.0)
+    assert out.x.support() == want
+    other = fluid_profit(inst, RewardDistribution.on(inst.rewards, tied))
+    assert other.profit == out.profit
+
+    def order(o):
+        rs = o.x.support_rewards()
+        return (o.expected_reward, rs[-1], rs[0])
+
+    assert order(out) < order(other)
 
 
 # --------------------------------------------------------------------------

@@ -55,6 +55,19 @@ def test_reward_set_from_range():
         rs.index_of(37.5)
 
 
+def test_index_of_tolerance_and_first_match():
+    rs = RewardSet.from_range(15.0, 60.0, 1.0)
+    # within 1e-9 relative of 37 on either side
+    assert rs.index_of(37.0 + 3e-8) == 22
+    assert rs.index_of(37.0 - 3e-8) == 22
+    with pytest.raises(ValueError, match="not on the grid"):
+        rs.index_of(37.0 + 4e-8)
+    # both rewards lie within tolerance of 1e12 + 1: the first one wins
+    wide = RewardSet((1e12, 1e12 + 1.0, 1e12 + 1e4))
+    assert wide.index_of(1e12 + 1.0) == 0
+    assert wide.index_of(1e12 + 1e4) == 2
+
+
 def test_distribution_validation():
     with pytest.raises(ValueError, match="sum"):
         RewardDistribution((1.0, 2.0), (0.5, 0.6))
