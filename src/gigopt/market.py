@@ -11,7 +11,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 from typing import Sequence, Union
@@ -43,6 +43,8 @@ __all__ = [
     "fluid_profit",
     "instance_from_dict",
     "instance_to_dict",
+    "revenue_from_dict",
+    "revenue_to_dict",
     "load_instance",
 ]
 
@@ -539,25 +541,61 @@ def fluid_profit(inst: MarketInstance, x: RewardDistribution) -> FluidOutcome:
 
 
 # --------------------------------------------------------------------------
-# JSON instance schema
-
+# JSON instance schema. One table per family maps each kind name to its
+# class; a class's dataclass fields are its JSON keys, except those the
+# instance supplies (a tabulated departure's rewards are the instance grid).
 
 _DEPARTURE_KINDS = {
-    "exp_floor": lambda d, grid: ExpFloor(alpha=float(d["alpha"]), floor=float(d["floor"])),
-    "linear": lambda d, grid: Linear(alpha=float(d["alpha"]), beta=float(d["beta"])),
-    "quadratic": lambda d, grid: Quadratic(
-        alpha=float(d["alpha"]), beta=float(d["beta"]), gamma=float(d["gamma"])
-    ),
-    "eps_noisy": lambda d, grid: EpsNoisy(v=float(d["v"]), eps=float(d["eps"])),
-    "tabulated": lambda d, grid: Tabulated(rewards=grid.values, values=tuple(float(v) for v in d["values"])),
+    "exp_floor": ExpFloor,
+    "linear": Linear,
+    "quadratic": Quadratic,
+    "eps_noisy": EpsNoisy,
+    "tabulated": Tabulated,
 }
 
 _REVENUE_KINDS = {
-    "newsvendor": lambda d: Newsvendor(alpha=float(d["alpha"]), cap=float(d["cap"])),
-    "power": lambda d: Power(c=float(d["c"]), beta=float(d["beta"])),
-    "log": lambda d: Log(c=float(d["c"])),
-    "linear": lambda d: LinearRev(alpha=float(d["alpha"])),
+    "newsvendor": Newsvendor,
+    "power": Power,
+    "log": Log,
+    "linear": LinearRev,
 }
+
+_KIND_NAMES = {cls: kind for table in (_DEPARTURE_KINDS, _REVENUE_KINDS) for kind, cls in table.items()}
+
+
+def _kind_from_dict(family: str, table: dict, spec, **supplied):
+    if not isinstance(spec, dict) or "kind" not in spec:
+        raise ValueError(f"{family} must be an object with a 'kind' key, got {spec!r}")
+    kind = spec["kind"]
+    cls = table.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValueError(f"unknown {family} kind {kind!r}")
+    spec, args = {**spec, **supplied}, {}
+    for f in fields(cls):
+        value = spec.get(f.name)
+        try:
+            args[f.name] = float(value) if f.type == "float" else tuple(float(v) for v in value)
+        except (TypeError, ValueError):
+            want = "a number" if f.type == "float" else "a list of numbers"
+            raise ValueError(f"{family} kind {kind!r}: field {f.name!r} must be {want}, got {value!r}") from None
+    return cls(**args)
+
+
+def _kind_to_dict(obj, supplied: tuple[str, ...] = ()) -> dict:
+    out = {"kind": _KIND_NAMES[type(obj)]}
+    for f in fields(obj):
+        if f.name not in supplied:
+            value = getattr(obj, f.name)
+            out[f.name] = list(value) if isinstance(value, tuple) else value
+    return out
+
+
+def revenue_from_dict(d: dict) -> Revenue:
+    return _kind_from_dict("revenue", _REVENUE_KINDS, d)
+
+
+def revenue_to_dict(rev: Revenue) -> dict:
+    return _kind_to_dict(rev)
 
 
 def _rewards_from_spec(spec) -> RewardSet:
@@ -570,54 +608,21 @@ def instance_from_dict(d: dict) -> MarketInstance:
     rewards = _rewards_from_spec(d["rewards"])
     types = []
     for td in d["types"]:
-        dep = dict(td["departure"])
-        kind = dep.pop("kind")
-        if kind not in _DEPARTURE_KINDS:
-            raise ValueError(f"unknown departure kind {kind!r}")
-        types.append(WorkerType(lam=float(td["lambda"]), departure=_DEPARTURE_KINDS[kind](dep, rewards)))
-    rev = dict(d["revenue"])
-    kind = rev.pop("kind")
-    if kind not in _REVENUE_KINDS:
-        raise ValueError(f"unknown revenue kind {kind!r}")
+        dep = _kind_from_dict("departure", _DEPARTURE_KINDS, td["departure"], rewards=rewards.values)
+        types.append(WorkerType(lam=float(td["lambda"]), departure=dep))
     return MarketInstance(
         rewards=rewards,
         types=tuple(types),
-        revenue=_REVENUE_KINDS[kind](rev),
+        revenue=revenue_from_dict(d["revenue"]),
         eps_noisy_mode=bool(d.get("eps_noisy_mode", False)),
     )
-
-
-def _departure_to_dict(dep: Departure) -> dict:
-    if isinstance(dep, ExpFloor):
-        return {"kind": "exp_floor", "alpha": dep.alpha, "floor": dep.floor}
-    if isinstance(dep, Linear):
-        return {"kind": "linear", "alpha": dep.alpha, "beta": dep.beta}
-    if isinstance(dep, Quadratic):
-        return {"kind": "quadratic", "alpha": dep.alpha, "beta": dep.beta, "gamma": dep.gamma}
-    if isinstance(dep, EpsNoisy):
-        return {"kind": "eps_noisy", "v": dep.v, "eps": dep.eps}
-    if isinstance(dep, Tabulated):
-        return {"kind": "tabulated", "values": list(dep.values)}
-    raise TypeError(f"unknown departure type {type(dep)!r}")
-
-
-def _revenue_to_dict(rev: Revenue) -> dict:
-    if isinstance(rev, Newsvendor):
-        return {"kind": "newsvendor", "alpha": rev.alpha, "cap": rev.cap}
-    if isinstance(rev, Power):
-        return {"kind": "power", "c": rev.c, "beta": rev.beta}
-    if isinstance(rev, Log):
-        return {"kind": "log", "c": rev.c}
-    if isinstance(rev, LinearRev):
-        return {"kind": "linear", "alpha": rev.alpha}
-    raise TypeError(f"unknown revenue type {type(rev)!r}")
 
 
 def instance_to_dict(inst: MarketInstance) -> dict:
     return {
         "rewards": list(inst.rewards.values),
-        "types": [{"lambda": t.lam, "departure": _departure_to_dict(t.departure)} for t in inst.types],
-        "revenue": _revenue_to_dict(inst.revenue),
+        "types": [{"lambda": t.lam, "departure": _kind_to_dict(t.departure, ("rewards",))} for t in inst.types],
+        "revenue": revenue_to_dict(inst.revenue),
         "eps_noisy_mode": inst.eps_noisy_mode,
     }
 

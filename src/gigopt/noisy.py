@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple, Sequence, Union
@@ -21,8 +20,6 @@ import numpy as np
 from .fluid import solve_fluid
 from .market import (
     MIN_DEPARTURE_FLOOR,
-    _REVENUE_KINDS,
-    _revenue_to_dict,
     DegenerateSupply,
     EpsNoisy,
     MarketInstance,
@@ -31,7 +28,10 @@ from .market import (
     RewardDistribution,
     RewardSet,
     WorkerType,
+    expected_departure,
     expected_reward,
+    revenue_from_dict,
+    revenue_to_dict,
 )
 
 __all__ = [
@@ -236,13 +236,9 @@ def _noisy_supplies(noisy: NoisyInstance, x: RewardDistribution) -> np.ndarray:
         raise AssumptionViolated("departure evaluation needs a positive noise level")
     n = np.empty(noisy.K)
     for i, (lam, v) in enumerate(zip(noisy.lambdas, noisy.values)):
-        dep = EpsNoisy(v=v, eps=noisy.epsilon)
-        lhat = math.fsum(float(dep.rate(r)) * w for r, w in zip(x.rewards, x.weights) if w > 0.0)
-        lhat = min(1.0, max(0.0, lhat))
+        lhat = expected_departure(WorkerType(lam, EpsNoisy(v=v, eps=noisy.epsilon)), x)
         if lhat < MIN_DEPARTURE_FLOOR:
-            raise DegenerateSupply(
-                f"type {i} never departs under this distribution; supply is unbounded"
-            )
+            raise DegenerateSupply(f"type {i} never departs under this distribution; supply is unbounded")
         n[i] = lam / lhat
     return n
 
@@ -448,15 +444,11 @@ def detect_double_threshold(
 
 
 def noisy_from_dict(d: dict) -> NoisyInstance:
-    rev = dict(d["revenue"])
-    kind = rev.pop("kind")
-    if kind not in _REVENUE_KINDS:
-        raise ValueError(f"unknown revenue kind {kind!r}")
     return NoisyInstance(
         lambdas=tuple(float(v) for v in d["lambdas"]),
         values=tuple(float(v) for v in d["values"]),
         epsilon=float(d["epsilon"]),
-        revenue=_REVENUE_KINDS[kind](rev),
+        revenue=revenue_from_dict(d["revenue"]),
         r_min=float(d["r_min"]),
         r_max=float(d["r_max"]),
     )
@@ -467,7 +459,7 @@ def noisy_to_dict(noisy: NoisyInstance) -> dict:
         "lambdas": list(noisy.lambdas),
         "values": list(noisy.values),
         "epsilon": noisy.epsilon,
-        "revenue": _revenue_to_dict(noisy.revenue),
+        "revenue": revenue_to_dict(noisy.revenue),
         "r_min": noisy.r_min,
         "r_max": noisy.r_max,
     }

@@ -4,7 +4,8 @@ retention policy.
 
 Periods are 1-based everywhere; the population in period t is the survivors
 of period t-1 plus the period-t arrivals, and the payment drawn in period t
-applies to that whole population.
+applies to that whole population. The rule for which distribution a policy
+pays in period t lives here only, in period_index; the simulator reads it too.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ __all__ = [
     "TrajectoryResult",
     "FairnessReport",
     "BeliefOutcome",
+    "period_index",
     "distribution_at",
     "fluid_trajectory",
     "cyclic_steady_state",
@@ -67,6 +69,10 @@ class Static:
 
     x: RewardDistribution
 
+    @property
+    def distributions(self) -> tuple[RewardDistribution, ...]:
+        return (self.x,)
+
 
 @dataclass(frozen=True)
 class Cyclic:
@@ -86,6 +92,10 @@ class Cyclic:
     def tau(self) -> int:
         return len(self.xs)
 
+    @property
+    def distributions(self) -> tuple[RewardDistribution, ...]:
+        return self.xs
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -103,6 +113,10 @@ class Trajectory:
         if any(x.rewards != dom for x in self.head + self.tail):
             raise ValueError("all distributions must share one reward domain")
 
+    @property
+    def distributions(self) -> tuple[RewardDistribution, ...]:
+        return self.head + self.tail
+
 
 @dataclass(frozen=True)
 class BeliefBased:
@@ -119,19 +133,26 @@ class BeliefBased:
 Policy = Union[Static, Cyclic, Trajectory, BeliefBased]
 
 
-def distribution_at(policy: Policy, t: int) -> RewardDistribution:
-    """The reward distribution a policy draws from in (1-based) period t."""
+def period_index(policy: Policy, t: int) -> int:
+    """Position in policy.distributions of the distribution paid in period t."""
     if t < 1:
         raise ValueError("periods are 1-based")
     if isinstance(policy, Static):
-        return policy.x
+        return 0
     if isinstance(policy, Cyclic):
-        return policy.xs[(t - 1) % policy.tau]
+        return (t - 1) % policy.tau
     if isinstance(policy, Trajectory):
-        if t <= len(policy.head):
-            return policy.head[t - 1]
-        return policy.tail[(t - 1 - len(policy.head)) % len(policy.tail)]
-    raise TypeError("belief-based policies pay per worker state, not from one distribution")
+        h = len(policy.head)
+        return t - 1 if t <= h else h + (t - 1 - h) % len(policy.tail)
+    if isinstance(policy, BeliefBased):
+        raise TypeError("belief-based policies pay per worker state, not from one distribution")
+    raise TypeError(f"unknown policy type {type(policy).__name__}")
+
+
+def distribution_at(policy: Policy, t: int) -> RewardDistribution:
+    """The reward distribution a policy draws from in (1-based) period t."""
+    k = period_index(policy, t)  # rejects policies without distributions first
+    return policy.distributions[k]
 
 
 @dataclass(frozen=True)
@@ -304,8 +325,7 @@ def _payment_streams(
         return _belief_streams(policy, horizon)
     traj = fluid_trajectory(inst, policy, horizon, n0)
     dists = [distribution_at(policy, t).as_array() for t in range(1, horizon + 1)]
-    rows = [[d] * inst.K for d in dists]
-    return traj.supplies, [list(r) for r in rows]
+    return traj.supplies, [[d] * inst.K for d in dists]
 
 
 def fairness_audit(

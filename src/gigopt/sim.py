@@ -1,9 +1,12 @@
 """Stochastic market simulator.
 
-Each period: Poisson arrivals join per type, every present worker draws a
-reward cell from the period's distribution (multinomial), profit is recorded
-from the post-arrival population, then workers depart cell-wise with the
-reward's departure probability (binomial thinning).
+One step loop, _steps, runs the market. Each period: Poisson arrivals join
+per type, every present worker draws a reward cell from the period's
+distribution (multinomial), then workers depart cell-wise with the reward's
+departure probability (binomial thinning). simulate records profit from the
+post-arrival population of every period; occupancy_samples reads its total
+in period burn_in + 1 under a static policy. Scales whose expected occupancy
+could overflow int64 are rejected.
 
 All replications advance in lockstep as vectorized arrays, drawing from a
 single generator seeded from the config, so results are bit-identical for
@@ -20,7 +23,7 @@ import numpy as np
 
 from .fluid import solve_fluid
 from .market import MarketInstance, RewardDistribution, fluid_supply
-from .policies import BeliefBased, Cyclic, Policy, Static, Trajectory, distribution_at
+from .policies import Policy, Static, period_index
 
 __all__ = [
     "ConfigError",
@@ -80,24 +83,45 @@ class SimResult:
     trace: SimTrace | None
 
 
-def _period_weights(policy: Policy):
-    """Shared reward domain, stacked weight rows, and a period -> row map."""
-    if isinstance(policy, Static):
-        rows = np.array([policy.x.weights])
-        return policy.x.rewards, rows, lambda t: 0
-    if isinstance(policy, Cyclic):
-        rows = np.array([x.weights for x in policy.xs])
-        tau = policy.tau
-        return policy.xs[0].rewards, rows, lambda t: (t - 1) % tau
-    if isinstance(policy, Trajectory):
-        rows = np.array([x.weights for x in policy.head + policy.tail])
-        h, tl = len(policy.head), len(policy.tail)
-        return policy.tail[0].rewards, rows, lambda t: t - 1 if t <= h else h + (t - 1 - h) % tl
-    if isinstance(policy, BeliefBased):
-        raise ConfigError(
-            "belief-based policies pay per worker state; evaluate them with the policy engine"
-        )
-    raise ConfigError(f"unknown policy type {type(policy)!r}")
+def _policy_rows(inst: MarketInstance, policy: Policy):
+    """Shared reward domain, one weight row per entry of policy.distributions,
+    and the (K, m) departure probabilities of every type on that domain."""
+    try:
+        period_index(policy, 1)
+    except TypeError as exc:
+        raise ConfigError(f"{exc}; evaluate it with the policy engine") from None
+    dom = policy.distributions[0].rewards
+    mat = np.array([[float(t.departure.rate(r)) for r in dom] for t in inst.types])
+    return np.asarray(dom), np.array([x.weights for x in policy.distributions]), mat
+
+
+def _steps(inst: MarketInstance, policy: Policy, theta: int, R: int, periods: int, seed: int, realized: bool):
+    """The market's period loop over R lockstep replications. Yields each
+    period's post-arrival state before the departures leave: (n, arrivals,
+    departures, rhat, paid), with rhat the expected pay per worker and paid
+    the drawn pay per replication (None unless realized)."""
+    rewards, rows, mat = _policy_rows(inst, policy)
+    # a worker stays at most periods, and on average at most 1 / (slowest rate)
+    stay = 1.0 / np.maximum((rows @ mat.T).min(axis=0), 1.0 / periods)
+    if theta * float(inst.lambdas @ stay) > 2.0**62:
+        raise ConfigError(f"theta {theta} lets the expected occupancy overflow int64")
+    K, lam = inst.K, inst.lambdas * theta
+    rhat_rows = rows @ rewards
+    rng = np.random.default_rng(seed)
+    n = np.zeros((R, K), dtype=np.int64)
+    for t in range(1, periods + 1):
+        arrivals = rng.poisson(lam, size=(R, K))
+        n += arrivals
+        k = period_index(policy, t)
+        departures = np.empty((R, K), dtype=np.int64)
+        paid = np.zeros(R) if realized else None
+        for i in range(K):
+            cells = rng.multinomial(n[:, i], rows[k])
+            departures[:, i] = rng.binomial(cells, mat[i]).sum(axis=1)
+            if paid is not None:
+                paid += cells @ rewards
+        yield n, arrivals, departures, rhat_rows[k], paid
+        n -= departures
 
 
 def default_burn_in(inst: MarketInstance, policy: Policy) -> int:
@@ -109,8 +133,7 @@ def default_burn_in(inst: MarketInstance, policy: Policy) -> int:
     """
     rate = float(inst.departure_matrix[:, -1].min())
     if rate < 1e-9:
-        dom, rows, _ = _period_weights(policy)
-        mat = np.array([[float(t.departure.rate(r)) for r in dom] for t in inst.types])
+        _, rows, mat = _policy_rows(inst, policy)
         rate = float((rows @ mat.T).min())
     if rate < 1e-9:
         raise ConfigError("policy never mixes: some type would sit forever")
@@ -124,40 +147,19 @@ def simulate(inst: MarketInstance, policy: Policy, cfg: SimConfig) -> SimResult:
     fluid units; pay is the expected cost r_hat(x(t)) * N(t)/theta unless
     cfg.realized_cost asks for the drawn payments.
     """
-    dom, rows, row_of = _period_weights(policy)
-    rewards = np.asarray(dom)
-    mat = np.array([[float(t.departure.rate(r)) for r in dom] for t in inst.types])
     K, R = inst.K, cfg.replications
-    lam = inst.lambdas * cfg.theta
-    rhat_rows = rows @ rewards
-    rng = np.random.default_rng(cfg.seed)
-
-    n = np.zeros((R, K), dtype=np.int64)
     measured = cfg.periods - cfg.burn_in
     profit_acc = np.zeros(R)
     supply_acc = np.zeros((R, K))
     if cfg.record_trace:
-        tr_n = np.empty((cfg.periods, K), dtype=np.int64)
-        tr_a = np.empty((cfg.periods, K), dtype=np.int64)
-        tr_d = np.empty((cfg.periods, K), dtype=np.int64)
+        tr_n, tr_a, tr_d = (np.empty((cfg.periods, K), dtype=np.int64) for _ in range(3))
         tr_p = np.empty(cfg.periods)
 
-    for t in range(1, cfg.periods + 1):
-        arrivals = rng.poisson(lam, size=(R, K))
-        n += arrivals
-        k = row_of(t)
+    steps = _steps(inst, policy, cfg.theta, R, cfg.periods, cfg.seed, cfg.realized_cost)
+    for t, (n, arrivals, departures, rhat, paid) in enumerate(steps, 1):
         scaled = n.sum(axis=1) / cfg.theta
-        departures = np.empty((R, K), dtype=np.int64)
-        paid = np.zeros(R) if cfg.realized_cost else None
-        for i in range(K):
-            cells = rng.multinomial(n[:, i], rows[k])
-            departures[:, i] = rng.binomial(cells, mat[i]).sum(axis=1)
-            if paid is not None:
-                paid += cells @ rewards
-        if paid is not None:
-            profit = np.asarray(inst.revenue.value(scaled)) - paid / cfg.theta
-        else:
-            profit = np.asarray(inst.revenue.value(scaled)) - rhat_rows[k] * scaled
+        pay = paid / cfg.theta if paid is not None else rhat * scaled
+        profit = np.asarray(inst.revenue.value(scaled)) - pay
         if t > cfg.burn_in:
             profit_acc += profit
             supply_acc += n
@@ -166,17 +168,12 @@ def simulate(inst: MarketInstance, policy: Policy, cfg: SimConfig) -> SimResult:
             tr_a[t - 1] = arrivals[0]
             tr_d[t - 1] = departures[0]
             tr_p[t - 1] = profit[0]
-        n -= departures
 
     rep_means = profit_acc / measured
     mean_profit = float(rep_means.mean())
     se = float(rep_means.std(ddof=1) / math.sqrt(R)) if R > 1 else 0.0
     per_type = supply_acc.mean(axis=0) / measured
-    trace = (
-        SimTrace(supply=tr_n, arrivals=tr_a, departures=tr_d, profit=tr_p)
-        if cfg.record_trace
-        else None
-    )
+    trace = SimTrace(supply=tr_n, arrivals=tr_a, departures=tr_d, profit=tr_p) if cfg.record_trace else None
     return SimResult(
         mean_profit=mean_profit,
         std_error=se,
@@ -202,23 +199,14 @@ def occupancy_samples(
     seed: int,
 ) -> np.ndarray:
     """Independent draws of the total post-arrival occupancy after burn_in
-    periods under a static policy, one per replication."""
+    periods under a static policy, one per replication: period burn_in + 1
+    of the simulator's step loop."""
     if n_samples < 1 or burn_in < 0:
         raise ConfigError("need n_samples >= 1 and burn_in >= 0")
-    rewards = np.asarray(x.rewards)
-    weights = np.asarray(x.weights)
-    mat = np.array([[float(t.departure.rate(r)) for r in x.rewards] for t in inst.types])
-    lam = inst.lambdas * theta
-    rng = np.random.default_rng(seed)
-    K = inst.K
-    n = np.zeros((n_samples, K), dtype=np.int64)
+    steps = _steps(inst, Static(x), theta, n_samples, burn_in + 1, seed, False)
     for _ in range(burn_in):
-        n += rng.poisson(lam, size=(n_samples, K))
-        for i in range(K):
-            cells = rng.multinomial(n[:, i], weights)
-            n[:, i] -= rng.binomial(cells, mat[i]).sum(axis=1)
-    n += rng.poisson(lam, size=(n_samples, K))
-    return n.sum(axis=1)
+        next(steps)
+    return next(steps)[0].sum(axis=1)
 
 
 @dataclass(frozen=True)

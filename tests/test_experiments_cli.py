@@ -282,3 +282,26 @@ def test_cli_rejects_non_finite_instance(tmp_path, capsys, where, value):
     node[where[-1]] = value
     assert main(["fluid-solve", "--instance", _write(tmp_path, "bad.json", doc)]) == 2
     assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where, value, message", [
+    (("revenue", "beta"), None, "revenue kind 'power': field 'beta'"),
+    (("revenue",), [1], "revenue must be an object with a 'kind'"),
+    (("types", 0, "departure", "kind"), None, "unknown departure kind None"),
+])
+def test_cli_rejects_malformed_kind_fields(tmp_path, capsys, where, value, message):
+    doc = instance_to_dict(power_variant_instance())
+    node = doc
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    assert main(["fluid-solve", "--instance", _write(tmp_path, "bad.json", doc)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_cli_noisy_rejects_malformed_revenue(tmp_path, capsys):
+    doc = noisy_to_dict(noisy_newsvendor_instance(5.0))
+    del doc["revenue"]["kind"]
+    inst = _write(tmp_path, "bad_noisy.json", doc)
+    assert main(["noisy-analyze", "--instance", inst, "--eps", "1:1:5"]) == 2
+    assert "revenue must be an object with a 'kind'" in capsys.readouterr().err

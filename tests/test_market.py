@@ -298,3 +298,57 @@ def test_unknown_kind_rejected():
                 "revenue": {"kind": "linear", "alpha": 1.0},
             }
         )
+
+
+_EVERY_DEPARTURE = (
+    ExpFloor(alpha=0.5, floor=0.0),
+    Linear(alpha=0.3, beta=0.9),
+    Quadratic(alpha=0.05, beta=-0.1, gamma=0.9),
+    EpsNoisy(v=1.0, eps=1.5),
+    Tabulated((0.0, 1.0, 2.0), (0.9, 0.5, 0.2)),
+)
+
+
+@pytest.mark.parametrize(
+    "revenue", [Newsvendor(alpha=3.0, cap=4.0), Power(c=2.0, beta=0.5), Log(c=5.0), LinearRev(alpha=2.5)]
+)
+def test_every_kind_round_trips(revenue):
+    inst = MarketInstance(
+        RewardSet((0.0, 1.0, 2.0)),
+        tuple(WorkerType(1.0 + k, dep) for k, dep in enumerate(_EVERY_DEPARTURE)),
+        revenue,
+    )
+    text = json.dumps(instance_to_dict(inst))
+    again = instance_from_dict(json.loads(text))
+    assert again == inst
+    assert json.dumps(instance_to_dict(again)) == text
+
+
+def test_canonical_instance_json_text_is_stable():
+    rewards = ", ".join(f"{r:.1f}" for r in range(15, 61))
+    lam = '"lambda": 3.3333333333333335'
+    assert json.dumps(instance_to_dict(canonical_instance())) == (
+        f'{{"rewards": [{rewards}], "types": ['
+        f'{{{lam}, "departure": {{"kind": "exp_floor", "alpha": 0.07, "floor": 15.0}}}}, '
+        f'{{{lam}, "departure": {{"kind": "linear", "alpha": 0.022222222222222223, "beta": 1.3333333333333333}}}}, '
+        f'{{{lam}, "departure": {{"kind": "quadratic", "alpha": 0.0004938271604938272, '
+        '"beta": 0.014814814814814815, "gamma": 0.8888888888888888}}], '
+        '"revenue": {"kind": "newsvendor", "alpha": 100.0, "cap": 150.0}, "eps_noisy_mode": true}'
+    )
+
+
+@pytest.mark.parametrize("departure, revenue, message", [
+    ({"kind": "exp_floor", "floor": 0.0}, {"kind": "linear", "alpha": 1.0},
+     "departure kind 'exp_floor': field 'alpha' must be a number"),
+    ({"kind": "tabulated", "values": 3}, {"kind": "linear", "alpha": 1.0},
+     "departure kind 'tabulated': field 'values' must be a list"),
+    ({"alpha": 1.0, "beta": 1.0}, {"kind": "linear", "alpha": 1.0},
+     "departure must be an object with a 'kind'"),
+    ({"kind": "linear", "alpha": 0.2, "beta": 1.0}, {"kind": "power", "c": 1.0, "beta": None},
+     "revenue kind 'power': field 'beta' must be a number"),
+    ({"kind": "linear", "alpha": 0.2, "beta": 1.0}, [1], "revenue must be an object with a 'kind'"),
+])
+def test_malformed_kind_fields_name_family_kind_and_field(departure, revenue, message):
+    doc = {"rewards": [0.0, 1.0], "types": [{"lambda": 1.0, "departure": departure}], "revenue": revenue}
+    with pytest.raises(ValueError, match=message):
+        instance_from_dict(doc)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gigopt.experiments import noisy_newsvendor_instance, noisy_sqrt_instance
-from gigopt.market import DegenerateSupply, LinearRev, Newsvendor, Power, RewardDistribution
+from gigopt.market import DegenerateSupply, LinearRev, Log, Newsvendor, Power, RewardDistribution
 from gigopt.noisy import (
     AssumptionViolated,
     DerivativeVanishes,
@@ -290,3 +290,14 @@ def test_noisy_json_round_trip(tmp_path):
     assert load_noisy(p) == nv
     with pytest.raises(ValueError, match="unknown revenue kind"):
         noisy_from_dict({**noisy_to_dict(nv), "revenue": {"kind": "cubic"}})
+
+
+@pytest.mark.parametrize(
+    "revenue", [Newsvendor(alpha=3.0, cap=4.0), Power(c=2.0, beta=0.5), Log(c=5.0), LinearRev(alpha=2.5)]
+)
+def test_noisy_json_round_trips_every_revenue_kind(revenue):
+    noisy = NoisyInstance((1.0, 2.0), (3.0, 4.0), 0.5, revenue, 1.0, 9.0)
+    text = json.dumps(noisy_to_dict(noisy))
+    again = noisy_from_dict(json.loads(text))
+    assert again == noisy
+    assert json.dumps(noisy_to_dict(again)) == text

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gigopt import (
+    BeliefBased,
     Cyclic,
     LinearRev,
     MarketInstance,
@@ -50,6 +51,16 @@ def test_distribution_at():
     assert [distribution_at(tr, t) for t in (1, 2, 3, 4, 5)] == [b, a, a, b, a]
     with pytest.raises(ValueError, match="1-based"):
         distribution_at(Static(a), 0)
+    assert Static(a).distributions == (a,)
+    assert cyc.distributions == (a, b)
+    assert tr.distributions == (b, a, a, b)
+
+
+def test_distribution_at_names_policies_without_one_distribution():
+    with pytest.raises(TypeError, match="belief-based"):
+        distribution_at(BeliefBased(3.0, 1.0, 1.2, 100.0), 1)
+    with pytest.raises(TypeError, match="unknown policy type str"):
+        distribution_at("static", 1)
 
 
 # --------------------------------------------------------------------------

@@ -9,17 +9,19 @@ from scipy import stats
 
 from gigopt import (
     BeliefBased,
+    Cyclic,
     LinearRev,
     MarketInstance,
     RewardDistribution,
     RewardSet,
     Static,
     Tabulated,
+    Trajectory,
     WorkerType,
     fluid_supply,
     solve_fluid,
 )
-from gigopt.experiments import example1_instance
+from gigopt.experiments import canonical_instance, example1_instance
 from gigopt.sim import (
     ConfigError,
     SimConfig,
@@ -234,3 +236,69 @@ def test_additive_loss_sweep_rows_and_reproducibility():
     assert additive_loss_sweep(inst, policies, [2], base) == rows[:2]
     per_theta = {2: base, 8: SimConfig(theta=1, periods=120, burn_in=40, replications=9, seed=1234)}
     assert [r.reps for r in additive_loss_sweep(inst, policies, [2, 8], per_theta)] == [6, 6, 9, 9]
+
+
+# --------------------------------------------------------------------------
+# The shared step loop: outputs recorded from the simulator before simulate
+# and occupancy_samples shared one loop, and the bounds on the scale
+
+
+def _canon_lottery():
+    w = [0.0] * 46
+    w[5] = w[35] = 0.5  # rewards 20 and 50
+    return RewardDistribution.on(canonical_instance().rewards, w)
+
+
+def _recorded_policy(name):
+    rs = canonical_instance().rewards
+    a = RewardDistribution.point_mass(rs, 35.0)
+    b = RewardDistribution.point_mass(rs, 45.0)
+    return {
+        "cyclic": Cyclic((a, b, a)),
+        "trajectory": Trajectory(head=(b,), tail=(a, _canon_lottery())),
+        "realized": Static(_canon_lottery()),
+    }[name]
+
+
+@pytest.mark.parametrize("name, kw, profit, se, supply, last, departed", [
+    ("cyclic", dict(theta=3, periods=40, burn_in=10, replications=4, seed=17),
+     1709.6527777777778, 43.54788631814159, (48.175, 21.275, 13.458333333333334),
+     [43, 23, 14], [379, 384, 414]),
+    ("trajectory", dict(theta=2, periods=30, burn_in=5, replications=3, seed=23),
+     1349.8333333333333, 18.873644174998184, (19.88, 12.653333333333332, 9.0),
+     [19, 16, 11], [185, 188, 197]),
+    ("realized", dict(theta=5, periods=30, burn_in=10, replications=4, seed=29, realized_cost=True),
+     1221.5749999999998, 19.822309611479, (41.1375, 28.65, 24.275),
+     [43, 24, 27], [488, 463, 480]),
+], ids=["cyclic", "trajectory", "realized"])
+def test_simulate_matches_recorded_outputs(canon, name, kw, profit, se, supply, last, departed):
+    res = simulate(canon, _recorded_policy(name), SimConfig(record_trace=True, **kw))
+    assert res.mean_profit == pytest.approx(profit, rel=1e-12)
+    assert res.std_error == pytest.approx(se, rel=1e-12)
+    assert res.mean_supply == pytest.approx(supply, rel=1e-12)
+    assert res.trace.supply[-1].tolist() == last
+    assert res.trace.departures.sum(axis=0).tolist() == departed
+
+
+def test_occupancy_samples_match_recorded_draw(canon):
+    draw = occupancy_samples(canon, _canon_lottery(), theta=4, n_samples=6, burn_in=12, seed=31)
+    assert draw.tolist() == [76, 73, 76, 88, 81, 76]
+
+
+@pytest.mark.parametrize("burn", [0, 7])
+def test_occupancy_sample_is_the_simulated_post_arrival_total(canon, burn):
+    x = _canon_lottery()
+    cfg = SimConfig(theta=3, periods=burn + 1, burn_in=0, replications=1, seed=41, record_trace=True)
+    tr = simulate(canon, Static(x), cfg).trace
+    draw = occupancy_samples(canon, x, theta=3, n_samples=1, burn_in=burn, seed=41)
+    assert draw.tolist() == [int(tr.supply[burn].sum())]
+
+
+def test_scale_that_would_overflow_int64_is_rejected(canon):
+    x = Static(solve_fluid(canon).x)
+    ok = simulate(canon, x, SimConfig(theta=10**16, periods=60, burn_in=10, replications=2, seed=1))
+    assert 0.0 < ok.mean_supply_total < 2.0**63
+    with pytest.raises(ConfigError, match="overflow"):
+        simulate(canon, x, SimConfig(theta=10**17, periods=60, burn_in=10, replications=2, seed=1))
+    with pytest.raises(ConfigError, match="overflow"):
+        occupancy_samples(canon, x.x, theta=10**17, n_samples=2, burn_in=200, seed=1)
