@@ -31,7 +31,7 @@ from .fluid import (
     optimal_fixed_wage,
     solve_fluid,
 )
-from .market import MarketInstance, RewardDistribution, load_instance
+from .market import MarketInstance, RewardDistribution, float_field, load_instance
 from .noisy import detect_double_threshold, load_noisy, surplus_curve
 from .policies import (
     BeliefBased,
@@ -50,14 +50,17 @@ __all__ = ["main"]
 
 def _policy_from_dict(d: dict, inst: MarketInstance) -> Policy:
     kind = d.get("kind")
+    where = f"{kind} policy"
     if kind == "static":
-        return Static(RewardDistribution.on(inst.rewards, d["x"]))
+        return Static(RewardDistribution.on(inst.rewards, float_field(where, "x", d.get("x"), many=True)))
     if kind == "cyclic":
-        return Cyclic(tuple(RewardDistribution.on(inst.rewards, row) for row in d["xs"]))
+        xs = d.get("xs")
+        if not isinstance(xs, list):
+            raise ValueError(f"{where}: field 'xs' must be a list of weight lists, got {xs!r}")
+        rows = (float_field(where, f"xs[{j}]", row, many=True) for j, row in enumerate(xs))
+        return Cyclic(tuple(RewardDistribution.on(inst.rewards, row) for row in rows))
     if kind == "belief_based":
-        return BeliefBased(
-            alpha=float(d["alpha"]), v1=float(d["v1"]), v2=float(d["v2"]), D=float(d["D"])
-        )
+        return BeliefBased(**{k: float_field(where, k, d.get(k)) for k in ("alpha", "v1", "v2", "D")})
     raise ValueError(f"unknown policy kind {kind!r}")
 
 

@@ -41,6 +41,7 @@ __all__ = [
     "expected_departure",
     "fluid_supply",
     "fluid_profit",
+    "float_field",
     "instance_from_dict",
     "instance_to_dict",
     "revenue_from_dict",
@@ -563,6 +564,17 @@ _REVENUE_KINDS = {
 _KIND_NAMES = {cls: kind for table in (_DEPARTURE_KINDS, _REVENUE_KINDS) for kind, cls in table.items()}
 
 
+def float_field(where: str, name: str, value, many: bool = False):
+    """A JSON field read as a float, or as a tuple of floats when many; a
+    ValueError naming where and the field when it is neither (null, missing,
+    a list for a number, a number for a list)."""
+    try:
+        return tuple(float(v) for v in value) if many else float(value)
+    except (TypeError, ValueError):
+        want = "a list of numbers" if many else "a number"
+        raise ValueError(f"{where}: field {name!r} must be {want}, got {value!r}") from None
+
+
 def _kind_from_dict(family: str, table: dict, spec, **supplied):
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError(f"{family} must be an object with a 'kind' key, got {spec!r}")
@@ -572,12 +584,7 @@ def _kind_from_dict(family: str, table: dict, spec, **supplied):
         raise ValueError(f"unknown {family} kind {kind!r}")
     spec, args = {**spec, **supplied}, {}
     for f in fields(cls):
-        value = spec.get(f.name)
-        try:
-            args[f.name] = float(value) if f.type == "float" else tuple(float(v) for v in value)
-        except (TypeError, ValueError):
-            want = "a number" if f.type == "float" else "a list of numbers"
-            raise ValueError(f"{family} kind {kind!r}: field {f.name!r} must be {want}, got {value!r}") from None
+        args[f.name] = float_field(f"{family} kind {kind!r}", f.name, spec.get(f.name), f.type != "float")
     return cls(**args)
 
 
@@ -600,16 +607,17 @@ def revenue_to_dict(rev: Revenue) -> dict:
 
 def _rewards_from_spec(spec) -> RewardSet:
     if isinstance(spec, dict):
-        return RewardSet.from_range(float(spec["min"]), float(spec["max"]), float(spec.get("step", 1.0)))
-    return RewardSet(tuple(float(v) for v in spec))
+        lo, hi = (float_field("rewards", k, spec.get(k)) for k in ("min", "max"))
+        return RewardSet.from_range(lo, hi, float_field("rewards", "step", spec.get("step", 1.0)))
+    return RewardSet(float_field("instance", "rewards", spec, many=True))
 
 
 def instance_from_dict(d: dict) -> MarketInstance:
     rewards = _rewards_from_spec(d["rewards"])
     types = []
-    for td in d["types"]:
+    for j, td in enumerate(d["types"]):
         dep = _kind_from_dict("departure", _DEPARTURE_KINDS, td["departure"], rewards=rewards.values)
-        types.append(WorkerType(lam=float(td["lambda"]), departure=dep))
+        types.append(WorkerType(lam=float_field(f"type {j}", "lambda", td.get("lambda")), departure=dep))
     return MarketInstance(
         rewards=rewards,
         types=tuple(types),

@@ -30,6 +30,7 @@ from .market import (
     WorkerType,
     expected_departure,
     expected_reward,
+    float_field,
     revenue_from_dict,
     revenue_to_dict,
 )
@@ -444,13 +445,16 @@ def detect_double_threshold(
 
 
 def noisy_from_dict(d: dict) -> NoisyInstance:
+    def field(name: str, many: bool = False):
+        return float_field("noisy instance", name, d.get(name), many)
+
     return NoisyInstance(
-        lambdas=tuple(float(v) for v in d["lambdas"]),
-        values=tuple(float(v) for v in d["values"]),
-        epsilon=float(d["epsilon"]),
+        lambdas=field("lambdas", many=True),
+        values=field("values", many=True),
+        epsilon=field("epsilon"),
         revenue=revenue_from_dict(d["revenue"]),
-        r_min=float(d["r_min"]),
-        r_max=float(d["r_max"]),
+        r_min=field("r_min"),
+        r_max=field("r_max"),
     )
 
 

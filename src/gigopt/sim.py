@@ -8,6 +8,14 @@ post-arrival population of every period; occupancy_samples reads its total
 in period burn_in + 1 under a static policy. Scales whose expected occupancy
 could overflow int64 are rejected.
 
+Cells that no distribution of the policy pays are never drawn: numpy's
+binomial spends no randomness on a draw with n = 0 or p = 0, and its
+multinomial hands the last cell the remainder without a draw, so dropping
+every unpaid cell but the last leaves the random stream, and every count,
+exactly as the full-width draw makes them. Drawn pay sums fewer products, so
+on grids where those products are not exact in float64 it may round
+differently in the last bits.
+
 All replications advance in lockstep as vectorized arrays, drawing from a
 single generator seeded from the config, so results are bit-identical for
 identical inputs regardless of platform thread counts.
@@ -54,6 +62,10 @@ class SimConfig:
     record_trace: bool = False  # keep the full path of replication 0
 
     def __post_init__(self) -> None:
+        for name in ("theta", "periods", "burn_in", "replications"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.theta < 1:
             raise ConfigError("theta must be a positive integer")
         if self.burn_in < 0 or self.periods <= self.burn_in:
@@ -107,6 +119,10 @@ def _steps(inst: MarketInstance, policy: Policy, theta: int, R: int, periods: in
         raise ConfigError(f"theta {theta} lets the expected occupancy overflow int64")
     K, lam = inst.K, inst.lambdas * theta
     rhat_rows = rows @ rewards
+    # draw only the cells some distribution pays, and always the last one
+    paid_cells = (rows > 0.0).any(axis=0)
+    paid_cells[-1] = True
+    rewards, rows, mat = rewards[paid_cells], rows[:, paid_cells], mat[:, paid_cells]
     rng = np.random.default_rng(seed)
     n = np.zeros((R, K), dtype=np.int64)
     for t in range(1, periods + 1):

@@ -305,3 +305,37 @@ def test_cli_noisy_rejects_malformed_revenue(tmp_path, capsys):
     inst = _write(tmp_path, "bad_noisy.json", doc)
     assert main(["noisy-analyze", "--instance", inst, "--eps", "1:1:5"]) == 2
     assert "revenue must be an object with a 'kind'" in capsys.readouterr().err
+
+
+def test_cli_rejects_null_instance_lambda(tmp_path, capsys):
+    doc = instance_to_dict(power_variant_instance())
+    doc["types"][1]["lambda"] = None
+    assert main(["fluid-solve", "--instance", _write(tmp_path, "bad.json", doc)]) == 2
+    assert "type 1: field 'lambda' must be a number, got None" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("epsilon", None, "noisy instance: field 'epsilon' must be a number, got None"),
+    ("r_max", "high", "noisy instance: field 'r_max' must be a number, got 'high'"),
+    ("lambdas", [1.0, None, 2.0], "noisy instance: field 'lambdas' must be a list of numbers"),
+    ("values", 30.0, "noisy instance: field 'values' must be a list of numbers"),
+])
+def test_cli_noisy_rejects_non_number_fields(tmp_path, capsys, field, value, message):
+    doc = noisy_to_dict(noisy_newsvendor_instance(5.0))
+    doc[field] = value
+    inst = _write(tmp_path, "bad_noisy.json", doc)
+    assert main(["noisy-analyze", "--instance", inst, "--eps", "1:1:5"]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("policy, message", [
+    ({"kind": "static", "x": [None] + [0.0] * 45}, "static policy: field 'x' must be a list of numbers"),
+    ({"kind": "cyclic", "xs": None}, "cyclic policy: field 'xs' must be a list of weight lists"),
+    ({"kind": "cyclic", "xs": [[1.0] + [0.0] * 45, 0.5]}, "cyclic policy: field 'xs[1]' must be a list"),
+    ({"kind": "belief_based", "alpha": None, "v1": 1.0, "v2": 1.2, "D": 100.0},
+     "belief_based policy: field 'alpha' must be a number, got None"),
+], ids=["static", "cyclic", "cyclic_row", "belief"])
+def test_cli_rejects_non_number_policy_fields(canon_file, tmp_path, capsys, policy, message):
+    pol = _write(tmp_path, "pol.json", policy)
+    assert main(["simulate", "--instance", canon_file, "--policy", pol, "--periods", "20", "--reps", "2"]) == 2
+    assert message in capsys.readouterr().err

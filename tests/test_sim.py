@@ -5,11 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from gigopt import (
     BeliefBased,
     Cyclic,
+    ExpFloor,
+    Linear,
     LinearRev,
     MarketInstance,
     RewardDistribution,
@@ -21,7 +24,9 @@ from gigopt import (
     fluid_supply,
     solve_fluid,
 )
+from gigopt import sim
 from gigopt.experiments import canonical_instance, example1_instance
+from gigopt.policies import period_index
 from gigopt.sim import (
     ConfigError,
     SimConfig,
@@ -40,6 +45,17 @@ def _fast_instance():
         (WorkerType(2.0, Tabulated(rs.values, (0.9, 0.3))),),
         LinearRev(alpha=50.0),
     )
+
+
+@pytest.mark.parametrize("field, value", [
+    ("theta", 2.5), ("theta", math.nan), ("theta", True), ("periods", 40.0),
+    ("burn_in", 5.0), ("replications", 3.0), ("replications", "3"),
+])
+def test_config_rejects_non_integer_counts(field, value):
+    kw = dict(theta=2, periods=40, burn_in=5, replications=3, seed=1)
+    with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+        SimConfig(**{**kw, field: value})
+    assert SimConfig(**{**kw, field: np.int64(kw[field])}) == SimConfig(**kw)
 
 
 def test_config_validation():
@@ -302,3 +318,115 @@ def test_scale_that_would_overflow_int64_is_rejected(canon):
         simulate(canon, x, SimConfig(theta=10**17, periods=60, burn_in=10, replications=2, seed=1))
     with pytest.raises(ConfigError, match="overflow"):
         occupancy_samples(canon, x.x, theta=10**17, n_samples=2, burn_in=200, seed=1)
+
+
+# --------------------------------------------------------------------------
+# Support-only draws: the step loop draws only the cells some distribution
+# pays (plus the last), which must leave every output equal to the loop that
+# draws all m cells every period
+
+
+def _full_width_steps(inst, policy, theta, R, periods, seed, realized):
+    """The period loop drawing every reward cell of the domain."""
+    rewards = np.asarray(policy.distributions[0].rewards)
+    rows = np.array([x.weights for x in policy.distributions])
+    mat = np.array([[float(t.departure.rate(r)) for r in rewards] for t in inst.types])
+    K, lam, rhat_rows = inst.K, inst.lambdas * theta, rows @ rewards
+    rng = np.random.default_rng(seed)
+    n = np.zeros((R, K), dtype=np.int64)
+    for t in range(1, periods + 1):
+        arrivals = rng.poisson(lam, size=(R, K))
+        n += arrivals
+        k = period_index(policy, t)
+        departures = np.empty((R, K), dtype=np.int64)
+        paid = np.zeros(R) if realized else None
+        for i in range(K):
+            cells = rng.multinomial(n[:, i], rows[k])
+            departures[:, i] = rng.binomial(cells, mat[i]).sum(axis=1)
+            if paid is not None:
+                paid += cells @ rewards
+        yield n, arrivals, departures, rhat_rows[k], paid
+        n -= departures
+
+
+# an off-integer grid: drawn pay sums non-integer products, so the shorter
+# support-only dot product may round differently from the full-width one
+_STEP_07 = MarketInstance(
+    RewardSet.from_range(10.0, 29.6, 0.7),
+    (WorkerType(1.3, Linear(0.02, 0.9)), WorkerType(0.7, ExpFloor(0.07, 12.0))),
+    LinearRev(alpha=40.0),
+)
+
+
+@st.composite
+def _distributions(draw, rewards):
+    """A distribution on the grid with 1 to 8 support cells; the top reward
+    is in the support or out of it as drawn."""
+    m = len(rewards)
+    cells = draw(st.sets(st.integers(0, m - 2), min_size=0, max_size=7))
+    if draw(st.booleans()) or not cells:
+        cells.add(m - 1)
+    raw = [draw(st.integers(1, 1000)) for _ in cells]
+    w = [0.0] * m
+    for c, v in zip(sorted(cells), raw):
+        w[c] = v / sum(raw)
+    w[max(cells)] += 1.0 - math.fsum(w)  # keep the sum within 1e-12
+    return RewardDistribution.on(rewards, w)
+
+
+@st.composite
+def _policies(draw, rewards):
+    kind = draw(st.sampled_from(["static", "cyclic", "trajectory"]))
+    xs = tuple(draw(st.lists(_distributions(rewards), min_size=1, max_size=4)))
+    if kind == "static":
+        return Static(xs[0])
+    if kind == "cyclic":
+        return Cyclic(xs)
+    cut = draw(st.integers(0, len(xs) - 1))
+    return Trajectory(head=xs[:cut], tail=xs[cut:])
+
+
+def _both_ways(inst, policy, cfg):
+    """simulate and occupancy_samples with the support-only loop, then with
+    the full-width one."""
+    x, theta, seed = policy.distributions[0], cfg.theta, cfg.seed
+    out = [(simulate(inst, policy, cfg), occupancy_samples(inst, x, theta, 5, 6, seed))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "_steps", _full_width_steps)
+        out.append((simulate(inst, policy, cfg), occupancy_samples(inst, x, theta, 5, 6, seed)))
+    return out
+
+
+_CANON_GRID = canonical_instance().rewards
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    policy=_policies(_CANON_GRID),
+    theta=st.sampled_from([1, 3, 40]),
+    realized=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_support_only_draws_equal_full_width_draws(canon, policy, theta, realized, seed):
+    cfg = SimConfig(theta=theta, periods=14, burn_in=4, replications=3, seed=seed,
+                    realized_cost=realized, record_trace=True)
+    (res, occ), (ref, ref_occ) = _both_ways(canon, policy, cfg)
+    assert (res.mean_profit, res.std_error, res.mean_supply) == (ref.mean_profit, ref.std_error, ref.mean_supply)
+    for f in ("supply", "arrivals", "departures", "profit"):
+        np.testing.assert_array_equal(getattr(res.trace, f), getattr(ref.trace, f))
+    np.testing.assert_array_equal(occ, ref_occ)
+
+
+@settings(deadline=None, max_examples=20)
+@given(policy=_policies(_STEP_07.rewards), seed=st.integers(0, 2**32 - 1))
+def test_support_only_realized_pay_on_off_integer_grid(policy, seed):
+    cfg = SimConfig(theta=5, periods=14, burn_in=4, replications=3, seed=seed,
+                    realized_cost=True, record_trace=True)
+    (res, occ), (ref, ref_occ) = _both_ways(_STEP_07, policy, cfg)
+    assert res.mean_supply == ref.mean_supply
+    for f in ("supply", "arrivals", "departures"):
+        np.testing.assert_array_equal(getattr(res.trace, f), getattr(ref.trace, f))
+    np.testing.assert_array_equal(occ, ref_occ)
+    # a reordered sum of at most 29 float64 products, on pay below 1e4
+    np.testing.assert_allclose(res.trace.profit, ref.trace.profit, rtol=0.0, atol=1e-9)
+    assert res.mean_profit == pytest.approx(ref.mean_profit, rel=0.0, abs=1e-9)
