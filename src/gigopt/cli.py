@@ -31,7 +31,7 @@ from .fluid import (
     optimal_fixed_wage,
     solve_fluid,
 )
-from .market import MarketInstance, RewardDistribution, float_field, load_instance
+from .market import MarketInstance, RewardDistribution, float_field, json_object, load_instance
 from .noisy import detect_double_threshold, load_noisy, surplus_curve
 from .policies import (
     BeliefBased,
@@ -49,6 +49,7 @@ __all__ = ["main"]
 
 
 def _policy_from_dict(d: dict, inst: MarketInstance) -> Policy:
+    d = json_object("policy", d)
     kind = d.get("kind")
     where = f"{kind} policy"
     if kind == "static":

@@ -10,6 +10,10 @@ the refinement alone cannot pin them to full precision.
 
 The pair slices are independent, so one batched kernel solves all of them
 with array operations, never a Python loop per slice or per point. The
+kernel spans instances too: each slice carries its own arrival rates, so
+solve_fluid_many puts the slices of every instance that shares the revenue
+and the number of types through one kernel call, and a sweep of small
+solves pays the kernel's per-step overhead once, not once per solve. The
 SCAN_POINTS-point scan runs over blocks of _PAIR_BLOCK slices, which bounds
 each temporary to _PAIR_BLOCK x SCAN_POINTS floats (66 KB) whatever the
 grid size. Local maxima of the scan are found with a mask, and every
@@ -29,10 +33,10 @@ transfers and budget rebalancing.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
@@ -61,6 +65,7 @@ __all__ = [
     "Dispersion",
     "optimize_pair",
     "solve_fluid",
+    "solve_fluid_many",
     "brute_force_oracle",
     "objective_lipschitz",
     "solve_supply_opt",
@@ -143,8 +148,10 @@ class Dispersion(str, Enum):
 
 class _PairBatch:
     """Pair slices as arrays, one row per slice: weight y on r_high and 1 - y
-    on r_low. Per-type parameters are (K, rows) arrays. Evaluation points y
-    have shape (rows,) or (rows, points)."""
+    on r_low. Per-type parameters (arrival rate and the two departure
+    probabilities) are (K, rows) arrays, so rows may come from different
+    instances that share the revenue and K. Evaluation points y have shape
+    (rows,) or (rows, points)."""
 
     def __init__(self, revenue, lam, lo, hi, r_low, r_high):
         self.revenue = revenue
@@ -159,10 +166,20 @@ class _PairBatch:
         """Slices between grid rewards ii[p] < jj[p] (index arrays)."""
         mat = inst.departure_matrix
         vals = np.asarray(inst.rewards.values)
-        return cls(inst.revenue, inst.lambdas, mat[:, ii], mat[:, jj], vals[ii], vals[jj])
+        lam = np.repeat(inst.lambdas[:, None], len(ii), axis=1)
+        return cls(inst.revenue, lam, mat[:, ii], mat[:, jj], vals[ii], vals[jj])
+
+    @classmethod
+    def concat(cls, batches: Sequence["_PairBatch"]) -> "_PairBatch":
+        """One batch holding the rows of every batch in turn; all must share
+        the revenue and K."""
+        def join(name: str) -> np.ndarray:
+            return np.concatenate([getattr(b, name) for b in batches], axis=-1)
+
+        return cls(batches[0].revenue, join("lam"), join("lo"), join("hi"), join("r_low"), join("r_high"))
 
     def take(self, rows) -> "_PairBatch":
-        return _PairBatch(self.revenue, self.lam, self.lo[:, rows], self.hi[:, rows],
+        return _PairBatch(self.revenue, self.lam[:, rows], self.lo[:, rows], self.hi[:, rows],
                           self.r_low[rows], self.r_high[rows])
 
     def admissible_max(self) -> np.ndarray:
@@ -177,13 +194,14 @@ class _PairBatch:
         return y
 
     def supply(self, y: np.ndarray) -> np.ndarray:
-        # summed type by type from 0.0, the order of a scalar loop over types
+        # summed type by type from 0.0, the order of a scalar loop over types;
+        # dividing by a per-row rate gives the bits a scalar rate would
         col = (slice(None),) + (None,) * (y.ndim - 1)
         total = np.zeros(np.shape(y))
         for lam, lo, hi in zip(self.lam, self.lo, self.hi):
             lhat = (hi - lo)[col] * y
             lhat += lo[col]
-            total += np.divide(lam, lhat, out=lhat)
+            total += np.divide(lam[col], lhat, out=lhat)
         return total
 
     def rhat(self, y: np.ndarray) -> np.ndarray:
@@ -261,30 +279,27 @@ def _live_pairs(inst: MarketInstance, ii: np.ndarray, jj: np.ndarray):
     return live, pairs.take(live), y_hi[live]
 
 
-def _solve_pairs(
-    inst: MarketInstance, ii: np.ndarray, jj: np.ndarray, tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Slice optimum of every pair (ii[p], jj[p]) of grid indices, ii < jj.
+def _solve_slices(pairs: _PairBatch, top: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Slice optimum of every live slice of the batch, top being its
+    admissible maximum weight.
 
-    Returns the weight on the higher reward and the profit there, NaN for
-    slices that are degenerate throughout. Per slice: scan SCAN_POINTS
-    weights, golden-refine around every scanned local maximum, add the
-    endpoints and (newsvendor revenue) the kink where supply crosses the cap,
-    and keep the best candidate, the smallest weight among ties.
+    Returns the weight on the higher reward and the profit there. Per slice:
+    scan SCAN_POINTS weights, golden-refine around every scanned local
+    maximum, add the endpoints and (newsvendor revenue) the kink where supply
+    crosses the cap, and keep the best candidate, the smallest weight among
+    ties.
     """
-    best_y = np.full(len(ii), np.nan)
-    best_p = np.full(len(ii), np.nan)
-    live, pairs, top = _live_pairs(inst, ii, jj)
-    if live.size == 0:
-        return best_y, best_p
+    n = len(top)
+    if n == 0:
+        return np.zeros(0), np.zeros(0)
     step = top / (SCAN_POINTS - 1)  # np.linspace(0, top, SCAN_POINTS), row by row
-    zero = np.zeros(len(live))
-    rows = [np.arange(len(live)), np.arange(len(live))]
+    zero = np.zeros(n)
+    rows = [np.arange(n), np.arange(n)]
     ys = [zero, top]
     profits = [pairs.profit(zero), pairs.profit(top)]
 
     bracket_rows, bracket_k = [], []
-    for start in range(0, len(live), _PAIR_BLOCK):
+    for start in range(0, n, _PAIR_BLOCK):
         block = slice(start, start + _PAIR_BLOCK)
         grid = np.arange(SCAN_POINTS) * step[block, None]
         grid[:, -1] = top[block]
@@ -307,9 +322,9 @@ def _solve_pairs(
         rows.append(r)
         ys.append(y)
         profits.append(brackets.profit(y))
-    if isinstance(inst.revenue, Newsvendor):
+    if isinstance(pairs.revenue, Newsvendor):
         # profit is kinked where total supply crosses the revenue cap
-        kink = _bisect_up(pairs.supply, inst.revenue.cap, zero, top)
+        kink = _bisect_up(pairs.supply, pairs.revenue.cap, zero, top)
         hit = np.flatnonzero(~np.isnan(kink))
         rows.append(hit)
         ys.append(kink[hit])
@@ -321,8 +336,19 @@ def _solve_pairs(
     order = np.lexsort((ys, -profits, rows))
     ranked = rows[order]
     first = order[np.r_[True, ranked[1:] != ranked[:-1]]]
-    best_y[live[rows[first]]] = ys[first]
-    best_p[live[rows[first]]] = profits[first]
+    return ys[first], profits[first]
+
+
+def _solve_pairs(
+    inst: MarketInstance, ii: np.ndarray, jj: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Slice optimum of every pair (ii[p], jj[p]) of grid indices, ii < jj:
+    the weight on the higher reward and the profit there, NaN for slices
+    that are degenerate throughout."""
+    best_y = np.full(len(ii), np.nan)
+    best_p = np.full(len(ii), np.nan)
+    live, pairs, top = _live_pairs(inst, ii, jj)
+    best_y[live], best_p[live] = _solve_slices(pairs, top, tol)
     return best_y, best_p
 
 
@@ -397,21 +423,42 @@ def solve_fluid(inst: MarketInstance, tol: float = REFINE_TOL) -> FluidOutcome:
     lower high reward, then the lower low reward, independently of
     enumeration order.
     """
-    m = len(inst.rewards)
-    ii, jj = np.triu_indices(m, 1)
-    y, _ = _solve_pairs(inst, ii, jj, tol)
-    inner = _interior(y)
-    single = np.arange(m)
-    best = _best_outcome(
-        inst,
-        np.concatenate([single, ii[inner]]),
-        np.concatenate([single, jj[inner]]),
-        np.concatenate([np.zeros(m), y[inner]]),
-        by="profit",
-    )
-    if best is None:
-        raise DegenerateSupply("every candidate distribution is degenerate")
-    return best
+    return solve_fluid_many([inst], tol)[0]
+
+
+def solve_fluid_many(instances: Sequence[MarketInstance], tol: float = REFINE_TOL) -> list[FluidOutcome]:
+    """solve_fluid of every instance, in order.
+
+    Instances that share the revenue and K (the number of worker types) are
+    solved together: the pair slices of the whole group go through one
+    kernel call, then each instance picks its own winner. Every outcome is
+    bit-identical to solving its instance alone.
+    """
+    instances = list(instances)
+    groups: dict[tuple, list[int]] = {}
+    for n, inst in enumerate(instances):
+        groups.setdefault((inst.revenue, inst.K), []).append(n)
+    outcomes: list[FluidOutcome] = [None] * len(instances)
+    for members in groups.values():
+        grids = [np.triu_indices(len(instances[n].rewards), 1) for n in members]
+        lives, batches, tops = zip(*(_live_pairs(instances[n], ii, jj) for n, (ii, jj) in zip(members, grids)))
+        y, _ = _solve_slices(_PairBatch.concat(batches), np.concatenate(tops), tol)
+        ends = np.cumsum([len(top) for top in tops])[:-1]
+        for n, (ii, jj), live, y_n in zip(members, grids, lives, np.split(y, ends)):
+            inst = instances[n]
+            inner = _interior(y_n)
+            single = np.arange(len(inst.rewards))
+            best = _best_outcome(
+                inst,
+                np.concatenate([single, ii[live][inner]]),
+                np.concatenate([single, jj[live][inner]]),
+                np.concatenate([np.zeros(len(single)), y_n[inner]]),
+                by="profit",
+            )
+            if best is None:
+                raise DegenerateSupply("every candidate distribution is degenerate")
+            outcomes[n] = best
+    return outcomes
 
 
 # --------------------------------------------------------------------------
@@ -419,19 +466,19 @@ def solve_fluid(inst: MarketInstance, tol: float = REFINE_TOL) -> FluidOutcome:
 
 
 def _compositions(m: int, G: int) -> np.ndarray:
-    """All m-part compositions of G as an (n, m) integer array."""
-    if m == 1:
-        return np.array([[G]], dtype=np.int64)
-    flat = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(G + m - 1), m - 1)),
-        dtype=np.int64,
-    )
-    bars = flat.reshape(-1, m - 1)
-    n = len(bars)
-    edges = np.column_stack(
-        [np.full(n, -1, dtype=np.int64), bars, np.full(n, G + m - 1, dtype=np.int64)]
-    )
-    return np.diff(edges, axis=1) - 1
+    """All m-part compositions of G as an (n, m) integer array, in
+    lexicographic order: built part by part, every row so far spawns one
+    child per value 0..remainder of the next part, and the last part takes
+    what is left."""
+    head = np.zeros((1, 0), dtype=np.int64)
+    rest = np.array([G], dtype=np.int64)
+    for _ in range(m - 1):
+        counts = rest + 1
+        parent = np.repeat(np.arange(len(rest)), counts)
+        part = np.arange(len(parent), dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
+        head = np.column_stack([head[parent], part])
+        rest = rest[parent] - part
+    return np.column_stack([head, rest])
 
 
 def _grid_profits(inst: MarketInstance, X: np.ndarray):

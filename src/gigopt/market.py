@@ -42,6 +42,7 @@ __all__ = [
     "fluid_supply",
     "fluid_profit",
     "float_field",
+    "json_object",
     "instance_from_dict",
     "instance_to_dict",
     "revenue_from_dict",
@@ -575,6 +576,14 @@ def float_field(where: str, name: str, value, many: bool = False):
         raise ValueError(f"{where}: field {name!r} must be {want}, got {value!r}") from None
 
 
+def json_object(where: str, value) -> dict:
+    """A JSON value that must be an object, returned as is; a ValueError in
+    float_field's style naming where it sits otherwise."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{where} must be an object, got {value!r}")
+    return value
+
+
 def _kind_from_dict(family: str, table: dict, spec, **supplied):
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError(f"{family} must be an object with a 'kind' key, got {spec!r}")
@@ -613,10 +622,15 @@ def _rewards_from_spec(spec) -> RewardSet:
 
 
 def instance_from_dict(d: dict) -> MarketInstance:
+    d = json_object("instance", d)
     rewards = _rewards_from_spec(d["rewards"])
+    entries = d.get("types")
+    if not isinstance(entries, list):
+        raise ValueError(f"instance: field 'types' must be a list of objects, got {entries!r}")
     types = []
-    for j, td in enumerate(d["types"]):
-        dep = _kind_from_dict("departure", _DEPARTURE_KINDS, td["departure"], rewards=rewards.values)
+    for j, td in enumerate(entries):
+        td = json_object(f"instance: field 'types[{j}]'", td)
+        dep = _kind_from_dict("departure", _DEPARTURE_KINDS, td.get("departure"), rewards=rewards.values)
         types.append(WorkerType(lam=float_field(f"type {j}", "lambda", td.get("lambda")), departure=dep))
     return MarketInstance(
         rewards=rewards,

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .fluid import solve_fluid
+from .fluid import solve_fluid_many
 from .market import (
     MIN_DEPARTURE_FLOOR,
     DegenerateSupply,
@@ -31,6 +32,7 @@ from .market import (
     expected_departure,
     expected_reward,
     float_field,
+    json_object,
     revenue_from_dict,
     revenue_to_dict,
 )
@@ -92,6 +94,12 @@ class NoisyInstance:
         vals = tuple(float(v) for v in self.values)
         if len(lams) != len(vals) or not lams:
             raise ValueError("need one arrival rate per worker value")
+        # NaN passes every range check below, so finiteness is checked first
+        for name, group in (("lambdas", lams), ("values", vals), ("epsilon", (self.epsilon,)),
+                            ("r_min", (self.r_min,)), ("r_max", (self.r_max,))):
+            for v in group:
+                if not math.isfinite(v):
+                    raise ValueError(f"NoisyInstance {name} must be finite, got {v!r}")
         if any(l <= 0.0 for l in lams):
             raise ValueError("arrival rates must be positive")
         if not self.r_min < self.r_max:
@@ -291,27 +299,24 @@ class MetricCurve:
     eps1: float  # last grid point before the surplus starts decreasing
 
 
-def _solve_at(noisy: NoisyInstance, eps: float) -> tuple[float, RewardDistribution]:
-    at = noisy.with_epsilon(eps)
-    if at.K == 1:
-        rev = at.revenue
-        if isinstance(rev, Newsvendor):
-            x = newsvendor_optimal(rev.alpha, rev.cap, at.lambdas[0], at.values[0], eps)
-            if x <= 0.0:
-                return 0.0, RewardDistribution.point_mass((at.r_min, at.r_max), at.r_min)
-            return x, RewardDistribution.two_point(at.r_min, at.values[0] + eps, x)
-        sol = optimal_noisy(at)
-        return sol.x_star, sol.distribution
-    out = solve_fluid(market_instance(at))
-    x_star = min(1.0, max(0.0, 1.0 - out.x.weight_at(at.r_min)))
-    return x_star, out.x
+def _closed_form_at(at: NoisyInstance) -> tuple[float, RewardDistribution]:
+    """Retained mass and optimal distribution of a single-type instance."""
+    eps, rev = at.epsilon, at.revenue
+    if isinstance(rev, Newsvendor):
+        x = newsvendor_optimal(rev.alpha, rev.cap, at.lambdas[0], at.values[0], eps)
+        if x <= 0.0:
+            return 0.0, RewardDistribution.point_mass((at.r_min, at.r_max), at.r_min)
+        return x, RewardDistribution.two_point(at.r_min, at.values[0] + eps, x)
+    sol = optimal_noisy(at)
+    return sol.x_star, sol.distribution
 
 
 def surplus_curve(noisy: NoisyInstance, eps_grid: Sequence[float]) -> MetricCurve:
     """Optimal-lottery metrics across a grid of noise levels.
 
-    Single-type instances use the closed forms; multi-type instances rerun
-    the fluid solver per grid point on the augmented grid.
+    Single-type instances use the closed forms; multi-type instances solve
+    the fluid problem on the augmented grid of every noise level in one
+    batched solve_fluid_many call.
     """
     eps = [float(e) for e in eps_grid]
     if len(eps) < 2:
@@ -320,10 +325,14 @@ def surplus_curve(noisy: NoisyInstance, eps_grid: Sequence[float]) -> MetricCurv
         raise ValueError("noise levels must be positive")
     if any(b <= a for a, b in zip(eps, eps[1:])):
         raise ValueError("noise grid must be strictly increasing")
+    ats = [noisy.with_epsilon(e) for e in eps]
+    if noisy.K == 1:
+        solved = [_closed_form_at(at) for at in ats]
+    else:
+        outs = solve_fluid_many([market_instance(at) for at in ats])
+        solved = [(min(1.0, max(0.0, 1.0 - out.x.weight_at(at.r_min))), out.x) for at, out in zip(ats, outs)]
     xs, profits, surpluses, welfares, rats, myos = [], [], [], [], [], []
-    for e in eps:
-        x_star, dist = _solve_at(noisy, e)
-        at = noisy.with_epsilon(e)
+    for e, at, (x_star, dist) in zip(eps, ats, solved):
         m = noisy_metrics(at, dist)
         xs.append(x_star)
         profits.append(m.profit)
@@ -445,6 +454,8 @@ def detect_double_threshold(
 
 
 def noisy_from_dict(d: dict) -> NoisyInstance:
+    d = json_object("noisy instance", d)
+
     def field(name: str, many: bool = False):
         return float_field("noisy instance", name, d.get(name), many)
 

@@ -62,7 +62,7 @@ class SimConfig:
     record_trace: bool = False  # keep the full path of replication 0
 
     def __post_init__(self) -> None:
-        for name in ("theta", "periods", "burn_in", "replications"):
+        for name in ("theta", "burn_in", "periods", "replications"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
@@ -217,9 +217,8 @@ def occupancy_samples(
     """Independent draws of the total post-arrival occupancy after burn_in
     periods under a static policy, one per replication: period burn_in + 1
     of the simulator's step loop."""
-    if n_samples < 1 or burn_in < 0:
-        raise ConfigError("need n_samples >= 1 and burn_in >= 0")
-    steps = _steps(inst, Static(x), theta, n_samples, burn_in + 1, seed, False)
+    cfg = SimConfig(theta, burn_in + 1, burn_in, n_samples, seed)
+    steps = _steps(inst, Static(x), cfg.theta, cfg.replications, cfg.periods, cfg.seed, False)
     for _ in range(burn_in):
         next(steps)
     return next(steps)[0].sum(axis=1)

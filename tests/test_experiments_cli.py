@@ -328,6 +328,38 @@ def test_cli_noisy_rejects_non_number_fields(tmp_path, capsys, field, value, mes
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [("epsilon", math.nan), ("r_max", math.inf), ("lambdas", [10.0, math.nan, 10.0])])
+def test_cli_noisy_rejects_non_finite_fields(tmp_path, capsys, field, value):
+    doc = noisy_to_dict(double_threshold_instance(75.0))
+    doc[field] = value
+    inst = _write(tmp_path, "bad_noisy.json", doc)
+    assert main(["noisy-analyze", "--instance", inst, "--eps", "1:1:5"]) == 2
+    assert f"NoisyInstance {field} must be finite" in capsys.readouterr().err
+
+
+def _types_entry_not_object():
+    doc = instance_to_dict(power_variant_instance())
+    doc["types"][0] = 5
+    return doc
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("fluid-solve", _types_entry_not_object(), "instance: field 'types[0]' must be an object, got 5"),
+    ("fluid-solve", [1, 2], "instance must be an object, got [1, 2]"),
+    ("noisy-analyze", [5.0], "noisy instance must be an object, got [5.0]"),
+    ("simulate", ["static"], "policy must be an object, got ['static']"),
+], ids=["instance_types_entry", "instance", "noisy", "policy"])
+def test_cli_rejects_non_object_json(canon_file, tmp_path, capsys, command, doc, message):
+    path = _write(tmp_path, "bad.json", doc)
+    argv = {
+        "fluid-solve": ["fluid-solve", "--instance", path],
+        "noisy-analyze": ["noisy-analyze", "--instance", path, "--eps", "1:1:5"],
+        "simulate": ["simulate", "--instance", canon_file, "--policy", path, "--periods", "20", "--reps", "2"],
+    }[command]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("policy, message", [
     ({"kind": "static", "x": [None] + [0.0] * 45}, "static policy: field 'x' must be a list of numbers"),
     ({"kind": "cyclic", "xs": None}, "cyclic policy: field 'xs' must be a list of weight lists"),

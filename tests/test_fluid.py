@@ -1,6 +1,7 @@
 """Fluid solvers: pair optimization, the global solver vs. the brute-force
 oracle, budgeted supply maximization, support reduction, and lotteries."""
 
+import dataclasses
 import itertools
 import math
 
@@ -14,6 +15,7 @@ from gigopt import (
     Dispersion,
     EpsNoisy,
     ExpFloor,
+    FluidOutcome,
     InfeasibleInput,
     InterlacingNotFound,
     InvalidMoments,
@@ -41,11 +43,13 @@ from gigopt import (
     optimal_fixed_wage,
     optimize_pair,
     solve_fluid,
+    solve_fluid_many,
     solve_supply_opt,
     support_reduce,
 )
-from gigopt.fluid import REFINE_TOL, SCAN_POINTS, _solve_pairs
+from gigopt.fluid import REFINE_TOL, SCAN_POINTS, _compositions, _solve_pairs
 from gigopt.market import MIN_DEPARTURE_FLOOR
+from gigopt.noisy import NoisyInstance, market_instance
 
 
 def _tab_instance(rewards, rates, lam=1.0, revenue=None, **kw):
@@ -305,6 +309,54 @@ def test_solve_fluid_mixture_instance(canon):
 
 def test_solve_fluid_support_at_most_two(canon):
     assert len(solve_fluid(canon).x.support()) <= 2
+
+
+@st.composite
+def _noisy_markets(draw):
+    """Noisy-entry market instances, as surplus_curve builds them, over a few
+    revenues equal by value (so many instances share one) and 1-3 types with
+    their own arrival rates, worker values and noise level."""
+    revenue = dataclasses.replace(draw(st.sampled_from([
+        Newsvendor(40.0, 120.0), Newsvendor(40.0, 300.0), Power(250.0, 0.5), Log(300.0),
+    ])))
+    k = draw(st.integers(min_value=1, max_value=3))
+    lambdas = draw(st.lists(st.floats(min_value=0.5, max_value=20.0), min_size=k, max_size=k))
+    values = draw(st.lists(st.floats(min_value=5.0, max_value=55.0), min_size=k, max_size=k))
+    eps = draw(st.floats(min_value=0.25, max_value=12.0))
+    return market_instance(NoisyInstance(tuple(lambdas), tuple(values), eps, revenue, 0.0, 60.0))
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.lists(_noisy_markets(), min_size=2, max_size=6))
+def test_solve_fluid_many_matches_one_by_one(insts):
+    many = solve_fluid_many(insts)
+    one_by_one = [solve_fluid(inst) for inst in insts]
+    for got, want in zip(many, one_by_one, strict=True):
+        for f in dataclasses.fields(FluidOutcome):
+            assert getattr(got, f.name) == getattr(want, f.name), f.name
+    assert solve_fluid_many(insts[::-1]) == many[::-1]
+
+
+def _compositions_by_combinations(m, G):
+    """Reference: stars and bars over itertools.combinations."""
+    if m == 1:
+        return np.array([[G]], dtype=np.int64)
+    flat = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(G + m - 1), m - 1)), dtype=np.int64
+    )
+    bars = flat.reshape(-1, m - 1)
+    n = len(bars)
+    edges = np.column_stack([np.full(n, -1, dtype=np.int64), bars, np.full(n, G + m - 1, dtype=np.int64)])
+    return np.diff(edges, axis=1) - 1
+
+
+def test_compositions_match_combinations_enumeration():
+    # the row order sets which grid point wins an oracle tie
+    for m in range(1, 6):
+        for G in range(1, 31):
+            got = _compositions(m, G)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, _compositions_by_combinations(m, G))
 
 
 def test_solver_matches_oracle_on_small_instances():

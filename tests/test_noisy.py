@@ -7,13 +7,14 @@ import math
 import numpy as np
 import pytest
 
-from gigopt.experiments import noisy_newsvendor_instance, noisy_sqrt_instance
+from gigopt.experiments import double_threshold_instance, noisy_newsvendor_instance, noisy_sqrt_instance
 from gigopt.market import DegenerateSupply, LinearRev, Log, Newsvendor, Power, RewardDistribution
 from gigopt.noisy import (
     AssumptionViolated,
     DerivativeVanishes,
     GridMismatch,
     InvalidRegime,
+    MetricCurve,
     NoisyInstance,
     detect_double_threshold,
     load_noisy,
@@ -164,6 +165,30 @@ def test_mhr_like_check():
 
 # --------------------------------------------------------------------------
 # Curves over noise levels
+
+
+def test_surplus_curve_matches_recorded_multi_type_curve():
+    # recorded before the noise levels were batched into one solve_fluid_many call
+    curve = surplus_curve(double_threshold_instance(75.0), [0.5, 2.0, 3.5, 5.0, 6.5, 8.0, 9.5, 11.0, 12.5, 14.0])
+    assert curve == MetricCurve(
+        eps=(0.5, 2.0, 3.5, 5.0, 6.5, 8.0, 9.5, 11.0, 12.5, 14.0),
+        x_star=(0.9512195121951219, 0.9512195121951219, 0.9503161896786405, 0.9489720444982586,
+                0.9476466019189469, 0.9461670981382564, 0.944333976775195, 0.942499641784464, 0.0, 0.0),
+        profit=(1180.7926829268283, 1073.7804878048773, 968.6991445619042, 864.812899878917,
+                761.1849029664872, 658.2364321078148, 556.535835094182, 455.25096718194527, 400.0, 400.0),
+        surplus=(-122.45934959349603, -15.447154471544978, 83.42220158415545, 178.47211750920525,
+                 273.83104526664874, 365.9351645862309, 451.2641915631222, 536.9909887858415,
+                 -316.6666666666667, -316.6666666666667),
+        welfare=(1058.3333333333321, 1058.3333333333321, 1052.1213461460598, 1043.285017388122,
+                 1035.0159482331362, 1024.1715966940455, 1007.8000266573044, 992.2419559677871,
+                 83.33333333333331, 83.33333333333331),
+        rational=(0.0, 51.21951219512168, 156.30085543809395, 260.18710012108124, 363.81509703351173,
+                  279.2635678921845, 380.9641649058165, 482.249032818053, 0.0, 0.0),
+        myopic=(-55.792682926829364, 51.21951219512169, 149.13317791431876, 242.82365864583966,
+                336.91042191790063, 427.34617946223807, 510.15650335655397, 593.4897512424243, 0.0, 0.0),
+        eps0=None,
+        eps1=11.0,
+    )
 
 
 def test_surplus_curve_grid_validation():

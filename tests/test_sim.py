@@ -211,6 +211,17 @@ def test_occupancy_samples_validation_and_determinism():
     np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize("field, value, name", [
+    ("theta", 2.5, "theta"), ("theta", math.nan, "theta"), ("n_samples", 3.0, "replications"),
+    ("burn_in", True, "burn_in"), ("burn_in", 2.0, "burn_in"),
+])
+def test_occupancy_samples_rejects_non_integer_counts(field, value, name):
+    kw = dict(theta=3, n_samples=2, burn_in=2, seed=1)
+    x = RewardDistribution.two_point(10.0, 30.0, 0.5)
+    with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+        occupancy_samples(_fast_instance(), x, **{**kw, field: value})
+
+
 def test_default_burn_in(canon):
     inst = example1_instance()
     x = Static(RewardDistribution.point_mass(inst.rewards, 35.0))
