@@ -24,10 +24,9 @@ from .experiments import (
     run_experiment,
 )
 from .fluid import (
-    brute_force_oracle,
+    _oracle_with_lipschitz,
     classify_dispersion,
     lottery_for_instance,
-    objective_lipschitz,
     optimal_fixed_wage,
     solve_fluid,
 )
@@ -92,8 +91,7 @@ def _cmd_fluid_solve(args) -> int:
         "dispersion": classify_dispersion(out.x, inst.rewards).value,
     }
     if args.oracle is not None:
-        oracle = brute_force_oracle(inst, args.oracle)
-        lip = objective_lipschitz(inst, args.oracle)
+        oracle, lip = _oracle_with_lipschitz(inst, args.oracle)
         doc["oracle"] = {
             "grid_resolution": args.oracle,
             "profit": oracle.profit,

@@ -24,6 +24,22 @@ by type from 0.0, the scan grid exactly as np.linspace builds it), so every
 slice gets the bit-identical result a scalar scan would. The winner is then
 picked from all candidates in one vector pass with fluid_profit's arithmetic.
 
+Before the kernel runs, solve_fluid_many drops the slices that cannot beat
+the best non-degenerate singleton. A slice's profit is bounded piece by
+piece (_BOUND_PIECES pieces of its weight range): on a piece each type's
+mixture rate is linear, so supply lies between its values from the extreme
+end rates; revenue is non-decreasing and the expected reward rises with
+the weight, rewards being non-negative, so the piece earns at most the
+revenue of the largest supply less the left end's expected reward times
+the smallest supply. The bound is computed with the kernel's own
+arithmetic, whose rounding is monotone in the weight, so it is at least
+every profit the kernel can return for that slice. A slice is dropped only
+when its bound is below the best singleton's profit by more than 1e-9
+relative, which covers the rounding between the kernel's arithmetic and
+the winner's. Its candidate would then score strictly below a singleton
+that is itself a candidate, so it could neither win nor tie the winner:
+the winner and its tie-break are the same as without the pruning.
+
 The budgeted variant (maximize supply subject to an expected-pay budget)
 reuses the same slices and their batched cost bisection, plus a
 support-reduction routine that rewrites any feasible distribution into an
@@ -49,6 +65,7 @@ from .market import (
     RewardDistribution,
     RewardSet,
     Tabulated,
+    _mixture_rate,
     fluid_profit,
 )
 
@@ -82,6 +99,11 @@ REFINE_TOL = 1e-12  # golden-section bracket width target
 # Pair slices scanned together; a scan temporary holds _PAIR_BLOCK x SCAN_POINTS
 # floats (66 KB), so a whole solve stays near half a megabyte of temporaries.
 _PAIR_BLOCK = 8
+# Pieces of each slice in its profit bound, and slices bounded together: a
+# bound temporary holds _BOUND_BLOCK x (_BOUND_PIECES + 1) floats (35 KB),
+# inside the scan's budget.
+_BOUND_PIECES = 16
+_BOUND_BLOCK = 256
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -339,6 +361,44 @@ def _solve_slices(pairs: _PairBatch, top: np.ndarray, tol: float) -> tuple[np.nd
     return ys[first], profits[first]
 
 
+def _slice_bounds(pairs: _PairBatch, top: np.ndarray) -> np.ndarray:
+    """Upper bound on every live slice's profit over weights [0, top]: per
+    piece, R(sum of lambda / min end rate) - (left end's expected reward) *
+    (sum of lambda / max end rate), in the kernel's arithmetic (see the
+    module docstring); the largest over the slice's pieces."""
+    bounds = np.empty(len(top))
+    for start in range(0, len(top), _BOUND_BLOCK):
+        block = slice(start, start + _BOUND_BLOCK)
+        part, t = pairs.take(block), top[block]
+        y = np.arange(_BOUND_PIECES + 1) * (t / _BOUND_PIECES)[:, None]
+        y[:, -1] = t
+        s_lo = np.zeros((len(t), _BOUND_PIECES))
+        s_up = np.zeros((len(t), _BOUND_PIECES))
+        for lam, lo, hi in zip(part.lam, part.lo, part.hi):
+            lhat = (hi - lo)[:, None] * y
+            lhat += lo[:, None]
+            left, right = lhat[:, :-1], lhat[:, 1:]
+            s_up += lam[:, None] / np.minimum(left, right)
+            s_lo += lam[:, None] / np.maximum(left, right)
+        cost = part.rhat(y[:, :-1])
+        cost *= s_lo
+        bounds[block] = (part.revenue.value(s_up) - cost).max(axis=1)
+    return bounds
+
+
+def _beatable(inst: MarketInstance, live: np.ndarray, pairs: _PairBatch, top: np.ndarray):
+    """The live slices of _live_pairs whose profit bound reaches the best
+    non-degenerate singleton's profit, less a 1e-9 relative margin; the
+    others cannot hold the winner."""
+    single = np.arange(len(inst.rewards))
+    profit, _, _, ok = _score(inst, single, single, np.zeros(len(single)))
+    if not ok.any():
+        return live, pairs, top
+    lb = profit[ok].max()
+    keep = np.flatnonzero(~(_slice_bounds(pairs, top) < lb - 1e-9 * max(1.0, abs(lb))))
+    return live[keep], pairs.take(keep), top[keep]
+
+
 def _solve_pairs(
     inst: MarketInstance, ii: np.ndarray, jj: np.ndarray, tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -441,7 +501,9 @@ def solve_fluid_many(instances: Sequence[MarketInstance], tol: float = REFINE_TO
     outcomes: list[FluidOutcome] = [None] * len(instances)
     for members in groups.values():
         grids = [np.triu_indices(len(instances[n].rewards), 1) for n in members]
-        lives, batches, tops = zip(*(_live_pairs(instances[n], ii, jj) for n, (ii, jj) in zip(members, grids)))
+        lives, batches, tops = zip(*(
+            _beatable(instances[n], *_live_pairs(instances[n], ii, jj)) for n, (ii, jj) in zip(members, grids)
+        ))
         y, _ = _solve_slices(_PairBatch.concat(batches), np.concatenate(tops), tol)
         ends = np.cumsum([len(top) for top in tops])[:-1]
         for n, (ii, jj), live, y_n in zip(members, grids, lives, np.split(y, ends)):
@@ -495,41 +557,35 @@ def _grid_profits(inst: MarketInstance, X: np.ndarray):
     return profit, rhat, mask
 
 
-def brute_force_oracle(inst: MarketInstance, grid_resolution: int) -> FluidOutcome:
-    """Exhaustive search over all weight vectors with denominator G.
-
-    Guarded to small instances: at most 5 rewards and G <= 100. Ties resolve
-    to the lowest expected reward.
-    """
+def _oracle_grid(inst: MarketInstance, grid_resolution: int):
+    """(G, compositions C, profit, rhat, feasible mask) over all weight
+    vectors C / G: one enumeration and one profit pass, which the oracle and
+    the Lipschitz bound share. Guarded to at most 5 rewards and G <= 100."""
     G = int(grid_resolution)
     m = len(inst.rewards)
     if m > 5 or G > 100 or G < 1:
         raise TooLarge(f"oracle limited to |rewards| <= 5 and 1 <= G <= 100, got m={m}, G={G}")
-    X = _compositions(m, G).astype(float) / G
-    profit, rhat, mask = _grid_profits(inst, X)
+    C = _compositions(m, G)
+    return (G, C, *_grid_profits(inst, C.astype(float) / G))
+
+
+def _grid_best(inst: MarketInstance, grid) -> FluidOutcome:
+    """brute_force_oracle on an _oracle_grid."""
+    G, C, profit, rhat, mask = grid
     profit = np.where(mask, profit, -np.inf)
     p_max = profit.max()
     if not np.isfinite(p_max):
         raise DegenerateSupply("every grid point is degenerate")
     tied = np.flatnonzero(profit == p_max)
     best = tied[np.argmin(rhat[tied])]
-    x = RewardDistribution.on(inst.rewards, X[best])
+    x = RewardDistribution.on(inst.rewards, C[best].astype(float) / G)
     return fluid_profit(inst, x)
 
 
-def objective_lipschitz(inst: MarketInstance, grid_resolution: int) -> float:
-    """Empirical Lipschitz bound of the fluid profit on the oracle grid.
-
-    Max finite difference |profit(x') - profit(x)| / ||x' - x||_1 over unit
-    mass transfers from each composition's first occupied bin to the next bin
-    (cyclically), restricted to pairs where both points are non-degenerate.
-    """
-    G = int(grid_resolution)
-    m = len(inst.rewards)
-    if m > 5 or G > 100 or G < 1:
-        raise TooLarge(f"limited to |rewards| <= 5 and 1 <= G <= 100, got m={m}, G={G}")
-    C = _compositions(m, G)
-    p0, _, ok0 = _grid_profits(inst, C.astype(float) / G)
+def _grid_lipschitz(inst: MarketInstance, grid) -> float:
+    """objective_lipschitz on an _oracle_grid."""
+    G, C, p0, _, ok0 = grid
+    m = C.shape[1]
     src = np.argmax(C > 0, axis=1)
     dst = (src + 1) % m
     C2 = C.copy()
@@ -541,6 +597,32 @@ def objective_lipschitz(inst: MarketInstance, grid_resolution: int) -> float:
     if not ok.any():
         return 0.0
     return float(np.abs(p1[ok] - p0[ok]).max() * (G / 2.0))
+
+
+def _oracle_with_lipschitz(inst: MarketInstance, grid_resolution: int) -> tuple[FluidOutcome, float]:
+    """brute_force_oracle and objective_lipschitz from one grid enumeration."""
+    grid = _oracle_grid(inst, grid_resolution)
+    return _grid_best(inst, grid), _grid_lipschitz(inst, grid)
+
+
+def brute_force_oracle(inst: MarketInstance, grid_resolution: int) -> FluidOutcome:
+    """Exhaustive search over all weight vectors with denominator G.
+
+    Guarded to small instances: at most 5 rewards and G <= 100. Ties resolve
+    to the lowest expected reward.
+    """
+    return _grid_best(inst, _oracle_grid(inst, grid_resolution))
+
+
+def objective_lipschitz(inst: MarketInstance, grid_resolution: int) -> float:
+    """Empirical Lipschitz bound of the fluid profit on the oracle grid.
+
+    Max finite difference |profit(x') - profit(x)| / ||x' - x||_1 over unit
+    mass transfers from each composition's first occupied bin to the next bin
+    (cyclically), restricted to pairs where both points are non-degenerate.
+    Guarded like brute_force_oracle.
+    """
+    return _grid_lipschitz(inst, _oracle_grid(inst, grid_resolution))
 
 
 # --------------------------------------------------------------------------
@@ -618,7 +700,7 @@ def _weights_stats(inst: MarketInstance, w: dict[float, float]):
     rhat = math.fsum(r * wt for r, wt in w.items())
     total = 0.0
     for i, worker in enumerate(inst.types):
-        lhat = math.fsum(float(worker.departure.rate(r)) * wt for r, wt in w.items())
+        lhat = _mixture_rate(worker.departure, w.items())
         if lhat < MIN_DEPARTURE_FLOOR:
             raise DegenerateSupply(f"type {i} mixture rate vanished during reduction")
         total += float(inst.lambdas[i]) / lhat

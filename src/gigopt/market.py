@@ -512,7 +512,13 @@ def expected_departure(worker: WorkerType, x: RewardDistribution) -> float:
     Zero-weight rewards are skipped so that tabulated departures only need to
     cover the support.
     """
-    total = math.fsum(float(worker.departure.rate(r)) * w for r, w in zip(x.rewards, x.weights) if w > 0.0)
+    return _mixture_rate(worker.departure, zip(x.rewards, x.weights))
+
+
+def _mixture_rate(departure: Departure, support) -> float:
+    """expected_departure's arithmetic over (reward, weight) pairs: an exact
+    sum over the positive weights, clamped into [0, 1]."""
+    total = math.fsum(float(departure.rate(r)) * w for r, w in support if w > 0.0)
     return min(1.0, max(0.0, total))
 
 
@@ -623,7 +629,7 @@ def _rewards_from_spec(spec) -> RewardSet:
 
 def instance_from_dict(d: dict) -> MarketInstance:
     d = json_object("instance", d)
-    rewards = _rewards_from_spec(d["rewards"])
+    rewards = _rewards_from_spec(d.get("rewards"))
     entries = d.get("types")
     if not isinstance(entries, list):
         raise ValueError(f"instance: field 'types' must be a list of objects, got {entries!r}")
@@ -635,7 +641,7 @@ def instance_from_dict(d: dict) -> MarketInstance:
     return MarketInstance(
         rewards=rewards,
         types=tuple(types),
-        revenue=revenue_from_dict(d["revenue"]),
+        revenue=revenue_from_dict(d.get("revenue")),
         eps_noisy_mode=bool(d.get("eps_noisy_mode", False)),
     )
 

@@ -463,7 +463,7 @@ def noisy_from_dict(d: dict) -> NoisyInstance:
         lambdas=field("lambdas", many=True),
         values=field("values", many=True),
         epsilon=field("epsilon"),
-        revenue=revenue_from_dict(d["revenue"]),
+        revenue=revenue_from_dict(d.get("revenue")),
         r_min=field("r_min"),
         r_max=field("r_max"),
     )

@@ -371,3 +371,22 @@ def test_cli_rejects_non_number_policy_fields(canon_file, tmp_path, capsys, poli
     pol = _write(tmp_path, "pol.json", policy)
     assert main(["simulate", "--instance", canon_file, "--policy", pol, "--periods", "20", "--reps", "2"]) == 2
     assert message in capsys.readouterr().err
+
+
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("fluid-solve", _without(instance_to_dict(power_variant_instance()), "rewards"),
+     "instance: field 'rewards' must be a list of numbers, got None"),
+    ("fluid-solve", _without(instance_to_dict(power_variant_instance()), "revenue"),
+     "revenue must be an object with a 'kind' key, got None"),
+    ("noisy-analyze", _without(noisy_to_dict(double_threshold_instance(75.0)), "revenue"),
+     "revenue must be an object with a 'kind' key, got None"),
+], ids=["instance_rewards", "instance_revenue", "noisy_revenue"])
+def test_cli_missing_required_key_names_the_field(tmp_path, capsys, command, doc, message):
+    path = _write(tmp_path, "missing.json", doc)
+    argv = [command, "--instance", path] + (["--eps", "1:1:5"] if command == "noisy-analyze" else [])
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
