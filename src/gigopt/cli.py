@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -198,6 +199,9 @@ def _parse_eps_range(spec: str) -> list[float]:
         start, step, stop = (float(v) for v in spec.split(":"))
     except ValueError:
         raise ValueError(f"expected start:step:stop, got {spec!r}") from None
+    for name, v in (("start", start), ("step", step), ("stop", stop)):
+        if not math.isfinite(v):
+            raise ValueError(f"eps {name} must be finite, got {v!r}")
     if step <= 0.0:
         raise ValueError("eps step must be positive")
     out = []
@@ -281,7 +285,10 @@ def _cmd_reproduce(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, so every main call can share it."""
     parser = argparse.ArgumentParser(
         prog="gigopt",
         description="Profit-optimal reward distributions for markets of departing workers.",

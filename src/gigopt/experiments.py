@@ -247,8 +247,7 @@ class ExperimentSpec:
 
 
 def _supply(inst: MarketInstance, x: RewardDistribution) -> float:
-    lhat = expected_departure(inst.types[0], x)
-    return inst.types[0].lam / lhat
+    return inst.types[0].lam / expected_departure(inst.types[0], x)
 
 
 def _run_example1(p: dict) -> dict[str, Panel]:
@@ -368,7 +367,6 @@ def _check_risk(p: dict, panels: dict[str, Panel]) -> list[str]:
 
 def _run_normal_variance(p: dict) -> dict[str, Panel]:
     inst = example3_instance(lam=p["lam"], alpha=p["alpha"], cap=p["cap"])
-    worker = inst.types[0]
     sigmas = []
     s = 0.0
     while s <= p["sigma_max"] + 1e-9:
@@ -380,7 +378,7 @@ def _run_normal_variance(p: dict) -> dict[str, Panel]:
         line = [s]
         for mu in p["mus"]:
             x = normal_policy(mu, s, inst.rewards)
-            n = worker.lam / expected_departure(worker, x)
+            n = _supply(inst, x)
             line.append(float(inst.revenue.value(n)) - expected_reward(x) * n)
         rows.append(line)
     return {"data": (header, rows)}

@@ -243,6 +243,13 @@ class _PairBatch:
         return self.rhat(y) * self.supply(y)
 
 
+def _require_tol(tol: float) -> None:
+    """Golden-section refinement runs until every bracket is at most tol
+    wide: forever when tol <= 0, not at all when tol is NaN."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+
+
 def _golden_section(f, a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
     """Golden-section maximum of f in every bracket [a[n], b[n]] at once.
 
@@ -420,6 +427,7 @@ def optimize_pair(
     Returns None when the whole slice is degenerate (both rewards fail to
     retain some type). Ties resolve to the smallest weight on r_high.
     """
+    _require_tol(tol)
     if not r_low < r_high:
         raise ValueError("need r_low < r_high")
     ii = np.array([inst.rewards.index_of(r_low)])
@@ -492,8 +500,10 @@ def solve_fluid_many(instances: Sequence[MarketInstance], tol: float = REFINE_TO
     Instances that share the revenue and K (the number of worker types) are
     solved together: the pair slices of the whole group go through one
     kernel call, then each instance picks its own winner. Every outcome is
-    bit-identical to solving its instance alone.
+    bit-identical to solving its instance alone. Raises ValueError unless
+    tol is finite and positive.
     """
+    _require_tol(tol)
     instances = list(instances)
     groups: dict[tuple, list[int]] = {}
     for n, inst in enumerate(instances):
@@ -531,16 +541,41 @@ def _compositions(m: int, G: int) -> np.ndarray:
     """All m-part compositions of G as an (n, m) integer array, in
     lexicographic order: built part by part, every row so far spawns one
     child per value 0..remainder of the next part, and the last part takes
-    what is left."""
-    head = np.zeros((1, 0), dtype=np.int64)
+    what is left. Each row's parts are then read back along its ancestors
+    into one preallocated array."""
+    levels = []
     rest = np.array([G], dtype=np.int64)
     for _ in range(m - 1):
         counts = rest + 1
         parent = np.repeat(np.arange(len(rest)), counts)
         part = np.arange(len(parent), dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
-        head = np.column_stack([head[parent], part])
+        levels.append((parent, part))
         rest = rest[parent] - part
-    return np.column_stack([head, rest])
+    out = np.empty((len(rest), m), dtype=np.int64)
+    out[:, m - 1] = rest
+    row = np.arange(len(rest))
+    for j in range(m - 2, -1, -1):
+        parent, part = levels[j]
+        out[:, j] = part[row]
+        row = parent[row]
+    return out
+
+
+def _composition_rank(C: np.ndarray, G: int) -> np.ndarray:
+    """Row index in _compositions(m, G) of every row of C, an (n, m) array
+    of compositions of G. The compositions before c in lexicographic order
+    first differ from it at some part i, with a smaller value there; with
+    k = m-1-i parts after part i and R = G - (c_0 + ... + c_{i-1}) left for
+    parts i onward, they number C(R + k, k) - C(R - c_i + k, k)."""
+    m = C.shape[1]
+    binom = np.array([[math.comb(n, k) for k in range(m)] for n in range(G + m)], dtype=np.int64)
+    rank = np.zeros(len(C), dtype=np.int64)
+    left = np.full(len(C), G, dtype=np.int64)
+    for i in range(m - 1):
+        k = m - 1 - i
+        rank += binom[left + k, k] - binom[left - C[:, i] + k, k]
+        left -= C[:, i]
+    return rank
 
 
 def _grid_profits(inst: MarketInstance, X: np.ndarray):
@@ -583,7 +618,9 @@ def _grid_best(inst: MarketInstance, grid) -> FluidOutcome:
 
 
 def _grid_lipschitz(inst: MarketInstance, grid) -> float:
-    """objective_lipschitz on an _oracle_grid."""
+    """objective_lipschitz on an _oracle_grid. A shifted composition is
+    itself a composition of G, so its profit and mask are read from the
+    grid's own pass at its rank."""
     G, C, p0, _, ok0 = grid
     m = C.shape[1]
     src = np.argmax(C > 0, axis=1)
@@ -592,8 +629,9 @@ def _grid_lipschitz(inst: MarketInstance, grid) -> float:
     rows = np.arange(len(C))
     C2[rows, src] -= 1
     C2[rows, dst] += 1
-    p1, _, ok1 = _grid_profits(inst, C2.astype(float) / G)
-    ok = ok0 & ok1
+    at = _composition_rank(C2, G)
+    p1 = p0[at]
+    ok = ok0 & ok0[at]
     if not ok.any():
         return 0.0
     return float(np.abs(p1[ok] - p0[ok]).max() * (G / 2.0))

@@ -507,7 +507,7 @@ def expected_reward(x: RewardDistribution) -> float:
 
 
 def expected_departure(worker: WorkerType, x: RewardDistribution) -> float:
-    """Mixture departure probability l_hat of one type under distribution x.
+    """Mixture departure probability l_hat of one type under x, from one array call.
 
     Zero-weight rewards are skipped so that tabulated departures only need to
     cover the support.
@@ -516,10 +516,11 @@ def expected_departure(worker: WorkerType, x: RewardDistribution) -> float:
 
 
 def _mixture_rate(departure: Departure, support) -> float:
-    """expected_departure's arithmetic over (reward, weight) pairs: an exact
-    sum over the positive weights, clamped into [0, 1]."""
-    total = math.fsum(float(departure.rate(r)) * w for r, w in support if w > 0.0)
-    return min(1.0, max(0.0, total))
+    """expected_departure's arithmetic over (reward, weight) pairs: one rate
+    call on the positive-weight rewards, an exact sum, a clamp into [0, 1]."""
+    pos = [(r, w) for r, w in support if w > 0.0]
+    rates = departure.rate(np.array([r for r, _ in pos], dtype=float)).tolist()
+    return min(1.0, max(0.0, math.fsum(l * w for l, (_, w) in zip(rates, pos))))
 
 
 def fluid_supply(inst: MarketInstance, x: RewardDistribution) -> np.ndarray:

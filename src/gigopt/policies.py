@@ -6,6 +6,8 @@ Periods are 1-based everywhere; the population in period t is the survivors
 of period t-1 plus the period-t arrivals, and the payment drawn in period t
 applies to that whole population. The rule for which distribution a policy
 pays in period t lives here only, in period_index; the simulator reads it too.
+Mixture departure rates are built once per distribution (_rate_rows), never
+per period.
 """
 
 from __future__ import annotations
@@ -164,6 +166,14 @@ class TrajectoryResult:
     tail_average: float  # mean profit over the trailing half of the horizon
 
 
+def _rate_rows(inst: MarketInstance, policy: Policy) -> tuple[np.ndarray, np.ndarray]:
+    """(D, K) mixture departure rates and (D,) expected rewards, one row per policy distribution."""
+    period_index(policy, 1)  # rejects policies without distributions
+    xs = policy.distributions
+    return (np.array([[expected_departure(w, x) for w in inst.types] for x in xs]),
+            np.array([expected_reward(x) for x in xs]))
+
+
 def fluid_trajectory(
     inst: MarketInstance,
     policy: Policy,
@@ -181,25 +191,19 @@ def fluid_trajectory(
     n = np.zeros(K) if n0 is None else np.asarray(n0, dtype=float).copy()
     if n.shape != (K,):
         raise ValueError(f"n0 must have {K} entries")
-    supplies = np.empty((horizon, K))
-    profits = np.empty(horizon)
+    rates, rhats = _rate_rows(inst, policy)
+    supplies, profits = np.empty((horizon, K)), np.empty(horizon)
     for t in range(1, horizon + 1):
         n = n + inst.lambdas
-        x = distribution_at(policy, t)
-        lhat = np.array([expected_departure(w, x) for w in inst.types])
+        k = period_index(policy, t)
         total = float(n.sum())
-        profits[t - 1] = float(inst.revenue.value(total)) - expected_reward(x) * total
+        profits[t - 1] = float(inst.revenue.value(total)) - rhats[k] * total
         supplies[t - 1] = n
-        n = n * (1.0 - lhat)
+        n = n * (1.0 - rates[k])
     window = horizon - horizon // 2
     return TrajectoryResult(
         supplies=supplies, profits=profits, tail_average=float(profits[-window:].mean())
     )
-
-
-def _cycle_rates(inst: MarketInstance, cyc: Cyclic) -> np.ndarray:
-    """(tau, K) matrix of mixture departure rates over one cycle."""
-    return np.array([[expected_departure(w, x) for w in inst.types] for x in cyc.xs])
 
 
 def cyclic_steady_state(inst: MarketInstance, cyc: Cyclic) -> np.ndarray:
@@ -213,9 +217,8 @@ def cyclic_steady_state(inst: MarketInstance, cyc: Cyclic) -> np.ndarray:
     with z_i(t) = 1 - l_hat_i(x(t)) and wrap-around period indices. Raises
     NonMixing when some type survives a whole cycle with probability one.
     """
-    tau = cyc.tau
-    K = inst.K
-    z = 1.0 - _cycle_rates(inst, cyc)  # (tau, K)
+    z = 1.0 - _rate_rows(inst, cyc)[0]
+    tau, K = z.shape
     full = z.prod(axis=0)
     if np.any(full >= 1.0 - 1e-12):
         bad = np.flatnonzero(full >= 1.0 - 1e-12).tolist()
@@ -287,9 +290,7 @@ def cyclic_to_static_report(inst: MarketInstance, cyc: Cyclic) -> dict:
         lo = max(1e-9, 0.5 * float(states.sum(axis=1).min()))
         us = np.linspace(lo, n_max, 513)
         c_rev = max(abs(inst.revenue.derivative(float(u), side="left")) for u in us)
-        rates = _cycle_rates(inst, cyc)
-        lhat_min = float(rates.min())
-        slope = float((inst.lambdas / lhat_min**2).max())
+        slope = float((inst.lambdas / float(_rate_rows(inst, cyc)[0].min()) ** 2).max())
         r_max = inst.rewards.r_max
         c0 = r_max * n_max * inst.K + c_rev * slope * inst.K + r_max * slope * inst.K
     else:
@@ -324,8 +325,8 @@ def _payment_streams(
     if isinstance(policy, BeliefBased):
         return _belief_streams(policy, horizon)
     traj = fluid_trajectory(inst, policy, horizon, n0)
-    dists = [distribution_at(policy, t).as_array() for t in range(1, horizon + 1)]
-    return traj.supplies, [[d] * inst.K for d in dists]
+    rows = [[x.as_array()] * inst.K for x in policy.distributions]
+    return traj.supplies, [rows[period_index(policy, t)] for t in range(1, horizon + 1)]
 
 
 def fairness_audit(

@@ -102,9 +102,9 @@ def _policy_rows(inst: MarketInstance, policy: Policy):
         period_index(policy, 1)
     except TypeError as exc:
         raise ConfigError(f"{exc}; evaluate it with the policy engine") from None
-    dom = policy.distributions[0].rewards
-    mat = np.array([[float(t.departure.rate(r)) for r in dom] for t in inst.types])
-    return np.asarray(dom), np.array([x.weights for x in policy.distributions]), mat
+    dom = np.asarray(policy.distributions[0].rewards)
+    mat = np.array([t.departure.rate(dom) for t in inst.types])
+    return dom, np.array([x.weights for x in policy.distributions]), mat
 
 
 def _steps(inst: MarketInstance, policy: Policy, theta: int, R: int, periods: int, seed: int, realized: bool):

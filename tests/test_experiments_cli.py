@@ -19,7 +19,8 @@ from gigopt.experiments import (
     run_experiment,
     canonical_instance,
 )
-from gigopt.cli import main
+from gigopt import fluid
+from gigopt.cli import _build_parser, main
 from gigopt.market import Newsvendor, Power, instance_to_dict
 from gigopt.noisy import noisy_to_dict
 from gigopt.experiments import noisy_newsvendor_instance
@@ -242,6 +243,43 @@ def test_cli_noisy_analyze_bad_grid(tmp_path, capsys):
     inst = _write(tmp_path, "nv.json", noisy_to_dict(noisy_newsvendor_instance(5.0)))
     assert main(["noisy-analyze", "--instance", inst, "--eps", "5:1:5"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec,field", [
+    ("0:nan:1", "step"), ("nan:0.25:1", "start"), ("0:0.25:inf", "stop"), ("0:inf:1", "step"),
+    ("-inf:0.25:1", "start"), ("0:0.25:nan", "stop"),
+])
+def test_cli_noisy_analyze_rejects_non_finite_grid(tmp_path, capsys, spec, field):
+    inst = _write(tmp_path, "nv.json", noisy_to_dict(noisy_newsvendor_instance(5.0)))
+    assert main(["noisy-analyze", "--instance", inst, f"--eps={spec}"]) == 2
+    assert f"eps {field} must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_cli_fluid_solve_rejects_bad_tol(canon_file, capsys, monkeypatch, tol):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a slice was scanned")
+
+    monkeypatch.setattr(fluid, "_live_pairs", no_scan)
+    assert main(["fluid-solve", "--instance", canon_file, "--tol", tol]) == 2
+    assert "tol must be finite and positive" in capsys.readouterr().err
+
+
+def test_cli_parser_is_built_once_and_shared(tmp_path, canon_file, capsys):
+    assert _build_parser() is _build_parser()
+    # a parse leaves nothing behind for the next one
+    assert _build_parser().parse_args(["reproduce", "x", "--set", "a=1"]).set == ["a=1"]
+    assert _build_parser().parse_args(["reproduce", "x"]).set is None
+    # successive calls with different subcommands, a parse error in between
+    assert main(["fluid-solve", "--instance", canon_file]) == 0
+    assert json.loads(capsys.readouterr().out)["profit"] == pytest.approx(6399.039356334297, rel=1e-9)
+    with pytest.raises(SystemExit) as exc:
+        main(["fluid-solve"])
+    assert exc.value.code == 2
+    assert "--instance" in capsys.readouterr().err
+    inst = _write(tmp_path, "dt.json", noisy_to_dict(double_threshold_instance(cap=75.0)))
+    assert main(["noisy-analyze", "--instance", inst, "--eps", "0.25:0.25:25", "--detect-crossovers"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 2
 
 
 def test_cli_reproduce(tmp_path, capsys):

@@ -53,8 +53,11 @@ from gigopt.fluid import (
     REFINE_TOL,
     SCAN_POINTS,
     _best_outcome,
+    _composition_rank,
     _compositions,
+    _grid_profits,
     _live_pairs,
+    _oracle_grid,
     _oracle_with_lipschitz,
     _slice_bounds,
     _solve_pairs,
@@ -350,6 +353,23 @@ def test_solve_fluid_many_matches_one_by_one(insts):
     assert solve_fluid_many(insts[::-1]) == many[::-1]
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_refinement_tolerance_must_be_finite_and_positive(monkeypatch, tol):
+    # golden-section never stops at tol <= 0 and stops at once at NaN, so the
+    # check has to come before any slice is scanned
+    inst = canonical_instance()
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a slice was scanned")
+
+    monkeypatch.setattr(fluid, "_live_pairs", no_scan)
+    monkeypatch.setattr(fluid, "_solve_slices", no_scan)
+    for solve in (lambda: solve_fluid(inst, tol), lambda: solve_fluid_many([inst, inst], tol),
+                  lambda: solve_fluid_many([], tol), lambda: optimize_pair(inst, 15.0, 60.0, tol)):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            solve()
+
+
 # --------------------------------------------------------------------------
 # Pruning pair slices by a profit bound
 
@@ -428,13 +448,53 @@ def _compositions_by_combinations(m, G):
     return np.diff(edges, axis=1) - 1
 
 
+def _compositions_by_column_stack(m, G):
+    """Reference: the part-by-part build that stacks one column per part."""
+    head = np.zeros((1, 0), dtype=np.int64)
+    rest = np.array([G], dtype=np.int64)
+    for _ in range(m - 1):
+        counts = rest + 1
+        parent = np.repeat(np.arange(len(rest)), counts)
+        part = np.arange(len(parent), dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
+        head = np.column_stack([head[parent], part])
+        rest = rest[parent] - part
+    return np.column_stack([head, rest])
+
+
 def test_compositions_match_combinations_enumeration():
-    # the row order sets which grid point wins an oracle tie
+    # the row order sets which grid point wins an oracle tie, and the
+    # Lipschitz bound looks shifted compositions up by their rank
     for m in range(1, 6):
         for G in range(1, 31):
             got = _compositions(m, G)
             assert got.dtype == np.int64
             np.testing.assert_array_equal(got, _compositions_by_combinations(m, G))
+            np.testing.assert_array_equal(got, _compositions_by_column_stack(m, G))
+            np.testing.assert_array_equal(_composition_rank(got, G), np.arange(len(got)))
+    C = _compositions(5, 50)
+    np.testing.assert_array_equal(C, _compositions_by_column_stack(5, 50))
+    pick = np.random.default_rng(3).permutation(len(C))[:500]
+    np.testing.assert_array_equal(_composition_rank(C[pick], 50), pick)
+
+
+def _lipschitz_by_second_pass(inst, G):
+    """Reference: a second profit pass over the shifted compositions."""
+    _, C, p0, _, ok0 = _oracle_grid(inst, G)
+    m = C.shape[1]
+    src = np.argmax(C > 0, axis=1)
+    C2 = C.copy()
+    rows = np.arange(len(C))
+    C2[rows, src] -= 1
+    C2[rows, (src + 1) % m] += 1
+    p1, _, ok1 = _grid_profits(inst, C2.astype(float) / G)
+    ok = ok0 & ok1
+    return float(np.abs(p1[ok] - p0[ok]).max() * (G / 2.0)) if ok.any() else 0.0
+
+
+@settings(deadline=None, max_examples=40)
+@given(_random_instances(max_m=5), st.sampled_from([1, 7, 20]))
+def test_lipschitz_rank_lookup_matches_second_pass(inst, G):
+    assert objective_lipschitz(inst, G) == _lipschitz_by_second_pass(inst, G)
 
 
 def test_solver_matches_oracle_on_small_instances():

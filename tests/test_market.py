@@ -31,6 +31,7 @@ from gigopt import (
     load_instance,
 )
 from gigopt.experiments import prop5_instance, canonical_instance
+from gigopt.market import _mixture_rate
 
 
 # --------------------------------------------------------------------------
@@ -153,6 +154,45 @@ def test_shifting_mass_upward_never_raises_departure(w1, w2):
     x_lo = RewardDistribution((10.0, 30.0), (1.0 - lo, lo))
     x_hi = RewardDistribution((10.0, 30.0), (1.0 - hi, hi))
     assert expected_departure(worker, x_hi) <= expected_departure(worker, x_lo) + 1e-12
+
+
+def _scalar_mixture_rate(departure, support):
+    """The per-reward form of the mixture rate: one scalar rate call per
+    positive-weight reward, an exact sum, a clamp into [0, 1]."""
+    total = math.fsum(float(departure.rate(r)) * w for r, w in support if w > 0.0)
+    return min(1.0, max(0.0, total))
+
+
+_GRID = (0.0, 5.0, 12.5, 20.0, 31.0, 47.5)
+_ANALYTIC = st.one_of(
+    st.builds(ExpFloor, st.floats(0.01, 2.0), st.floats(0.0, 50.0)),
+    st.builds(Linear, st.floats(0.0, 0.2), st.floats(-0.5, 2.0)),
+    st.builds(Quadratic, st.floats(0.0, 0.005), st.floats(-0.05, 0.05), st.floats(-0.2, 1.2)),
+    st.builds(EpsNoisy, st.floats(0.0, 50.0), st.floats(0.1, 20.0)),
+)
+_TABULATED = st.lists(st.floats(0.0, 1.0), min_size=len(_GRID), max_size=len(_GRID)).map(
+    lambda vs: Tabulated(_GRID, tuple(sorted(vs, reverse=True)))
+)
+# weights of exactly zero are common, so skipped rewards get exercised
+_WEIGHTS = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=1, max_size=len(_GRID))
+
+
+@given(_ANALYTIC, st.lists(st.floats(0.0, 60.0), min_size=1, max_size=8, unique=True), _WEIGHTS)
+def test_mixture_rate_matches_scalar_sum_analytic(departure, rewards, weights):
+    # analytic families are defined everywhere, off any grid too
+    support = list(zip(rewards, weights))
+    assert _mixture_rate(departure, support) == _scalar_mixture_rate(departure, support)
+
+
+@given(_TABULATED, _WEIGHTS, st.floats(0.1, 4.9))
+def test_mixture_rate_matches_scalar_sum_tabulated(departure, weights, offset):
+    support = list(zip(_GRID, weights))
+    assert _mixture_rate(departure, support) == _scalar_mixture_rate(departure, support)
+    # an off-grid reward with zero weight is skipped; with positive weight it raises
+    off = _GRID[0] + offset
+    assert _mixture_rate(departure, support + [(off, 0.0)]) == _scalar_mixture_rate(departure, support)
+    with pytest.raises(ValueError, match="off its grid"):
+        _mixture_rate(departure, support + [(off, 0.5)])
 
 
 # --------------------------------------------------------------------------

@@ -25,6 +25,8 @@ from gigopt import (
     cyclic_steady_state,
     cyclic_to_static_report,
     distribution_at,
+    expected_departure,
+    expected_reward,
     experienced_distribution,
     fairness_audit,
     fluid_profit,
@@ -82,6 +84,46 @@ def test_trajectory_input_validation(canon):
         fluid_trajectory(canon, Static(x), horizon=0)
     with pytest.raises(ValueError, match="entries"):
         fluid_trajectory(canon, Static(x), horizon=5, n0=(1.0,))
+
+
+def _per_period_trajectory(inst, policy, horizon, n0):
+    """The recursion with every period's mixture rates and expected reward
+    recomputed from that period's distribution."""
+    n = np.zeros(inst.K) if n0 is None else np.asarray(n0, dtype=float).copy()
+    supplies, profits = np.empty((horizon, inst.K)), np.empty(horizon)
+    for t in range(1, horizon + 1):
+        n = n + inst.lambdas
+        x = distribution_at(policy, t)
+        lhat = np.array([expected_departure(w, x) for w in inst.types])
+        total = float(n.sum())
+        profits[t - 1] = float(inst.revenue.value(total)) - expected_reward(x) * total
+        supplies[t - 1] = n
+        n = n * (1.0 - lhat)
+    return supplies, profits
+
+
+@pytest.mark.parametrize("n0", [None, (40.0, 3.5, 12.25)])
+@pytest.mark.parametrize("kind", ["static", "cyclic", "trajectory"])
+def test_trajectory_matches_per_period_reference(canon, kind, n0):
+    rs = canon.rewards
+    a = RewardDistribution.point_mass(rs, 35.0)
+    b = RewardDistribution.on(rs, [0.0] * 20 + [0.25] + [0.0] * (len(rs) - 22) + [0.75])
+    c = RewardDistribution.on(rs, [1.0 / len(rs)] * len(rs))
+    policy = {
+        "static": Static(b),
+        "cyclic": Cyclic((a, b, c)),
+        "trajectory": Trajectory(head=(c, a), tail=(b, a, a)),
+    }[kind]
+    traj = fluid_trajectory(canon, policy, 23, n0)
+    supplies, profits = _per_period_trajectory(canon, policy, 23, n0)
+    assert np.array_equal(traj.supplies, supplies)
+    assert np.array_equal(traj.profits, profits)
+    assert traj.tail_average == float(profits[-12:].mean())
+
+
+def test_trajectory_rejects_belief_policies(canon):
+    with pytest.raises(TypeError, match="belief-based"):
+        fluid_trajectory(canon, BeliefBased(3.0, 1.0, 1.2, 100.0), horizon=5)
 
 
 # --------------------------------------------------------------------------
