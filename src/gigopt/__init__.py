@@ -81,7 +81,6 @@ from .sim import (
     default_burn_in,
     occupancy_samples,
     simulate,
-    steady_state_mean,
 )
 from .noisy import (
     AssumptionViolated,

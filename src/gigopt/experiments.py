@@ -9,6 +9,7 @@ byte-identical across runs.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import subprocess
@@ -706,7 +707,9 @@ def _write_svg(path: Path, header: list[str], rows: list[list], title: str) -> N
     path.write_text("\n".join(parts) + "\n", encoding="utf-8")
 
 
+@functools.cache
 def _git_describe() -> str:
+    """The checkout's `git describe`, asked once per process."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],

@@ -41,16 +41,16 @@ that is itself a candidate, so it could neither win nor tie the winner:
 the winner and its tie-break are the same as without the pruning.
 
 The budgeted variant (maximize supply subject to an expected-pay budget)
-reuses the same slices and their batched cost bisection, plus a
-support-reduction routine that rewrites any feasible distribution into an
-equally good one with at most two support points via mean-preserving mass
-transfers and budget rebalancing.
+reuses the same slices, whose cost and supply both rise with the weight on
+the higher reward: each slice's optimum is its largest weight within
+budget, found by one batched bisection. Support reduction is the same
+search run on a budget-tight distribution's own support.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
 
@@ -65,7 +65,6 @@ from .market import (
     RewardDistribution,
     RewardSet,
     Tabulated,
-    _mixture_rate,
     fluid_profit,
 )
 
@@ -733,173 +732,35 @@ def find_interlacing(b: BudgetedInstance, support) -> tuple[float, float, float]
     return (triple[0], triple[1], triple[2])
 
 
-def _weights_stats(inst: MarketInstance, w: dict[float, float]):
-    """(rhat, total supply, cost) of a support-weight mapping."""
-    rhat = math.fsum(r * wt for r, wt in w.items())
-    total = 0.0
-    for i, worker in enumerate(inst.types):
-        lhat = _mixture_rate(worker.departure, w.items())
-        if lhat < MIN_DEPARTURE_FLOOR:
-            raise DegenerateSupply(f"type {i} mixture rate vanished during reduction")
-        total += float(inst.lambdas[i]) / lhat
-    return rhat, total, rhat * total
-
-
-def _transfer_toward_pair(
-    w: dict[float, float], src: float, p: float, q: float
-) -> dict[float, float] | None:
-    """Move as much of src's mass onto rewards p > q as non-negativity
-    allows, holding the expected reward fixed; the binding coordinate is
-    snapped to exactly zero. None when nothing can move."""
-    cp = (src - q) / (p - q)
-    cq = (p - src) / (p - q)
-    t = w[src]
-    binding = src
-    for coef, tgt in ((cp, p), (cq, q)):
-        if coef < 0.0:
-            cap = -w[tgt] / coef
-            if cap < t:
-                t, binding = cap, tgt
-    if t <= 1e-15:
-        return None
-    out = dict(w)
-    out[src] -= t
-    out[p] += cp * t
-    out[q] += cq * t
-    out[binding] = 0.0
-    return {r: wt for r, wt in out.items() if wt > 0.0}
-
-
-def _rebalance_to_budget(inst: MarketInstance, w: dict[float, float], B: float, slack: float):
-    """Shift mass from the largest to the smallest support reward until the
-    expected pay meets the budget; repeats with the next-largest reward when
-    the top empties first. Cost is strictly decreasing along the path."""
-    w = dict(w)
-    while True:
-        _, _, cost = _weights_stats(inst, w)
-        if cost <= B + slack:
-            return w
-        top = max(w)
-        bot = min(w)
-        if top == bot:
-            raise InfeasibleInput("support collapsed to a single reward exceeding the budget")
-
-        def cost_after(s: float) -> float:
-            trial = dict(w)
-            trial[top] -= s
-            trial[bot] += s
-            if trial[top] <= 0.0:
-                del trial[top]
-            return _weights_stats(inst, trial)[2]
-
-        if cost_after(w[top]) > B + slack:
-            w[bot] += w[top]
-            del w[top]
-            continue
-        lo, hi = 0.0, w[top]
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            if cost_after(mid) > B:
-                lo = mid
-            else:
-                hi = mid
-        s = 0.5 * (lo + hi)
-        w[top] -= s
-        w[bot] += s
-        if w[top] <= 0.0:
-            del w[top]
-        return w
-
-
-def _best_tight_pair(
-    inst: MarketInstance, support, B: float, slack: float, n_floor: float
-) -> dict[float, float] | None:
-    """Best budget-tight pair (or singleton) drawn from the support rewards.
-
-    Cost is strictly increasing along every pair slice, so the tight weight
-    is found by bisection whenever the endpoints bracket the budget. Returns
-    None if no candidate reaches supply n_floor.
-    """
-    support = sorted(set(float(r) for r in support))
-    best: tuple[float, dict[float, float]] | None = None
-    for r in support:
-        if abs(_singleton_cost(inst, r) - B) <= slack:
-            _, n, _ = _weights_stats(inst, {r: 1.0})
-            if best is None or n > best[0]:
-                best = (n, {r: 1.0})
-    idx = np.array([inst.rewards.index_of(r) for r in support], dtype=np.intp)
-    lows, highs = np.triu_indices(len(support), 1)
-    live, pairs, top = _live_pairs(inst, idx[lows], idx[highs])
-    y = _bisect_up(pairs.cost, B, np.zeros(len(live)), top)
-    n = pairs.supply(y)
-    for k in np.flatnonzero(~np.isnan(y)):
-        if best is None or n[k] > best[0]:
-            r_lo, r_hi = support[lows[live[k]]], support[highs[live[k]]]
-            best = (float(n[k]), {r_lo: 1.0 - float(y[k]), r_hi: float(y[k])})
-    if best is None or best[0] < n_floor - 1e-9:
-        return None
-    return best[1]
-
-
 def support_reduce(
     b: BudgetedInstance, x: RewardDistribution, tol: float = 1e-9
 ) -> RewardDistribution:
     """Rewrite a budget-tight distribution into one with at most two support
     points, never losing total supply and never raising the expected reward.
 
-    Each round picks an interlacing triple, tries every mean-preserving mass
-    transfer off one triple element onto the other two (capped where a weight
-    hits zero), keeps the best supply among those not worse than the current
-    point, then rebalances mass from the top of the support to the bottom
-    until the budget binds again. If every transfer strands the budget (a
-    cap can zero the only reward cheap enough to rebalance with), the round
-    falls back to the best budget-tight pair within the current support.
+    This is solve_supply_opt on x's own support, and it does at least as
+    well as x: over that support at x's expected reward rho, the convex
+    supply peaks at a pair or singleton costing at least the budget B;
+    moving its mass down towards the bottom support reward (whose singleton
+    costs at most B) meets the budget at a pair with expected reward
+    rho' <= rho and supply B / rho' >= x's. At least x's supply at a cost
+    of at most B means at most x's expected reward.
+
+    Returns x itself when it has at most two support points. Raises
+    InfeasibleInput unless x's expected pay equals the budget within tol.
     """
     inst, B = b.inst, b.budget
     slack = tol * max(1.0, abs(B))
-    w = {r: wt for r, wt in x.support()}
-    _, n_cur, cost = _weights_stats(inst, w)
+    out = fluid_profit(inst, x)
+    cost = out.expected_reward * out.total_supply
     if abs(cost - B) > slack:
         raise InfeasibleInput(f"expected pay {cost} must equal the budget {B} within {slack}")
-    while len(w) > 2:
-        r1, r2, r3 = find_interlacing(b, tuple(w))
-        candidates = []
-        for src, p, q in ((r2, r1, r3), (r1, r2, r3), (r3, r1, r2)):
-            trial = _transfer_toward_pair(w, src, p, q)
-            if trial is None or len(trial) >= len(w):
-                continue
-            try:
-                _, n_trial, _ = _weights_stats(inst, trial)
-            except DegenerateSupply:
-                continue
-            candidates.append((n_trial, trial))
-        viable = [(n, t) for n, t in candidates if n >= n_cur - 1e-9]
-        if not viable:
-            raise InfeasibleInput("mean-preserving reduction made no progress")
-        # a transfer can strand the budget (e.g. by zeroing the cheapest
-        # reward), so fall back to the next-best direction when rebalancing
-        # fails, and to a direct tight-pair search when all of them strand
-        viable.sort(key=lambda c: -c[0])
-        for _, trial in viable:
-            try:
-                w = _rebalance_to_budget(inst, trial, B, slack)
-            except InfeasibleInput:
-                continue
-            break
-        else:
-            pair = _best_tight_pair(inst, tuple(w), B, slack, n_cur)
-            if pair is None:
-                raise InfeasibleInput("every mean-preserving reduction strands the budget")
-            w = pair
-        _, n_cur, _ = _weights_stats(inst, w)
-    weights = [0.0] * len(x.rewards)
-    for r, wt in w.items():
-        weights[x.rewards.index(r)] = wt
-    total = math.fsum(weights)
-    weights = [wt / total for wt in weights]
-    return RewardDistribution(x.rewards, tuple(weights))
+    support = x.support_rewards()
+    if len(support) <= 2:
+        return x
+    sub = replace(inst, rewards=RewardSet(support))
+    w = dict(solve_supply_opt(BudgetedInstance(sub, B), tol).x.support())
+    return RewardDistribution(x.rewards, tuple(w.get(r, 0.0) for r in x.rewards))
 
 
 # --------------------------------------------------------------------------

@@ -319,14 +319,15 @@ class FairnessReport:
 
 def _payment_streams(
     inst: MarketInstance, policy: Policy, horizon: int, n0
-) -> tuple[np.ndarray, list[list[np.ndarray]]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Per-type supply weights (T, K) and per-type per-period payment
-    distributions, as weight vectors over a shared domain."""
+    distributions (T, K, m), as weight vectors over a shared domain."""
     if isinstance(policy, BeliefBased):
         return _belief_streams(policy, horizon)
     traj = fluid_trajectory(inst, policy, horizon, n0)
-    rows = [[x.as_array()] * inst.K for x in policy.distributions]
-    return traj.supplies, [rows[period_index(policy, t)] for t in range(1, horizon + 1)]
+    rows = np.array([x.as_array() for x in policy.distributions])
+    idx = [period_index(policy, t) for t in range(1, horizon + 1)]
+    return traj.supplies, np.repeat(rows[idx][:, None, :], inst.K, axis=1)
 
 
 def fairness_audit(
@@ -343,25 +344,25 @@ def fairness_audit(
 
     Cyclic policies default to starting at their steady state, where the
     audit is exact; everything else starts from an empty market unless n0
-    says otherwise.
+    says otherwise. A belief-based policy is audited in its own two-type
+    market (see _belief_streams), whatever inst's types are.
     """
     if tau < 1 or horizon < tau:
         raise ValueError("need 1 <= tau <= horizon")
-    K = inst.K
     if n0 is None and isinstance(policy, Cyclic):
         try:
             n0 = cyclic_steady_state(inst, policy)[0] - inst.lambdas
         except NonMixing:
             pass
     supplies, dists = _payment_streams(inst, policy, horizon, n0)
+    K = supplies.shape[1]
     gaps = np.zeros((K, K))
     for start in range(horizon - tau + 1):
-        window = range(start, start + tau)
+        window = slice(start, start + tau)
         mixes = []
         for i in range(K):
-            w = np.array([supplies[t, i] for t in window])
-            vecs = np.stack([dists[t][i] for t in window])
-            mixes.append((w[:, None] * vecs).sum(axis=0) / w.sum())
+            w = supplies[window, i]
+            mixes.append((w[:, None] * dists[window, i]).sum(axis=0) / w.sum())
         for i in range(K):
             for j in range(i + 1, K):
                 gap = float(np.abs(mixes[i] - mixes[j]).sum())
@@ -437,15 +438,15 @@ def _belief_dynamics(policy: BeliefBased, lambda1: float, lambda2: float, horizo
     return rows, splits
 
 
-def _belief_streams(policy: BeliefBased, horizon: int):
+def _belief_streams(policy: BeliefBased, horizon: int) -> tuple[np.ndarray, np.ndarray]:
     lambda1, lambda2 = policy.D / 4.0, policy.D / 2.0
     _, splits = _belief_dynamics(policy, lambda1, lambda2, horizon)
     supplies = np.empty((horizon, 2))
-    dists: list[list[np.ndarray]] = []
+    dists = np.empty((horizon, 2, 3))
     for t, (w1, w2, _, retained) in enumerate(splits):
         supplies[t, 0] = retained + lambda1
         supplies[t, 1] = lambda2
-        dists.append([w1, w2])
+        dists[t] = w1, w2
     return supplies, dists
 
 

@@ -30,7 +30,7 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from .fluid import solve_fluid
-from .market import MarketInstance, RewardDistribution, fluid_supply
+from .market import MarketInstance, RewardDistribution
 from .policies import Policy, Static, period_index
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "LossRow",
     "default_burn_in",
     "simulate",
-    "steady_state_mean",
     "occupancy_samples",
     "additive_loss_sweep",
 ]
@@ -199,11 +198,6 @@ def simulate(inst: MarketInstance, policy: Policy, cfg: SimConfig) -> SimResult:
         theta=cfg.theta,
         trace=trace,
     )
-
-
-def steady_state_mean(inst: MarketInstance, x: RewardDistribution, theta: int) -> np.ndarray:
-    """Stationary mean occupancy per type, theta * lambda_i / l_hat_i(x)."""
-    return fluid_supply(inst, x) * theta
 
 
 def occupancy_samples(

@@ -2,6 +2,7 @@
 
 import json
 import math
+import subprocess
 
 import pytest
 
@@ -19,7 +20,7 @@ from gigopt.experiments import (
     run_experiment,
     canonical_instance,
 )
-from gigopt import fluid
+from gigopt import experiments, fluid
 from gigopt.cli import _build_parser, main
 from gigopt.market import Newsvendor, Power, instance_to_dict
 from gigopt.noisy import noisy_to_dict
@@ -103,6 +104,24 @@ def test_run_experiment_reruns_are_byte_identical(tmp_path):
     assert csvs and ma["files"] == mb["files"]
     for name in csvs:
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_run_experiment_asks_git_once(tmp_path, monkeypatch):
+    calls = []
+
+    def fake_run(cmd, **kw):
+        calls.append(cmd)
+        return subprocess.CompletedProcess(cmd, 0, stdout="abc1234\n", stderr="")
+
+    monkeypatch.setattr(experiments.subprocess, "run", fake_run)
+    experiments._git_describe.cache_clear()
+    try:
+        ma = run_experiment(ExperimentSpec(id="prop4_belief", output_dir=tmp_path / "a"))
+        mb = run_experiment(ExperimentSpec(id="prop5_cyclic", output_dir=tmp_path / "b"))
+    finally:
+        experiments._git_describe.cache_clear()
+    assert len(calls) == 1
+    assert ma["git"] == mb["git"] == "abc1234"
 
 
 def test_run_experiment_override_coercion(tmp_path):

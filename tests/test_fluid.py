@@ -62,7 +62,6 @@ from gigopt.fluid import (
     _slice_bounds,
     _solve_pairs,
     _solve_slices,
-    _weights_stats,
 )
 from gigopt.market import MIN_DEPARTURE_FLOOR
 from gigopt.noisy import NoisyInstance, market_instance
@@ -662,15 +661,6 @@ def test_support_reduce_preserves_supply_and_budget():
     assert out.expected_reward * out.total_supply <= budget + 1e-6
 
 
-def test_weights_stats_match_fluid_profit():
-    inst = _reduction_instance()
-    x, budget, _ = _tight_case(inst, 0.2, 0.3)
-    out = fluid_profit(inst, x)
-    rhat, total, cost = _weights_stats(inst, dict(x.support()))
-    assert (rhat, total) == (out.expected_reward, out.total_supply)
-    assert cost == budget
-
-
 def test_support_reduce_rejects_loose_input():
     inst = _reduction_instance()
     b = BudgetedInstance(inst, 600.0)
@@ -689,6 +679,62 @@ def test_support_reduce_property(lo_w, mid_w):
     assert len(x1.support()) <= 2
     assert out.total_supply >= n0 - 1e-9
     assert out.expected_reward <= expected_reward(x0) + 1e-9
+
+
+@st.composite
+def _tight_inputs(draw):
+    """A random instance and a distribution on three or more of its rewards,
+    with the budget set to that distribution's own expected pay."""
+    inst = draw(_random_instances(max_m=8).filter(lambda inst: len(inst.rewards) >= 3))
+    m = len(inst.rewards)
+    on = draw(st.sets(st.integers(0, m - 1), min_size=3, max_size=m))
+    raw = [draw(st.floats(min_value=0.01, max_value=1.0)) if k in on else 0.0 for k in range(m)]
+    x = RewardDistribution.on(inst.rewards, [w / math.fsum(raw) for w in raw])
+    try:
+        out = fluid_profit(inst, x)
+    except DegenerateSupply:
+        assume(False)
+    return inst, x, out
+
+
+@settings(deadline=None, max_examples=200)
+@given(_tight_inputs())
+def test_support_reduce_never_loses_supply(case):
+    inst, x0, before = case
+    budget = before.expected_reward * before.total_supply
+    x1 = support_reduce(BudgetedInstance(inst, budget), x0)
+    after = fluid_profit(inst, x1)
+    assert len(x1.support()) <= 2
+    assert after.expected_reward * after.total_supply <= budget + 1e-9 * max(1.0, budget)
+    assert after.total_supply >= before.total_supply * (1.0 - 1e-9)
+    assert after.expected_reward <= before.expected_reward * (1.0 + 1e-9)
+
+
+def test_support_reduce_where_transfers_stalled():
+    # a valid input on which every mean-preserving transfer inside an
+    # interlacing triple loses supply
+    rs = RewardSet((64.0, 66.0, 70.0, 73.0, 90.0))
+    inst = MarketInstance(rs, (WorkerType(5.0, Tabulated(rs.values, (0.44, 0.31, 0.26, 0.23, 0.15))),),
+                          Newsvendor(100.0, 1000.0))
+    x0 = RewardDistribution.on(rs, (0.21, 0.10, 0.46, 0.21, 0.02))
+    before = fluid_profit(inst, x0)
+    budget = before.expected_reward * before.total_supply
+    assert budget == pytest.approx(1178.559293, rel=1e-9)
+    x1 = support_reduce(BudgetedInstance(inst, budget), x0)
+    after = fluid_profit(inst, x1)
+    assert x1.support_rewards() == (66.0, 70.0)
+    assert x1.weight_at(66.0) == pytest.approx(0.5521, abs=1e-4)
+    assert after.total_supply == pytest.approx(17.385, abs=1e-3) and before.total_supply < 17.0
+    assert after.expected_reward == pytest.approx(67.79, abs=1e-2)
+    assert after.expected_reward * after.total_supply == pytest.approx(budget, rel=1e-12)
+
+
+@pytest.mark.parametrize("weights", [(0.0, 1.0, 0.0, 0.0), (0.0, 0.3, 0.0, 0.7), (0.6, 0.0, 0.4, 0.0)])
+def test_support_reduce_keeps_small_supports(weights):
+    inst = _reduction_instance()
+    x = RewardDistribution.on(inst.rewards, weights)
+    out = fluid_profit(inst, x)
+    assert support_reduce(BudgetedInstance(inst, out.expected_reward * out.total_supply), x) is x
 
 
 # --------------------------------------------------------------------------

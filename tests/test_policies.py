@@ -35,7 +35,7 @@ from gigopt import (
     static_from_cyclic,
     turnover_profit,
 )
-from gigopt.experiments import prop5_instance, prop5_policy
+from gigopt.experiments import canonical_instance, example1_instance, prop5_instance, prop5_policy
 
 
 # --------------------------------------------------------------------------
@@ -310,3 +310,13 @@ def test_belief_fairness_audit_runs(prop5):
     pol = BeliefBased(alpha=3.0, v1=1.0, v2=1.2, D=100.0)
     rep = fairness_audit(prop5, pol, tau=2, horizon=40)
     assert rep.max_gap > 0.0
+
+
+def test_belief_fairness_audit_ignores_the_instance_types():
+    # a belief audit runs in the policy's own two-type market, so the K of
+    # the instance passed in changes nothing
+    pol = BeliefBased(alpha=3.0, v1=1.0, v2=1.2, D=100.0)
+    reps = [fairness_audit(inst, pol, tau=2, horizon=50)
+            for inst in (example1_instance(), prop5_instance(), canonical_instance())]
+    assert reps[0] == reps[1] == reps[2]
+    assert reps[0].max_gap == 1.0 and not reps[0].fair

@@ -34,7 +34,6 @@ from gigopt.sim import (
     default_burn_in,
     occupancy_samples,
     simulate,
-    steady_state_mean,
 )
 
 
@@ -119,18 +118,13 @@ def test_full_turnover_population_is_fresh_arrivals():
 def test_steady_state_supply_matches_birth_death_mean():
     inst = example1_instance()
     x = RewardDistribution.point_mass(inst.rewards, 35.0)
-    target = float(steady_state_mean(inst, x, theta=10).sum())
+    target = float(fluid_supply(inst, x).sum()) * 10
     assert target == pytest.approx(10 * 10.0 / math.exp(-1.4), rel=1e-12)
     res = simulate(inst, Static(x), SimConfig(theta=10, periods=300, burn_in=100, replications=30, seed=2))
     # long-run variance of the occupancy AR recursion: theta*N*(2-l)/l per sample
     lhat = math.exp(-1.4)
     se = math.sqrt(target * (2 - lhat) / lhat / (30 * 200))
     assert abs(res.mean_supply_total - target) <= 3 * se
-
-
-def test_steady_state_mean_scales_linearly(canon):
-    x = solve_fluid(canon).x
-    np.testing.assert_allclose(steady_state_mean(canon, x, 100), 100 * fluid_supply(canon, x), rtol=1e-12)
 
 
 def test_static_profit_never_beats_fluid_optimum(canon):
