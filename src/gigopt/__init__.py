@@ -98,8 +98,6 @@ from .noisy import (
     newsvendor_optimal,
     noisy_metrics,
     optimal_noisy,
-    rational_scaled_surplus,
-    myopic_scaled_surplus,
     surplus_curve,
 )
 from .experiments import (

@@ -21,16 +21,13 @@ from .experiments import (
     EXPERIMENT_IDS,
     ExperimentSpec,
     UnknownExperiment,
+    _curve_panel,
+    _loss_study,
     experiment_defaults,
+    float_range,
     run_experiment,
 )
-from .fluid import (
-    _oracle_with_lipschitz,
-    classify_dispersion,
-    lottery_for_instance,
-    optimal_fixed_wage,
-    solve_fluid,
-)
+from .fluid import _oracle_with_lipschitz, classify_dispersion, solve_fluid
 from .market import MarketInstance, RewardDistribution, float_field, json_object, load_instance
 from .noisy import detect_double_threshold, load_noisy, surplus_curve
 from .policies import (
@@ -43,7 +40,7 @@ from .policies import (
     cyclic_to_static_report,
     fairness_audit,
 )
-from .sim import SimConfig, additive_loss_sweep, default_burn_in, simulate
+from .sim import SimConfig, default_burn_in, simulate
 
 __all__ = ["main"]
 
@@ -132,22 +129,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep_theta(args) -> int:
-    inst = load_instance(args.instance)
-    thetas = [int(t) for t in args.thetas.split(",") if t.strip()]
-    policies: list[tuple[str, Policy]] = [("fluid", Static(solve_fluid(inst).x))]
-    policies.append(("fixed_wage", Static(optimal_fixed_wage(inst)[1].x)))
-    policies.append(("lottery", Static(lottery_for_instance(inst, args.mu, args.sigma)[0])))
-    burn = args.burn_in
-    if burn is None:
-        burn = max(default_burn_in(inst, pol) for _, pol in policies)
-    cfg = SimConfig(
-        theta=1,
-        periods=burn + args.measure,
-        burn_in=burn,
-        replications=args.reps,
-        seed=args.seed,
-    )
-    rows = additive_loss_sweep(inst, policies, thetas, cfg)
+    thetas = [t for t in args.thetas.split(",") if t.strip()]
+    rows = _loss_study(load_instance(args.instance), {**vars(args), "thetas": thetas})
     writer = csv.writer(sys.stdout)
     writer.writerow(["policy", "theta", "loss", "se", "reps"])
     for row in rows:
@@ -199,20 +182,8 @@ def _parse_eps_range(spec: str) -> list[float]:
         start, step, stop = (float(v) for v in spec.split(":"))
     except ValueError:
         raise ValueError(f"expected start:step:stop, got {spec!r}") from None
-    for name, v in (("start", start), ("step", step), ("stop", stop)):
-        if not math.isfinite(v):
-            raise ValueError(f"eps {name} must be finite, got {v!r}")
-    if step <= 0.0:
-        raise ValueError("eps step must be positive")
-    out = []
-    k = 0
-    while True:
-        e = start + k * step
-        if e > stop + 1e-9:
-            break
-        if e > 0.0:  # departures are undefined at zero noise
-            out.append(round(e, 12))
-        k += 1
+    grid = float_range(start, step, stop, ("eps start", "eps step", "eps stop"))
+    out = [e for e in grid if e > 0.0]  # departures are undefined at zero noise
     if len(out) < 2:
         raise ValueError(f"eps range {spec!r} yields fewer than two positive points")
     return out
@@ -240,18 +211,7 @@ def _cmd_noisy_analyze(args) -> int:
     writer.writerow(
         ["eps", "x_star", "profit", "surplus", "welfare", "rational_surplus", "myopic_surplus"]
     )
-    for k in range(len(curve.eps)):
-        writer.writerow(
-            [
-                repr(curve.eps[k]),
-                repr(curve.x_star[k]),
-                repr(curve.profit[k]),
-                repr(curve.surplus[k]),
-                repr(curve.welfare[k]),
-                repr(curve.rational[k]),
-                repr(curve.myopic[k]),
-            ]
-        )
+    writer.writerows([repr(v) for v in row] for row in _curve_panel(curve)[1])
     return 0
 
 

@@ -57,7 +57,7 @@ from .policies import (
     fairness_audit,
     turnover_profit,
 )
-from .sim import SimConfig, additive_loss_sweep, default_burn_in
+from .sim import LossRow, SimConfig, additive_loss_sweep, default_burn_in
 
 __all__ = [
     "UnknownExperiment",
@@ -247,6 +247,26 @@ class ExperimentSpec:
     output_dir: Union[str, Path] = "."
 
 
+def float_range(start: float, step: float, stop: float, names: Sequence[str]) -> list[float]:
+    """start + k*step for k = 0, 1, ... while it stays within stop (+1e-9),
+    each rounded to 12 decimals.
+
+    names label start, step and stop in the ValueError raised unless all
+    three are finite and the step is positive.
+    """
+    for name, v in zip(names, (start, step, stop)):
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v!r}")
+    if step <= 0.0:
+        raise ValueError(f"{names[1]} must be positive, got {step!r}")
+    out = []
+    k = 0
+    while start + k * step <= stop + 1e-9:
+        out.append(round(start + k * step, 12))
+        k += 1
+    return out
+
+
 def _supply(inst: MarketInstance, x: RewardDistribution) -> float:
     return inst.types[0].lam / expected_departure(inst.types[0], x)
 
@@ -256,13 +276,11 @@ def _run_example1(p: dict) -> dict[str, Panel]:
     grid = inst.rewards
     worker = inst.types[0]
     rows = []
-    mu = p["mu_lo"]
-    while mu <= p["mu_hi"] + 1e-9:
+    for mu in float_range(p["mu_lo"], p["mu_step"], p["mu_hi"], ("mu_lo", "mu_step", "mu_hi")):
         fixed = worker.lam / float(worker.departure.rate(mu))
         lottery = _supply(inst, lottery_distribution(grid.r_min, mu, p["sigma"]))
         normal = _supply(inst, normal_policy(mu, p["sigma"], grid))
         rows.append([mu, fixed, lottery, normal])
-        mu = round(mu + p["mu_step"], 12)
     return {"data": (["mu", "fixed_wage", "lottery", "normal"], rows)}
 
 
@@ -280,17 +298,19 @@ def _check_example1(p: dict, panels: dict[str, Panel]) -> list[str]:
     return []
 
 
-def _loss_policies(inst: MarketInstance, p: dict):
-    fluid = Static(solve_fluid(inst).x)
-    fixed = Static(optimal_fixed_wage(inst)[1].x)
-    lottery = Static(lottery_for_instance(inst, p["mu"], p["sigma"])[0])
-    return [("fluid", fluid), ("fixed_wage", fixed), ("lottery", lottery)]
-
-
-def _run_additive_loss(p: dict) -> dict[str, Panel]:
-    inst = canonical_instance()
-    policies = _loss_policies(inst, p)
-    burn = max(default_burn_in(inst, pol) for _, pol in policies)
+def _loss_study(inst: MarketInstance, p: Mapping) -> list[LossRow]:
+    """Additive loss of the fluid, fixed-wage and lottery static policies
+    across the scales p["thetas"], with fig_additive_loss's parameters
+    (mu and sigma of the lottery, reps, measure, seed) and an optional
+    p["burn_in"]: by default the largest of the policies' default_burn_in."""
+    policies = [
+        ("fluid", Static(solve_fluid(inst).x)),
+        ("fixed_wage", Static(optimal_fixed_wage(inst)[1].x)),
+        ("lottery", Static(lottery_for_instance(inst, p["mu"], p["sigma"])[0])),
+    ]
+    burn = p.get("burn_in")
+    if burn is None:
+        burn = max(default_burn_in(inst, pol) for _, pol in policies)
     cfg = SimConfig(
         theta=1,
         periods=burn + int(p["measure"]),
@@ -298,17 +318,22 @@ def _run_additive_loss(p: dict) -> dict[str, Panel]:
         replications=int(p["reps"]),
         seed=int(p["seed"]),
     )
-    rows = additive_loss_sweep(inst, policies, [int(t) for t in p["thetas"]], cfg)
+    return additive_loss_sweep(inst, policies, [int(t) for t in p["thetas"]], cfg)
+
+
+def _run_additive_loss(p: dict) -> dict[str, Panel]:
+    rows = _loss_study(canonical_instance(), p)
+    labels = list(dict.fromkeys(row.policy for row in rows))
     by_theta: dict[int, dict[str, tuple[float, float]]] = {}
     for row in rows:
         by_theta.setdefault(row.theta, {})[row.policy] = (row.loss, row.se)
     header = ["theta"]
-    for label, _ in policies:
+    for label in labels:
         header += [f"loss_{label}", f"se_{label}"]
     out = []
     for theta in sorted(by_theta):
         line: list = [theta]
-        for label, _ in policies:
+        for label in labels:
             loss, se = by_theta[theta][label]
             line += [loss, se]
         out.append(line)
@@ -368,11 +393,7 @@ def _check_risk(p: dict, panels: dict[str, Panel]) -> list[str]:
 
 def _run_normal_variance(p: dict) -> dict[str, Panel]:
     inst = example3_instance(lam=p["lam"], alpha=p["alpha"], cap=p["cap"])
-    sigmas = []
-    s = 0.0
-    while s <= p["sigma_max"] + 1e-9:
-        sigmas.append(round(s, 12))
-        s += p["sigma_step"]
+    sigmas = float_range(0.0, p["sigma_step"], p["sigma_max"], ("sigma start", "sigma_step", "sigma_max"))
     header = ["sigma"] + [f"profit_mu{int(mu)}" for mu in p["mus"]]
     rows = []
     for s in sigmas:
@@ -397,15 +418,6 @@ def _check_normal_variance(p: dict, panels: dict[str, Panel]) -> list[str]:
     return fails
 
 
-def _eps_grid(p: dict) -> list[float]:
-    out = []
-    e = p["eps_lo"]
-    while e <= p["eps_hi"] + 1e-9:
-        out.append(round(e, 12))
-        e += p["eps_step"]
-    return out
-
-
 def _curve_panel(curve) -> Panel:
     header = ["eps", "x_star", "profit", "surplus", "welfare", "rational", "myopic"]
     rows = [
@@ -419,7 +431,7 @@ def _curve_panel(curve) -> Panel:
 
 
 def _run_noisy_metrics(p: dict) -> dict[str, Panel]:
-    eps = _eps_grid(p)
+    eps = float_range(p["eps_lo"], p["eps_step"], p["eps_hi"], ("eps_lo", "eps_step", "eps_hi"))
     news = surplus_curve(noisy_newsvendor_instance(alpha=p["alpha"], cap=p["cap"]), eps)
     sqrt = surplus_curve(noisy_sqrt_instance(), eps)
     return {"newsvendor": _curve_panel(news), "sqrt": _curve_panel(sqrt)}

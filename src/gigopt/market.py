@@ -572,15 +572,24 @@ _REVENUE_KINDS = {
 _KIND_NAMES = {cls: kind for table in (_DEPARTURE_KINDS, _REVENUE_KINDS) for kind, cls in table.items()}
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def float_field(where: str, name: str, value, many: bool = False):
     """A JSON field read as a float, or as a tuple of floats when many; a
     ValueError naming where and the field when it is neither (null, missing,
-    a list for a number, a number for a list)."""
+    a string or boolean for a number, a number or string for a list, an
+    integer too large for a float)."""
     try:
-        return tuple(float(v) for v in value) if many else float(value)
-    except (TypeError, ValueError):
-        want = "a list of numbers" if many else "a number"
-        raise ValueError(f"{where}: field {name!r} must be {want}, got {value!r}") from None
+        if many and isinstance(value, (list, tuple)) and all(_is_number(v) for v in value):
+            return tuple(float(v) for v in value)
+        if not many and _is_number(value):
+            return float(value)
+    except OverflowError:
+        pass
+    want = "a list of numbers" if many else "a number"
+    raise ValueError(f"{where}: field {name!r} must be {want}, got {value!r}")
 
 
 def json_object(where: str, value) -> dict:
@@ -634,6 +643,9 @@ def instance_from_dict(d: dict) -> MarketInstance:
     entries = d.get("types")
     if not isinstance(entries, list):
         raise ValueError(f"instance: field 'types' must be a list of objects, got {entries!r}")
+    mode = d.get("eps_noisy_mode", False)
+    if not isinstance(mode, bool):
+        raise ValueError(f"instance: field 'eps_noisy_mode' must be true or false, got {mode!r}")
     types = []
     for j, td in enumerate(entries):
         td = json_object(f"instance: field 'types[{j}]'", td)
@@ -643,7 +655,7 @@ def instance_from_dict(d: dict) -> MarketInstance:
         rewards=rewards,
         types=tuple(types),
         revenue=revenue_from_dict(d.get("revenue")),
-        eps_noisy_mode=bool(d.get("eps_noisy_mode", False)),
+        eps_noisy_mode=mode,
     )
 
 

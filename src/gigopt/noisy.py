@@ -5,6 +5,11 @@ below v - eps, probability 0 above v + eps, and linearly in between. The
 single-type optimum has a closed form (a lottery over {r_min, v + eps});
 multi-type curves fall back to the two-support fluid solver on a grid
 augmented with the ramp breakpoints.
+
+`noisy_metrics` scores a noise level by five metrics from one supply
+vector: profit, worker surplus, welfare, and the surplus rescaled as if
+workers entered rationally or myopically, the two curves whose crossings
+`detect_double_threshold` counts.
 """
 
 from __future__ import annotations
@@ -53,8 +58,6 @@ __all__ = [
     "marginal_surplus",
     "mhr_like_check",
     "surplus_curve",
-    "rational_scaled_surplus",
-    "myopic_scaled_surplus",
     "detect_double_threshold",
     "noisy_from_dict",
     "noisy_to_dict",
@@ -177,7 +180,7 @@ def optimal_noisy(noisy: NoisyInstance, tol: float = 1e-12) -> NoisySolution:
     if rev.second_derivative(lam) >= 0.0:
         raise AssumptionViolated("revenue must be smooth and strictly concave")
     slack = _analytic_slack(noisy)
-    eps0 = float(rev.derivative(lam)) - v
+    eps0 = marginal_surplus(rev, v, lam)
     if eps0 > slack + 1e-12:
         raise AssumptionViolated(
             f"non-triviality fails: R'(lambda) - v = {eps0:.6g} exceeds the reward range slack {slack:.6g}"
@@ -233,6 +236,8 @@ class Metrics(NamedTuple):
     profit: float
     surplus: float
     welfare: float
+    rational: float
+    myopic: float
 
 
 def _noisy_supplies(noisy: NoisyInstance, x: RewardDistribution) -> np.ndarray:
@@ -253,16 +258,33 @@ def _noisy_supplies(noisy: NoisyInstance, x: RewardDistribution) -> np.ndarray:
 
 
 def noisy_metrics(noisy: NoisyInstance, x: RewardDistribution) -> Metrics:
-    """Fluid profit, worker surplus sum_i (r_hat - v_i) N_i, and welfare
-    R(N) - sum_i v_i N_i. Welfare equals profit plus surplus by construction."""
+    """Five metrics of paying x at the instance's noise level, all from one
+    supply vector N: profit R(N) - r_hat N; worker surplus
+    sum_i (r_hat - v_i) N_i; welfare R(N) - sum_i v_i N_i, which is profit
+    plus surplus; rational, the surplus had only the types whose value r_hat
+    covers entered (ties enter), in their arrival proportions, scaled to the
+    head count N (0 when none enters); myopic, the surplus weighted by each
+    type's retained mass N_i - lambda_i, scaled to N (0 when nobody stays)."""
     n = _noisy_supplies(noisy, x)
     total = float(n.sum())
     rhat = expected_reward(x)
+    lam, vals = np.asarray(noisy.lambdas), np.asarray(noisy.values)
     revenue = float(noisy.revenue.value(total))
+    entering = rhat >= vals - 1e-12
+    rational = 0.0
+    if entering.any():
+        rational = total * float(np.dot(lam[entering], rhat - vals[entering])) / float(lam[entering].sum())
+    excess = n - lam
+    denom = float(excess.sum())
+    myopic = 0.0
+    if denom >= 1e-9 * float(lam.sum()):
+        myopic = total * float(np.dot(excess, rhat - vals)) / denom
+    elif denom != 0.0:
+        log.debug("myopic scaled surplus zeroed: retained excess %.3e is negligible", denom)
     profit = revenue - rhat * total
-    surplus = float(np.dot(rhat - np.asarray(noisy.values), n))
+    surplus = float(np.dot(rhat - vals, n))
     welfare = revenue - float(np.dot(noisy.values, n))
-    return Metrics(profit=profit, surplus=surplus, welfare=welfare)
+    return Metrics(profit, surplus, welfare, rational, myopic)
 
 
 def marginal_surplus(revenue: Revenue, v: float, u: float) -> float:
@@ -331,67 +353,20 @@ def surplus_curve(noisy: NoisyInstance, eps_grid: Sequence[float]) -> MetricCurv
     else:
         outs = solve_fluid_many([market_instance(at) for at in ats])
         solved = [(min(1.0, max(0.0, 1.0 - out.x.weight_at(at.r_min))), out.x) for at, out in zip(ats, outs)]
-    xs, profits, surpluses, welfares, rats, myos = [], [], [], [], [], []
-    for e, at, (x_star, dist) in zip(eps, ats, solved):
-        m = noisy_metrics(at, dist)
-        xs.append(x_star)
-        profits.append(m.profit)
-        surpluses.append(m.surplus)
-        welfares.append(m.welfare)
-        rats.append(rational_scaled_surplus(at, dist, e))
-        myos.append(myopic_scaled_surplus(at, dist, e))
+    metrics = [noisy_metrics(at, dist) for at, (_, dist) in zip(ats, solved)]
+    columns = dict(zip(Metrics._fields, map(tuple, zip(*metrics))))
     eps0: float | None = None
     if noisy.K == 1:
-        eps0 = float(noisy.revenue.derivative(noisy.lambdas[0])) - noisy.values[0]
+        eps0 = marginal_surplus(noisy.revenue, noisy.values[0], noisy.lambdas[0])
     eps1 = eps[-1]
-    for k, (a, b) in enumerate(zip(surpluses, surpluses[1:])):
+    surplus = columns["surplus"]
+    for k, (a, b) in enumerate(zip(surplus, surplus[1:])):
         if b - a < -1e-9:
             eps1 = eps[k]
             break
     return MetricCurve(
-        eps=tuple(eps),
-        x_star=tuple(xs),
-        profit=tuple(profits),
-        surplus=tuple(surpluses),
-        welfare=tuple(welfares),
-        rational=tuple(rats),
-        myopic=tuple(myos),
-        eps0=eps0,
-        eps1=eps1,
+        eps=tuple(eps), x_star=tuple(x for x, _ in solved), **columns, eps0=eps0, eps1=eps1
     )
-
-
-def rational_scaled_surplus(noisy: NoisyInstance, x: RewardDistribution, eps: float) -> float:
-    """Surplus had workers entered rationally: only types whose value the
-    expected pay covers enter, in their arrival proportions, scaled to the
-    noisy head count."""
-    n = _noisy_supplies(noisy.with_epsilon(eps), x)
-    total = float(n.sum())
-    rhat = expected_reward(x)
-    lam = np.asarray(noisy.lambdas)
-    vals = np.asarray(noisy.values)
-    entering = rhat >= vals - 1e-12  # ties enter
-    if not entering.any():
-        return 0.0
-    num = float(np.dot(lam[entering], rhat - vals[entering]))
-    return total * num / float(lam[entering].sum())
-
-
-def myopic_scaled_surplus(noisy: NoisyInstance, x: RewardDistribution, eps: float) -> float:
-    """Surplus weighted by the mass each type retains beyond its arrivals,
-    scaled to the noisy head count. Zero when nobody is retained."""
-    n = _noisy_supplies(noisy.with_epsilon(eps), x)
-    total = float(n.sum())
-    rhat = expected_reward(x)
-    lam = np.asarray(noisy.lambdas)
-    vals = np.asarray(noisy.values)
-    excess = n - lam
-    denom = float(excess.sum())
-    if denom < 1e-9 * float(lam.sum()):
-        if denom != 0.0:
-            log.debug("myopic scaled surplus zeroed: retained excess %.3e is negligible", denom)
-        return 0.0
-    return total * float(np.dot(excess, rhat - vals)) / denom
 
 
 @dataclass(frozen=True)

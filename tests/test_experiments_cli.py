@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import gigopt
 
 from gigopt import RewardDistribution, expected_reward
 from gigopt.experiments import (
@@ -14,6 +19,7 @@ from gigopt.experiments import (
     double_threshold_instance,
     example1_instance,
     experiment_defaults,
+    float_range,
     normal_policy,
     power_variant_instance,
     prop5_instance,
@@ -133,6 +139,60 @@ def test_run_experiment_override_coercion(tmp_path):
         run_experiment(ExperimentSpec(id="prop5_cyclic", overrides={"bogus": 1}, output_dir=tmp_path))
 
 
+_NAMES = ("x_lo", "x_step", "x_hi")
+
+
+def test_float_range_steps_from_the_start():
+    assert float_range(0.25, 0.25, 1.0, _NAMES) == [0.25, 0.5, 0.75, 1.0]
+    assert float_range(-0.5, 0.5, 0.5, _NAMES) == [-0.5, 0.0, 0.5]
+    # 3 * 0.1 overshoots 0.3 by float dust: the stop is still included, rounded
+    assert float_range(0.0, 0.1, 0.3, _NAMES) == [0.0, 0.1, 0.2, 0.3]
+    assert float_range(2.0, 1.0, 2.0, _NAMES) == [2.0]
+    assert float_range(3.0, 1.0, 2.0, _NAMES) == []
+    # start + k*step, not a running sum: no drift builds up over many steps
+    grid = float_range(0.25, 0.01, 21.11, _NAMES)
+    assert len(grid) == 2087 and grid[-1] == 21.11
+    assert grid == [round(0.25 + k * 0.01, 12) for k in range(2087)]
+
+
+@pytest.mark.parametrize("args, message", [
+    ((0.0, 0.0, 1.0), "x_step must be positive, got 0.0"),
+    ((0.0, -1.0, 1.0), "x_step must be positive, got -1.0"),
+    ((math.nan, 1.0, 2.0), "x_lo must be finite, got nan"),
+    ((0.0, math.inf, 1.0), "x_step must be finite, got inf"),
+    ((0.0, 1.0, math.inf), "x_hi must be finite, got inf"),
+    ((0.0, 1.0, -math.inf), "x_hi must be finite, got -inf"),
+])
+def test_float_range_rejects_bad_bounds(args, message):
+    with pytest.raises(ValueError, match=message):
+        float_range(*args, _NAMES)
+
+
+@pytest.mark.parametrize("experiment_id, key, value", [
+    ("example1", "mu_step", 0.0),
+    ("fig_normal_variance", "sigma_step", 0.0),
+    ("fig_noisy_metrics", "eps_step", -1.0),
+    ("fig_noisy_metrics", "eps_step", math.nan),
+    ("fig_noisy_metrics", "eps_hi", math.inf),
+])
+def test_run_experiment_rejects_bad_range_steps(tmp_path, experiment_id, key, value):
+    with pytest.raises(ValueError, match=key):
+        run_experiment(ExperimentSpec(id=experiment_id, overrides={key: value}, output_dir=tmp_path))
+
+
+def test_cli_reproduce_zero_step_exits_promptly(tmp_path):
+    # in a child process with a timeout, so a range loop that never ends
+    # fails the test instead of hanging the suite
+    env = {**os.environ, "PYTHONPATH": str(Path(gigopt.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "gigopt", "reproduce", "fig_normal_variance",
+         "--set", "sigma_step=0", "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    assert proc.returncode == 2
+    assert "sigma_step must be positive" in proc.stderr
+
+
 # --------------------------------------------------------------------------
 # CLI
 
@@ -200,6 +260,24 @@ def test_cli_sweep_theta(canon_file, capsys):
     for r in rows:
         float(r[2]), float(r[3])
         assert r[4] == "4"
+
+
+def test_cli_sweep_theta_matches_fig_additive_loss(canon_file, tmp_path, capsys):
+    params = {"thetas": "1,4", "reps": 4, "measure": 30, "seed": 11, "mu": 30.0, "sigma": 8.0}
+    run_experiment(ExperimentSpec(id="fig_additive_loss", overrides=params, output_dir=tmp_path))
+    header, *data = (tmp_path / "data.csv").read_text(encoding="utf-8").splitlines()
+    labels = [h[len("loss_"):] for h in header.split(",") if h.startswith("loss_")]
+    assert labels == ["fluid", "fixed_wage", "lottery"]
+    want = []
+    for line in data:
+        theta, *cells = line.split(",")
+        want += [[label, theta, cells[2 * j], cells[2 * j + 1], "4"] for j, label in enumerate(labels)]
+    argv = ["sweep-theta", "--instance", canon_file, "--thetas", params["thetas"]]
+    for key in ("reps", "measure", "seed", "mu", "sigma"):
+        argv += [f"--{key}", str(params[key])]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert [ln.split(",") for ln in lines[1:]] == want
 
 
 def test_cli_cyclic_eval(tmp_path, capsys):
@@ -446,4 +524,42 @@ def test_cli_missing_required_key_names_the_field(tmp_path, capsys, command, doc
     path = _write(tmp_path, "missing.json", doc)
     argv = [command, "--instance", path] + (["--eps", "1:1:5"] if command == "noisy-analyze" else [])
     assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+def _set(doc, where, value):
+    node = doc
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("where, value, message", [
+    (("rewards",), "159", "instance: field 'rewards' must be a list of numbers, got '159'"),
+    (("rewards", 2), True, "instance: field 'rewards' must be a list of numbers"),
+    (("types", 0, "lambda"), "3.5", "type 0: field 'lambda' must be a number, got '3.5'"),
+    (("types", 0, "lambda"), 10**400, "type 0: field 'lambda' must be a number"),
+    (("types", 0, "departure", "alpha"), True, "departure kind 'exp_floor': field 'alpha' must be a number, got True"),
+    (("revenue", "cap"), "150", "revenue kind 'newsvendor': field 'cap' must be a number, got '150'"),
+    (("eps_noisy_mode",), "false", "instance: field 'eps_noisy_mode' must be true or false, got 'false'"),
+    (("eps_noisy_mode",), 1, "instance: field 'eps_noisy_mode' must be true or false, got 1"),
+], ids=["rewards_string", "rewards_bool", "lambda_string", "lambda_huge_int", "alpha_bool", "cap_string",
+        "mode_string", "mode_int"])
+def test_cli_instance_rejects_strings_and_booleans(tmp_path, capsys, where, value, message):
+    doc = _set(instance_to_dict(canonical_instance()), where, value)
+    assert main(["fluid-solve", "--instance", _write(tmp_path, "bad.json", doc)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where, value, message", [
+    (("lambdas",), "10", "noisy instance: field 'lambdas' must be a list of numbers, got '10'"),
+    (("values",), [25.0, False, 40.0], "noisy instance: field 'values' must be a list of numbers"),
+    (("epsilon",), True, "noisy instance: field 'epsilon' must be a number, got True"),
+    (("r_max",), "100", "noisy instance: field 'r_max' must be a number, got '100'"),
+    (("revenue", "alpha"), "40", "revenue kind 'newsvendor': field 'alpha' must be a number, got '40'"),
+], ids=["lambdas_string", "values_bool", "epsilon_bool", "r_max_string", "alpha_string"])
+def test_cli_noisy_rejects_strings_and_booleans(tmp_path, capsys, where, value, message):
+    doc = _set(noisy_to_dict(double_threshold_instance(75.0)), where, value)
+    assert main(["noisy-analyze", "--instance", _write(tmp_path, "bad.json", doc), "--eps", "1:1:5"]) == 2
     assert message in capsys.readouterr().err

@@ -6,9 +6,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gigopt.experiments import double_threshold_instance, noisy_newsvendor_instance, noisy_sqrt_instance
-from gigopt.market import DegenerateSupply, LinearRev, Log, Newsvendor, Power, RewardDistribution
+from gigopt.market import (
+    MIN_DEPARTURE_FLOOR,
+    DegenerateSupply,
+    EpsNoisy,
+    LinearRev,
+    Log,
+    Newsvendor,
+    Power,
+    RewardDistribution,
+    WorkerType,
+    expected_departure,
+    expected_reward,
+)
 from gigopt.noisy import (
     AssumptionViolated,
     DerivativeVanishes,
@@ -20,13 +33,11 @@ from gigopt.noisy import (
     load_noisy,
     market_instance,
     mhr_like_check,
-    myopic_scaled_surplus,
     newsvendor_optimal,
     noisy_from_dict,
     noisy_metrics,
     noisy_to_dict,
     optimal_noisy,
-    rational_scaled_surplus,
     surplus_curve,
 )
 
@@ -142,15 +153,113 @@ def test_degenerate_distribution_rejected():
 def test_scaled_surpluses_single_type():
     sq = noisy_sqrt_instance(5.0)
     dist = optimal_noisy(sq).distribution
+    m = noisy_metrics(sq, dist)
     # expected pay 12.72 < value 25: rational workers would not enter
-    assert rational_scaled_surplus(sq, dist, 5.0) == 0.0
+    assert m.rational == 0.0
     # with one type the excess-weighted average is just surplus
-    assert myopic_scaled_surplus(sq, dist, 5.0) == pytest.approx(
-        noisy_metrics(sq, dist).surplus, rel=1e-9
-    )
+    assert m.myopic == pytest.approx(m.surplus, rel=1e-9)
     # full turnover retains nobody
     pay_floor = RewardDistribution.point_mass((0.0, 30.0), 0.0)
-    assert myopic_scaled_surplus(sq, pay_floor, 5.0) == 0.0
+    assert noisy_metrics(sq, pay_floor).myopic == 0.0
+
+
+def _separate_metrics(noisy, x):
+    """The five metrics as three separate functions once computed them, each
+    from its own supply vector; the reference for noisy_metrics."""
+
+    def supplies(at):
+        lhats = [expected_departure(WorkerType(l, EpsNoisy(v=v, eps=at.epsilon)), x)
+                 for l, v in zip(at.lambdas, at.values)]
+        if min(lhats) < MIN_DEPARTURE_FLOOR:
+            raise DegenerateSupply("never departs")
+        return np.array([l / h for l, h in zip(at.lambdas, lhats)])
+
+    rhat = expected_reward(x)
+    lam, vals = np.asarray(noisy.lambdas), np.asarray(noisy.values)
+
+    n = supplies(noisy)
+    total = float(n.sum())
+    revenue = float(noisy.revenue.value(total))
+    profit = revenue - rhat * total
+    surplus = float(np.dot(rhat - np.asarray(noisy.values), n))
+    welfare = revenue - float(np.dot(noisy.values, n))
+
+    n = supplies(noisy.with_epsilon(noisy.epsilon))
+    total = float(n.sum())
+    entering = rhat >= vals - 1e-12
+    rational = 0.0
+    if entering.any():
+        num = float(np.dot(lam[entering], rhat - vals[entering]))
+        rational = total * num / float(lam[entering].sum())
+
+    n = supplies(noisy.with_epsilon(noisy.epsilon))
+    total = float(n.sum())
+    excess = n - lam
+    denom = float(excess.sum())
+    myopic = 0.0
+    if not denom < 1e-9 * float(lam.sum()):
+        myopic = total * float(np.dot(excess, rhat - vals)) / denom
+    return profit, surplus, welfare, rational, myopic
+
+
+_REVENUES = st.one_of(
+    st.builds(Power, c=st.floats(10.0, 500.0), beta=st.floats(0.2, 0.9)),
+    st.builds(Newsvendor, alpha=st.floats(5.0, 100.0), cap=st.floats(1.0, 300.0)),
+    st.builds(Log, c=st.floats(10.0, 800.0)),
+)
+
+
+@st.composite
+def _noisy_and_pay(draw):
+    """A noisy instance (K <= 4) and a pay distribution whose support mixes
+    the bounds, off-grid points and each type's ramp top v + eps."""
+    k = draw(st.integers(1, 4))
+    values = draw(st.lists(st.floats(1.0, 99.0), min_size=k, max_size=k))
+    noisy = NoisyInstance(
+        lambdas=tuple(draw(st.lists(st.floats(0.1, 10.0), min_size=k, max_size=k))),
+        values=tuple(values),
+        epsilon=draw(st.floats(0.01, 30.0)),
+        revenue=draw(_REVENUES),
+        r_min=0.0,
+        r_max=100.0,
+    )
+    points = {0.0, 100.0} | {min(100.0, v + noisy.epsilon) for v in values}
+    points |= set(draw(st.lists(st.floats(0.0, 100.0), max_size=3)))
+    support = sorted(draw(st.lists(st.sampled_from(sorted(points)), min_size=1, max_size=4, unique=True)))
+    raw = draw(st.lists(st.floats(0.01, 1.0), min_size=len(support), max_size=len(support)))
+    weights = [w / math.fsum(raw) for w in raw]
+    weights[-1] = 1.0 - math.fsum(weights[:-1])
+    return noisy, RewardDistribution(tuple(support), tuple(weights))
+
+
+_TWO_TYPES = NoisyInstance(lambdas=(2.0, 3.0), values=(30.0, 45.0), epsilon=4.0,
+                           revenue=Power(c=250.0, beta=0.5), r_min=0.0, r_max=100.0)
+_TIE_PAY = RewardDistribution((0.0, 90.0), (2.0 / 3.0, 1.0 / 3.0))
+# the first value sits one ulp above the expected pay: a tie, so that type enters
+_TIE = NoisyInstance(lambdas=(2.0, 3.0), values=(math.nextafter(expected_reward(_TIE_PAY), math.inf), 45.0),
+                     epsilon=4.0, revenue=Power(c=250.0, beta=0.5), r_min=0.0, r_max=100.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_noisy_and_pay())
+# no type enters: the expected pay 3.4 is below both values
+@example((_TWO_TYPES, RewardDistribution((0.0, 34.0), (0.9, 0.1))))
+# no retention: paying r_min makes every arrival leave at once
+@example((_TWO_TYPES, RewardDistribution((0.0, 100.0), (1.0, 0.0))))
+# retained mass 1e-12 of the arrivals: negligible, so the myopic surplus is zeroed
+@example((_TWO_TYPES, RewardDistribution((0.0, 100.0), (1.0 - 1e-12, 1e-12))))
+@example((_TIE, _TIE_PAY))
+# an off-grid ramp top v + eps and an interior point
+@example((_TWO_TYPES, RewardDistribution((0.0, 34.0, 49.0), (0.5, 0.2, 0.3))))
+def test_noisy_metrics_match_the_separate_computations(case):
+    noisy, x = case
+    try:
+        want = _separate_metrics(noisy, x)
+    except DegenerateSupply:
+        with pytest.raises(DegenerateSupply):
+            noisy_metrics(noisy, x)
+        return
+    assert tuple(noisy_metrics(noisy, x)) == want
 
 
 def test_mhr_like_check():
