@@ -34,18 +34,15 @@ from .fluid import (
     BudgetedInstance,
     Dispersion,
     InfeasibleInput,
-    InterlacingNotFound,
     InvalidMoments,
     TooLarge,
     UnsupportedSupport,
     brute_force_oracle,
     classify_dispersion,
-    find_interlacing,
     lottery_distribution,
     lottery_for_instance,
     objective_lipschitz,
     optimal_fixed_wage,
-    optimize_pair,
     solve_fluid,
     solve_fluid_many,
     solve_supply_opt,
@@ -64,11 +61,9 @@ from .policies import (
     cyclic_profit,
     cyclic_steady_state,
     cyclic_to_static_report,
-    distribution_at,
     experienced_distribution,
     fairness_audit,
     fluid_trajectory,
-    static_from_cyclic,
     turnover_profit,
 )
 from .sim import (

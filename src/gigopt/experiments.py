@@ -247,18 +247,27 @@ class ExperimentSpec:
     output_dir: Union[str, Path] = "."
 
 
+# float_range's cap on (stop - start) / step: 1000 times the longest default grid (101 points)
+MAX_RANGE_POINTS = 100_000
+
+
 def float_range(start: float, step: float, stop: float, names: Sequence[str]) -> list[float]:
     """start + k*step for k = 0, 1, ... while it stays within stop (+1e-9),
     each rounded to 12 decimals.
 
     names label start, step and stop in the ValueError raised unless all
-    three are finite and the step is positive.
+    three are finite, the step is positive and (stop - start) / step is at
+    most MAX_RANGE_POINTS.
     """
     for name, v in zip(names, (start, step, stop)):
         if not math.isfinite(v):
             raise ValueError(f"{name} must be finite, got {v!r}")
     if step <= 0.0:
         raise ValueError(f"{names[1]} must be positive, got {step!r}")
+    if (stop - start) / step > MAX_RANGE_POINTS:
+        raise ValueError(
+            f"{names[1]} {step!r} gives more than {MAX_RANGE_POINTS} points from {start!r} to {stop!r}"
+        )
     out = []
     k = 0
     while start + k * step <= stop + 1e-9:

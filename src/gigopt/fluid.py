@@ -73,19 +73,15 @@ __all__ = [
     "REFINE_TOL",
     "TooLarge",
     "InfeasibleInput",
-    "InterlacingNotFound",
     "UnsupportedSupport",
     "InvalidMoments",
-    "PairSolution",
     "BudgetedInstance",
     "Dispersion",
-    "optimize_pair",
     "solve_fluid",
     "solve_fluid_many",
     "brute_force_oracle",
     "objective_lipschitz",
     "solve_supply_opt",
-    "find_interlacing",
     "support_reduce",
     "classify_dispersion",
     "optimal_fixed_wage",
@@ -115,26 +111,12 @@ class InfeasibleInput(ValueError):
     """The provided distribution does not satisfy the budget with equality."""
 
 
-class InterlacingNotFound(LookupError):
-    """No budget-interlacing reward pair exists within the support."""
-
-
 class UnsupportedSupport(ValueError):
     """Dispersion is only classified for supports of size one or two."""
 
 
 class InvalidMoments(ValueError):
     """No two-point lottery with the requested mean and variance exists."""
-
-
-@dataclass(frozen=True)
-class PairSolution:
-    """Optimal weight split between two rewards (weight_high on r_high)."""
-
-    r_low: float
-    r_high: float
-    weight_high: float
-    profit: float
 
 
 @dataclass(frozen=True)
@@ -405,39 +387,6 @@ def _beatable(inst: MarketInstance, live: np.ndarray, pairs: _PairBatch, top: np
     return live[keep], pairs.take(keep), top[keep]
 
 
-def _solve_pairs(
-    inst: MarketInstance, ii: np.ndarray, jj: np.ndarray, tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Slice optimum of every pair (ii[p], jj[p]) of grid indices, ii < jj:
-    the weight on the higher reward and the profit there, NaN for slices
-    that are degenerate throughout."""
-    best_y = np.full(len(ii), np.nan)
-    best_p = np.full(len(ii), np.nan)
-    live, pairs, top = _live_pairs(inst, ii, jj)
-    best_y[live], best_p[live] = _solve_slices(pairs, top, tol)
-    return best_y, best_p
-
-
-def optimize_pair(
-    inst: MarketInstance, r_low: float, r_high: float, tol: float = REFINE_TOL
-) -> PairSolution | None:
-    """Globally maximize fluid profit over mixtures of two rewards.
-
-    Returns None when the whole slice is degenerate (both rewards fail to
-    retain some type). Ties resolve to the smallest weight on r_high.
-    """
-    _require_tol(tol)
-    if not r_low < r_high:
-        raise ValueError("need r_low < r_high")
-    ii = np.array([inst.rewards.index_of(r_low)])
-    jj = np.array([inst.rewards.index_of(r_high)])
-    y, p = _solve_pairs(inst, ii, jj, tol)
-    if np.isnan(y[0]):
-        return None
-    return PairSolution(r_low=float(r_low), r_high=float(r_high), weight_high=float(y[0]),
-                        profit=float(p[0]))
-
-
 def _score(inst: MarketInstance, ii: np.ndarray, jj: np.ndarray, w: np.ndarray):
     """fluid_profit's arithmetic, vectorised over the distributions with
     weight 1 - w[n] on grid reward ii[n] and w[n] on jj[n] (a point mass
@@ -705,33 +654,6 @@ def solve_supply_opt(b: BudgetedInstance, tol: float = 1e-9) -> FluidOutcome:
     return best
 
 
-def find_interlacing(b: BudgetedInstance, support) -> tuple[float, float, float]:
-    """Three support rewards (descending) containing a budget-interlacing
-    pair: the largest support reward whose full-mass cost stays within
-    budget, the smallest whose cost exceeds it, and one more.
-
-    Raises InterlacingNotFound when every support reward falls on the same
-    side of the budget. Requires at least three support rewards.
-    """
-    support = tuple(sorted(set(float(r) for r in support)))
-    if len(support) < 3:
-        raise ValueError("need at least three support rewards")
-    B = b.budget
-    slack = 1e-12 * max(1.0, abs(B))
-    costs = {r: _singleton_cost(b.inst, r) for r in support}
-    lows = [r for r in support if costs[r] <= B + slack]
-    highs = [r for r in support if costs[r] > B + slack]
-    if not lows or not highs:
-        raise InterlacingNotFound(
-            "all support rewards sit on one side of the budget; no interlacing pair"
-        )
-    r_lo = max(lows)
-    r_hi = min(highs)
-    rest = [r for r in support if r not in (r_lo, r_hi)]
-    triple = sorted((r_lo, r_hi, max(rest)), reverse=True)
-    return (triple[0], triple[1], triple[2])
-
-
 def support_reduce(
     b: BudgetedInstance, x: RewardDistribution, tol: float = 1e-9
 ) -> RewardDistribution:
@@ -784,19 +706,16 @@ def classify_dispersion(x: RewardDistribution, rewards: RewardSet) -> Dispersion
 
 
 def optimal_fixed_wage(inst: MarketInstance) -> tuple[float, FluidOutcome]:
-    """Best deterministic wage on the grid; ties resolve to the lower wage."""
-    best_r = None
-    best: FluidOutcome | None = None
-    for r in inst.rewards:
-        try:
-            out = fluid_profit(inst, RewardDistribution.point_mass(inst.rewards, r))
-        except DegenerateSupply:
-            continue
-        if best is None or out.profit > best.profit:
-            best_r, best = r, out
+    """Best deterministic wage on the grid; ties resolve to the lower wage.
+
+    This is solve_fluid's singleton pick: the lowest expected reward wins a
+    tie, and a point mass's rates are the grid's own.
+    """
+    single = np.arange(len(inst.rewards))
+    best = _best_outcome(inst, single, single, np.zeros(len(single)), by="profit")
     if best is None:
         raise DegenerateSupply("every fixed wage is degenerate")
-    return best_r, best
+    return best.x.support_rewards()[0], best
 
 
 def lottery_distribution(r_min: float, mu: float, sigma: float) -> RewardDistribution:

@@ -43,12 +43,10 @@ __all__ = [
     "FairnessReport",
     "BeliefOutcome",
     "period_index",
-    "distribution_at",
     "fluid_trajectory",
     "cyclic_steady_state",
     "cyclic_profit",
     "experienced_distribution",
-    "static_from_cyclic",
     "cyclic_to_static_report",
     "fairness_audit",
     "belief_based_policy",
@@ -151,12 +149,6 @@ def period_index(policy: Policy, t: int) -> int:
     raise TypeError(f"unknown policy type {type(policy).__name__}")
 
 
-def distribution_at(policy: Policy, t: int) -> RewardDistribution:
-    """The reward distribution a policy draws from in (1-based) period t."""
-    k = period_index(policy, t)  # rejects policies without distributions first
-    return policy.distributions[k]
-
-
 @dataclass(frozen=True)
 class TrajectoryResult:
     """Fluid dynamics over a finite horizon."""
@@ -256,12 +248,6 @@ def experienced_distribution(inst: MarketInstance, cyc: Cyclic, type_index: int)
         mix += weights[t] * x.as_array()
     mix /= weights.sum()
     return RewardDistribution(cyc.xs[0].rewards, tuple(float(v) for v in mix))
-
-
-def static_from_cyclic(inst: MarketInstance, cyc: Cyclic, anchor_type: int) -> RewardDistribution:
-    """Static policy anchored at one type's experienced distribution; it
-    gives the anchor type exactly its cyclic steady-state supply."""
-    return experienced_distribution(inst, cyc, anchor_type)
 
 
 def cyclic_to_static_report(inst: MarketInstance, cyc: Cyclic) -> dict:

@@ -161,7 +161,8 @@ def _canonical_policies(inst):
 
 
 def test_criterion_04_convergence_rate(canon):
-    with criterion(4, "fluid-policy loss vanishes at the 1/theta rate", 300.0):
+    with criterion(4, "fluid-policy loss vanishes: theta^-1/2 at the canonical cap kink, "
+                      "1/theta on the smooth power variant", 300.0):
         thetas = (8, 64, 512, 4096)
 
         # canonical instance: loss decreasing, baselines stuck above zero

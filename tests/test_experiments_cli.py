@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -153,6 +154,8 @@ def test_float_range_steps_from_the_start():
     grid = float_range(0.25, 0.01, 21.11, _NAMES)
     assert len(grid) == 2087 and grid[-1] == 21.11
     assert grid == [round(0.25 + k * 0.01, 12) for k in range(2087)]
+    # (stop - start) / step may reach the cap
+    assert len(float_range(0.0, 1.0, experiments.MAX_RANGE_POINTS, _NAMES)) == experiments.MAX_RANGE_POINTS + 1
 
 
 @pytest.mark.parametrize("args, message", [
@@ -162,6 +165,10 @@ def test_float_range_steps_from_the_start():
     ((0.0, math.inf, 1.0), "x_step must be finite, got inf"),
     ((0.0, 1.0, math.inf), "x_hi must be finite, got inf"),
     ((0.0, 1.0, -math.inf), "x_hi must be finite, got -inf"),
+    # just past the cap, so that a missing cap fails fast; ranges far past
+    # it run in a child process (test_cli_tiny_steps_exit_promptly)
+    ((0.0, 1.0, 100001.0), "x_step 1.0 gives more than 100000 points from 0.0 to 100001.0"),
+    ((-1.0, 0.25, 25000.0), "x_step 0.25 gives more than 100000 points"),
 ])
 def test_float_range_rejects_bad_bounds(args, message):
     with pytest.raises(ValueError, match=message):
@@ -191,6 +198,31 @@ def test_cli_reproduce_zero_step_exits_promptly(tmp_path):
     )
     assert proc.returncode == 2
     assert "sigma_step must be positive" in proc.stderr
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["noisy-analyze", "--eps", "0:1e-9:25"], "eps step 1e-09 gives more than 100000 points"),
+    # (stop - start) / step overflows to inf
+    (["noisy-analyze", "--eps=-1e308:1e-300:1e308"], "eps step 1e-300 gives more than"),
+    (["reproduce", "example1", "--set", "mu_step=1e-12"], "mu_step 1e-12 gives more than"),
+], ids=["eps_step", "eps_overflow", "mu_step"])
+def test_cli_tiny_steps_exit_promptly(tmp_path, argv, message):
+    # 2.5e10 points and more: in a child process with a timeout and a 2 GB
+    # address space, so a range built point by point fails the test instead
+    # of hanging the suite or filling the memory
+    if argv[0] == "noisy-analyze":
+        argv = argv + ["--instance", _write(tmp_path, "nv.json", noisy_to_dict(noisy_newsvendor_instance(5.0)))]
+    else:
+        argv = argv + ["--out", str(tmp_path)]
+    env = {**os.environ, "PYTHONPATH": str(Path(gigopt.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "gigopt", *argv], capture_output=True, text=True,
+                          timeout=10, env=env, preexec_fn=_limit_memory)
+    assert proc.returncode == 2
+    assert message in proc.stderr
 
 
 # --------------------------------------------------------------------------

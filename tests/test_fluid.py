@@ -1,4 +1,4 @@
-"""Fluid solvers: pair optimization, the global solver vs. the brute-force
+"""Fluid solvers: pair slices, the global solver vs. the brute-force
 oracle, budgeted supply maximization, support reduction, and lotteries."""
 
 import dataclasses
@@ -17,7 +17,6 @@ from gigopt import (
     ExpFloor,
     FluidOutcome,
     InfeasibleInput,
-    InterlacingNotFound,
     InvalidMoments,
     Linear,
     LinearRev,
@@ -30,18 +29,17 @@ from gigopt import (
     RewardSet,
     Tabulated,
     TooLarge,
+    UnsupportedSupport,
     WorkerType,
     brute_force_oracle,
     classify_dispersion,
     expected_reward,
-    find_interlacing,
     fluid_profit,
     fluid_supply,
     lottery_distribution,
     lottery_for_instance,
     objective_lipschitz,
     optimal_fixed_wage,
-    optimize_pair,
     solve_fluid,
     solve_fluid_many,
     solve_supply_opt,
@@ -60,7 +58,6 @@ from gigopt.fluid import (
     _oracle_grid,
     _oracle_with_lipschitz,
     _slice_bounds,
-    _solve_pairs,
     _solve_slices,
 )
 from gigopt.market import MIN_DEPARTURE_FLOOR
@@ -77,19 +74,31 @@ def _tab_instance(rewards, rates, lam=1.0, revenue=None, **kw):
 # Pair slices
 
 
+def _pair(inst, r_low, r_high):
+    """The kernel's optimum of one pair slice as (weight_high, profit); None
+    when the slice is degenerate throughout."""
+    ii = np.array([inst.rewards.index_of(r_low)])
+    jj = np.array([inst.rewards.index_of(r_high)])
+    live, pairs, top = _live_pairs(inst, ii, jj)
+    if len(live) == 0:
+        return None
+    y, p = _solve_slices(pairs, top, REFINE_TOL)
+    return float(y[0]), float(p[0])
+
+
 def test_pair_constant_departure_puts_no_mass_high():
     # constant l makes supply constant, so profit falls in the high weight
     inst = _tab_instance((0.0, 10.0), (1.0, 1.0), revenue=LinearRev(alpha=20.0))
-    ps = optimize_pair(inst, 0.0, 10.0)
-    assert ps.weight_high == 0.0
-    assert ps.profit == pytest.approx(20.0, rel=1e-12)
+    weight_high, profit = _pair(inst, 0.0, 10.0)
+    assert weight_high == 0.0
+    assert profit == pytest.approx(20.0, rel=1e-12)
 
 
 def test_pair_nonconvex_slice_prefers_endpoint():
     inst = _tab_instance((0.0, 0.1), (1.0, 0.5))
-    ps = optimize_pair(inst, 0.0, 0.1)
-    assert ps.weight_high == pytest.approx(1.0, abs=1e-9)
-    assert ps.profit == pytest.approx(1.8, rel=1e-12)
+    weight_high, profit = _pair(inst, 0.0, 0.1)
+    assert weight_high == pytest.approx(1.0, abs=1e-9)
+    assert profit == pytest.approx(1.8, rel=1e-12)
     # profit is strictly convex along this slice: the midpoint loses to the
     # average of the endpoints
     mid = fluid_profit(inst, RewardDistribution.two_point(0.0, 0.1, 0.5)).profit
@@ -105,8 +114,8 @@ def test_pair_flat_newsvendor_plateau():
         Newsvendor(40.0, 300.0),
         eps_noisy_mode=True,
     )
-    ps = optimize_pair(inst, 15.0, 40.0)
-    assert ps.profit == pytest.approx(300.0, abs=1e-9)
+    _, profit = _pair(inst, 15.0, 40.0)
+    assert profit == pytest.approx(300.0, abs=1e-9)
     # the kink weight 1 - lam/(cap*l(15)) = 0.96 attains the plateau value
     kink = fluid_profit(inst, RewardDistribution.two_point(15.0, 40.0, 0.96))
     assert kink.total_supply == pytest.approx(300.0, abs=1e-9)
@@ -115,7 +124,7 @@ def test_pair_flat_newsvendor_plateau():
 
 def test_pair_degenerate_slice_returns_none():
     inst = _tab_instance((0.0, 1.0), (0.0, 0.0), eps_noisy_mode=True)
-    assert optimize_pair(inst, 0.0, 1.0) is None
+    assert _pair(inst, 0.0, 1.0) is None
 
 
 @given(
@@ -128,14 +137,15 @@ def test_pair_never_below_endpoints(lo_rate, hi_frac, y):
     hi_rate = lo_rate * hi_frac
     inst = _tab_instance((1.0, 2.0), (lo_rate, hi_rate), revenue=Power(c=5.0, beta=0.5),
                          eps_noisy_mode=True)
-    ps = optimize_pair(inst, 1.0, 2.0)
+    ps = _pair(inst, 1.0, 2.0)
     if ps is None:
         return
+    _, best = ps
     try:
         sample = fluid_profit(inst, RewardDistribution.two_point(1.0, 2.0, y)).profit
     except DegenerateSupply:
         return
-    assert ps.profit >= sample - 1e-7 * max(1.0, abs(sample))
+    assert best >= sample - 1e-7 * max(1.0, abs(sample))
 
 
 # --------------------------------------------------------------------------
@@ -265,16 +275,14 @@ _PLATEAU = MarketInstance(
 def test_pair_kernel_matches_scalar_reference(inst):
     vals = inst.rewards.values
     ii, jj = (np.array(v) for v in zip(*itertools.combinations(range(len(vals)), 2)))
-    ys, ps = _solve_pairs(inst, ii, jj, REFINE_TOL)
-    for i, j, y, p in zip(ii, jj, ys, ps):
-        want = _scalar_pair(inst, vals[i], vals[j])
-        if want is None:
-            assert np.isnan(y) and np.isnan(p)
-        else:
-            assert (float(y), float(p)) == want
-    ps_one = optimize_pair(inst, vals[0], vals[-1])
-    want = _scalar_pair(inst, vals[0], vals[-1])
-    assert (ps_one is None) if want is None else (ps_one.weight_high, ps_one.profit) == want
+    live, pairs, top = _live_pairs(inst, ii, jj)
+    ys, ps = _solve_slices(pairs, top, REFINE_TOL)
+    got = dict(zip(live.tolist(), zip(ys.tolist(), ps.tolist())))
+    for n, (i, j) in enumerate(zip(ii, jj)):
+        # a slice missing from the live ones is degenerate throughout
+        assert got.get(n) == _scalar_pair(inst, vals[i], vals[j])
+    # one slice alone gets the bits it gets in the batch
+    assert _pair(inst, vals[0], vals[-1]) == _scalar_pair(inst, vals[0], vals[-1])
 
 
 def _tie_instance(grid, types, revenue):
@@ -364,7 +372,7 @@ def test_refinement_tolerance_must_be_finite_and_positive(monkeypatch, tol):
     monkeypatch.setattr(fluid, "_live_pairs", no_scan)
     monkeypatch.setattr(fluid, "_solve_slices", no_scan)
     for solve in (lambda: solve_fluid(inst, tol), lambda: solve_fluid_many([inst, inst], tol),
-                  lambda: solve_fluid_many([], tol), lambda: optimize_pair(inst, 15.0, 60.0, tol)):
+                  lambda: solve_fluid_many([], tol)):
         with pytest.raises(ValueError, match="tol must be finite and positive"):
             solve()
 
@@ -404,9 +412,9 @@ def _unpruned_solve(inst):
 @example(power_variant_instance())
 def test_pruned_solve_matches_unpruned_reference(inst):
     ii, jj, live, pairs, top = _all_live_pairs(inst)
-    _, profit = _solve_pairs(inst, ii, jj, REFINE_TOL)
+    _, profit = _solve_slices(pairs, top, REFINE_TOL)
     # the bound holds in the kernel's own arithmetic, with no tolerance
-    assert np.all(_slice_bounds(pairs, top) >= profit[live])
+    assert np.all(_slice_bounds(pairs, top) >= profit)
     want = _unpruned_solve(inst)
     if want is None:
         with pytest.raises(DegenerateSupply):
@@ -621,25 +629,13 @@ def test_supply_opt_monotone_in_budget():
 
 
 # --------------------------------------------------------------------------
-# Interlacing and support reduction
+# Support reduction
 
 
 def _reduction_instance():
     rs = RewardSet((10.0, 20.0, 40.0, 80.0))
     t = WorkerType(5.0, Tabulated(rs.values, (1.0, 0.7, 0.4, 0.1)))
     return MarketInstance(rs, (t,), Newsvendor(100.0, 1000.0))
-
-
-def test_find_interlacing_triple():
-    inst = _reduction_instance()
-    # singleton costs: 50, 143, 500, 4000: budget 600 splits {10,20,40} | {80}
-    b = BudgetedInstance(inst, 600.0)
-    triple = find_interlacing(b, (10.0, 20.0, 40.0, 80.0))
-    assert triple == (80.0, 40.0, 20.0)
-    with pytest.raises(InterlacingNotFound):
-        find_interlacing(BudgetedInstance(inst, 5000.0), (10.0, 20.0, 40.0, 80.0))
-    with pytest.raises(ValueError, match="three"):
-        find_interlacing(b, (10.0, 20.0))
 
 
 def _tight_case(inst, lo_w, mid_w):
@@ -751,7 +747,7 @@ def test_classify_dispersion():
     skip = RewardDistribution.on(rs, (0.5, 0.0, 0.5, 0.0))
     assert classify_dispersion(skip, rs) is Dispersion.NEITHER
     wide = RewardDistribution.on(rs, (0.4, 0.3, 0.3, 0.0))
-    with pytest.raises(ValueError, match="two"):
+    with pytest.raises(UnsupportedSupport, match="at most two rewards"):
         classify_dispersion(wide, rs)
 
 
@@ -759,6 +755,50 @@ def test_optimal_fixed_wage_canonical(canon):
     wage, out = optimal_fixed_wage(canon)
     assert wage == 57.0
     assert out.profit == pytest.approx(5973.340270273799, rel=1e-9)
+
+
+def _fixed_wage_by_loop(inst):
+    """Reference: one fluid_profit call per grid wage, keeping the first
+    strict maximum, so the lower wage wins a tie."""
+    best_r, best = None, None
+    for r in inst.rewards:
+        try:
+            out = fluid_profit(inst, RewardDistribution.point_mass(inst.rewards, r))
+        except DegenerateSupply:
+            continue
+        if best is None or out.profit > best.profit:
+            best_r, best = r, out
+    if best is None:
+        raise DegenerateSupply("every fixed wage is degenerate")
+    return best_r, best
+
+
+@settings(deadline=None, max_examples=200)
+@given(_random_instances(max_m=24))
+@example(canonical_instance())
+@example(power_variant_instance())
+@example(_PLATEAU)
+@example(_tab_instance((0.0, 1.0), (0.0, 0.0), eps_noisy_mode=True))  # every wage degenerate
+def test_optimal_fixed_wage_matches_a_loop_over_wages(inst):
+    try:
+        want_wage, want = _fixed_wage_by_loop(inst)
+    except DegenerateSupply:
+        with pytest.raises(DegenerateSupply):
+            optimal_fixed_wage(inst)
+        return
+    wage, got = optimal_fixed_wage(inst)
+    assert wage == want_wage
+    for f in dataclasses.fields(FluidOutcome):
+        assert getattr(got, f.name) == getattr(want, f.name), f.name
+
+
+def test_optimal_fixed_wage_tie_goes_to_the_lower_wage():
+    # the wages 2 and 4 both earn exactly 12
+    inst = _tie_instance((2.0, 4.0), [(2.0, (1.0, 1.0)), (1.0, (1.0, 0.25))], LinearRev(6.0))
+    assert fluid_profit(inst, RewardDistribution.point_mass(inst.rewards, 4.0)).profit == 12.0
+    wage, out = optimal_fixed_wage(inst)
+    assert (wage, out.profit) == (2.0, 12.0)
+    assert (wage, out) == _fixed_wage_by_loop(inst)
 
 
 def test_lottery_moments():

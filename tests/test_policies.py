@@ -24,7 +24,6 @@ from gigopt import (
     cyclic_profit,
     cyclic_steady_state,
     cyclic_to_static_report,
-    distribution_at,
     expected_departure,
     expected_reward,
     experienced_distribution,
@@ -32,37 +31,42 @@ from gigopt import (
     fluid_profit,
     fluid_supply,
     fluid_trajectory,
-    static_from_cyclic,
     turnover_profit,
 )
 from gigopt.experiments import canonical_instance, example1_instance, prop5_instance, prop5_policy
+from gigopt.policies import period_index
 
 
 # --------------------------------------------------------------------------
 # Policy indexing
 
 
-def test_distribution_at():
+def _paid(policy, t):
+    """The distribution a policy pays from in (1-based) period t."""
+    return policy.distributions[period_index(policy, t)]
+
+
+def test_period_index():
     rs = RewardSet((0.0, 1.0))
     a = RewardDistribution.point_mass(rs, 0.0)
     b = RewardDistribution.point_mass(rs, 1.0)
-    assert distribution_at(Static(a), 17) is a
+    assert _paid(Static(a), 17) is a
     cyc = Cyclic((a, b))
-    assert [distribution_at(cyc, t) for t in (1, 2, 3, 4)] == [a, b, a, b]
+    assert [_paid(cyc, t) for t in (1, 2, 3, 4)] == [a, b, a, b]
     tr = Trajectory(head=(b,), tail=(a, a, b))
-    assert [distribution_at(tr, t) for t in (1, 2, 3, 4, 5)] == [b, a, a, b, a]
+    assert [_paid(tr, t) for t in (1, 2, 3, 4, 5)] == [b, a, a, b, a]
     with pytest.raises(ValueError, match="1-based"):
-        distribution_at(Static(a), 0)
+        period_index(Static(a), 0)
     assert Static(a).distributions == (a,)
     assert cyc.distributions == (a, b)
     assert tr.distributions == (b, a, a, b)
 
 
-def test_distribution_at_names_policies_without_one_distribution():
+def test_period_index_names_policies_without_one_distribution():
     with pytest.raises(TypeError, match="belief-based"):
-        distribution_at(BeliefBased(3.0, 1.0, 1.2, 100.0), 1)
+        period_index(BeliefBased(3.0, 1.0, 1.2, 100.0), 1)
     with pytest.raises(TypeError, match="unknown policy type str"):
-        distribution_at("static", 1)
+        period_index("static", 1)
 
 
 # --------------------------------------------------------------------------
@@ -93,7 +97,7 @@ def _per_period_trajectory(inst, policy, horizon, n0):
     supplies, profits = np.empty((horizon, inst.K)), np.empty(horizon)
     for t in range(1, horizon + 1):
         n = n + inst.lambdas
-        x = distribution_at(policy, t)
+        x = _paid(policy, t)
         lhat = np.array([expected_departure(w, x) for w in inst.types])
         total = float(n.sum())
         profits[t - 1] = float(inst.revenue.value(total)) - expected_reward(x) * total
@@ -169,7 +173,6 @@ def test_experienced_distributions(prop5, prop5_cycle):
     assert x2.weights == pytest.approx((3.0 / 5.0, 2.0 / 5.0), abs=1e-12)
     l1 = sum(abs(a - b) for a, b in zip(x1.weights, x2.weights))
     assert l1 == pytest.approx(34.0 / 195.0, abs=1e-12)
-    assert static_from_cyclic(prop5, prop5_cycle, 0) == x1
     with pytest.raises(ValueError, match="type index"):
         experienced_distribution(prop5, prop5_cycle, 2)
 
