@@ -13,32 +13,46 @@ with array operations, never a Python loop per slice or per point. The
 kernel spans instances too: each slice carries its own arrival rates, so
 solve_fluid_many puts the slices of every instance that shares the revenue
 and the number of types through one kernel call, and a sweep of small
-solves pays the kernel's per-step overhead once, not once per solve. The
-SCAN_POINTS-point scan runs over blocks of _PAIR_BLOCK slices, which bounds
-each temporary to _PAIR_BLOCK x SCAN_POINTS floats (66 KB) whatever the
-grid size. Local maxima of the scan are found with a mask, and every
-bracket around one is golden-section refined at the same time, each with its
-own stopping rule; the newsvendor kinks are bisected together the same way.
-Each step keeps the per-slice arithmetic and its order (supply summed type
-by type from 0.0, the scan grid exactly as np.linspace builds it), so every
-slice gets the bit-identical result a scalar scan would. The winner is then
-picked from all candidates in one vector pass with fluid_profit's arithmetic.
+solves pays the kernel's per-step overhead once, not once per solve. Local
+maxima of the scan are found with a mask, and every bracket around one is
+golden-section refined at the same time, each with its own stopping rule;
+the newsvendor kinks are bisected together the same way. Each step keeps
+the per-slice arithmetic and its order (supply summed type by type from
+0.0, the scan grid exactly as np.linspace builds it), so every slice gets
+the bit-identical result a scalar scan would. The winner is then picked
+from all candidates in one vector pass with fluid_profit's arithmetic.
 
-Before the kernel runs, solve_fluid_many drops the slices that cannot beat
-the best non-degenerate singleton. A slice's profit is bounded piece by
-piece (_BOUND_PIECES pieces of its weight range): on a piece each type's
-mixture rate is linear, so supply lies between its values from the extreme
-end rates; revenue is non-decreasing and the expected reward rises with
-the weight, rewards being non-negative, so the piece earns at most the
-revenue of the largest supply less the left end's expected reward times
-the smallest supply. The bound is computed with the kernel's own
-arithmetic, whose rounding is monotone in the weight, so it is at least
-every profit the kernel can return for that slice. A slice is dropped only
-when its bound is below the best singleton's profit by more than 1e-9
-relative, which covers the rounding between the kernel's arithmetic and
-the winner's. Its candidate would then score strictly below a singleton
-that is itself a candidate, so it could neither win nor tie the winner:
-the winner and its tie-break are the same as without the pruning.
+A slice's profit is bounded piece by piece. Its _BOUND_PIECES pieces have
+scan-grid points as edges: piece j spans scan indices _PIECE * j to
+_PIECE * (j + 1), its edges are those points' own weights, and the last
+edge is the admissible maximum. On a piece each type's mixture rate is
+linear, so supply lies between its values from the extreme end rates;
+revenue is non-decreasing and the expected reward rises with the weight,
+rewards being non-negative, so the piece earns at most the revenue of the
+largest supply less the left end's expected reward times the smallest
+supply. The bound is computed with the kernel's own arithmetic, whose
+rounding is monotone in the weight, so it is at least every profit the
+kernel can return from that piece.
+
+The bound prunes twice. First, solve_fluid_many drops the slices whose
+largest piece bound is below the best non-degenerate singleton's profit by
+more than 1e-9 relative, which covers the rounding between the kernel's
+arithmetic and the winner's. Such a slice's candidate would score strictly
+below a singleton that is itself a candidate, so it could neither win nor
+tie the winner. Second, the kernel scores each slice's known candidates
+first (both ends and the newsvendor kink) and scans only the pieces whose
+bound is not below the best of them; a NaN bound keeps its piece. A kept
+piece is evaluated at its own scan points and one neighbour on each side,
+and tested for a local maximum at its own points; an edge two kept pieces
+share is tested by the left one only. A scanned local maximum that no kept
+piece tests lies in skipped pieces, and so does its bracket of one scan
+step either side, so every profit refinement can reach from it is at most
+a skipped bound, below the slice's best known candidate: it could neither
+win nor tie. The known candidates come from the slice alone, never from the
+scan or from another slice, so each slice still gets the bits of a full
+scalar scan. Slices are bounded _BOUND_BLOCK at a time and kept pieces
+scanned _TEMP_FLOATS points at a time, so no temporary outgrows 66 KB and
+a solve stays near half a megabyte of temporaries, whatever the grid size.
 
 The budgeted variant (maximize supply subject to an expected-pay budget)
 reuses the same slices, whose cost and supply both rise with the weight on
@@ -91,14 +105,17 @@ __all__ = [
 
 SCAN_POINTS = 1025  # uniform pre-scan of each pair slice
 REFINE_TOL = 1e-12  # golden-section bracket width target
-# Pair slices scanned together; a scan temporary holds _PAIR_BLOCK x SCAN_POINTS
-# floats (66 KB), so a whole solve stays near half a megabyte of temporaries.
-_PAIR_BLOCK = 8
-# Pieces of each slice in its profit bound, and slices bounded together: a
-# bound temporary holds _BOUND_BLOCK x (_BOUND_PIECES + 1) floats (35 KB),
-# inside the scan's budget.
-_BOUND_PIECES = 16
-_BOUND_BLOCK = 256
+# Floats in a scan or refinement temporary (66 KB), as many as a full scan
+# of 8 slices: kept pieces are scanned and brackets refined in chunks of
+# this many points, so a solve stays near half a megabyte of temporaries
+# whatever the grid size.
+_TEMP_FLOATS = 8 * SCAN_POINTS
+# Pieces of each slice in its profit bound, each _PIECE scan steps long, and
+# slices bounded together: a bound temporary holds _BOUND_BLOCK x
+# (_BOUND_PIECES + 1) floats (34 KB).
+_BOUND_PIECES = 32
+_PIECE = (SCAN_POINTS - 1) // _BOUND_PIECES
+_BOUND_BLOCK = 128
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -294,10 +311,12 @@ def _solve_slices(pairs: _PairBatch, top: np.ndarray, tol: float) -> tuple[np.nd
     admissible maximum weight.
 
     Returns the weight on the higher reward and the profit there. Per slice:
-    scan SCAN_POINTS weights, golden-refine around every scanned local
-    maximum, add the endpoints and (newsvendor revenue) the kink where supply
-    crosses the cap, and keep the best candidate, the smallest weight among
-    ties.
+    score the known candidates, the endpoints and (newsvendor revenue) the
+    kink where supply crosses the cap; scan the SCAN_POINTS weights of every
+    piece whose profit bound is not below the best of them, golden-refine
+    around every scanned local maximum, and keep the best candidate, the
+    smallest weight among ties. Each slice gets the bits a scalar scan of
+    all SCAN_POINTS weights gives (see the module docstring).
     """
     n = len(top)
     if n == 0:
@@ -307,31 +326,7 @@ def _solve_slices(pairs: _PairBatch, top: np.ndarray, tol: float) -> tuple[np.nd
     rows = [np.arange(n), np.arange(n)]
     ys = [zero, top]
     profits = [pairs.profit(zero), pairs.profit(top)]
-
-    bracket_rows, bracket_k = [], []
-    for start in range(0, n, _PAIR_BLOCK):
-        block = slice(start, start + _PAIR_BLOCK)
-        grid = np.arange(SCAN_POINTS) * step[block, None]
-        grid[:, -1] = top[block]
-        p = pairs.take(block).profit(grid)
-        mid = p[:, 1:-1]
-        r, k = np.nonzero((mid >= p[:, :-2]) & (mid >= p[:, 2:]))
-        bracket_rows.append(r + start)
-        bracket_k.append(k + 1)
-    bracket_rows = np.concatenate(bracket_rows)
-    bracket_k = np.concatenate(bracket_k)
-    # a chunk of brackets holds as many points as a scan block
-    chunk = _PAIR_BLOCK * SCAN_POINTS
-    for start in range(0, len(bracket_rows), chunk):
-        r = bracket_rows[start:start + chunk]
-        k = bracket_k[start:start + chunk]
-        a = (k - 1) * step[r]
-        b = np.where(k + 1 == SCAN_POINTS - 1, top[r], (k + 1) * step[r])
-        brackets = pairs.take(r)
-        y = _golden_section(brackets.profit, a, b, tol)
-        rows.append(r)
-        ys.append(y)
-        profits.append(brackets.profit(y))
+    known = np.fmax(profits[0], profits[1])
     if isinstance(pairs.revenue, Newsvendor):
         # profit is kinked where total supply crosses the revenue cap
         kink = _bisect_up(pairs.supply, pairs.revenue.cap, zero, top)
@@ -339,6 +334,47 @@ def _solve_slices(pairs: _PairBatch, top: np.ndarray, tol: float) -> tuple[np.nd
         rows.append(hit)
         ys.append(kink[hit])
         profits.append(pairs.take(hit).profit(kink[hit]))
+        known[hit] = np.fmax(known[hit], profits[-1])
+
+    # a kept piece is scanned at its own indices and one neighbour each side
+    offsets = np.arange(-1.0, _PIECE + 2)
+    chunk = _TEMP_FLOATS // len(offsets)
+    bracket_rows, bracket_k = [np.zeros(0, int)], [np.zeros(0, int)]
+    for start in range(0, n, _BOUND_BLOCK):
+        block = slice(start, start + _BOUND_BLOCK)
+        keep = ~(_slice_bounds(pairs.take(block), top[block]) < known[block, None])
+        piece_rows, piece = np.nonzero(keep)
+        # an edge two kept pieces share is tested by the left one only
+        owns_left = (piece > 0) & ~keep[piece_rows, piece - 1]
+        piece_rows += start
+        for at in range(0, len(piece), chunk):
+            part = slice(at, at + chunk)
+            r, j = piece_rows[part], piece[part]
+            y = np.add.outer(_PIECE * j, offsets)
+            np.clip(y, 0, SCAN_POINTS - 1, out=y)
+            y *= step[r, None]
+            last = j == _BOUND_PIECES - 1
+            y[last, -2:] = top[r[last], None]
+            p = pairs.take(r).profit(y)
+            mid = p[:, 1:-1]
+            peak = (mid >= p[:, :-2]) & (mid >= p[:, 2:])
+            peak[:, 0] &= owns_left[part]
+            peak[:, -1] &= ~last
+            at_piece, k = np.nonzero(peak)
+            bracket_rows.append(r[at_piece])
+            bracket_k.append(_PIECE * j[at_piece] + k)
+    bracket_rows = np.concatenate(bracket_rows)
+    bracket_k = np.concatenate(bracket_k)
+    for start in range(0, len(bracket_rows), _TEMP_FLOATS):
+        r = bracket_rows[start:start + _TEMP_FLOATS]
+        k = bracket_k[start:start + _TEMP_FLOATS]
+        a = (k - 1) * step[r]
+        b = np.where(k + 1 == SCAN_POINTS - 1, top[r], (k + 1) * step[r])
+        brackets = pairs.take(r)
+        y = _golden_section(brackets.profit, a, b, tol)
+        rows.append(r)
+        ys.append(y)
+        profits.append(brackets.profit(y))
 
     rows = np.concatenate(rows)
     ys = np.concatenate(ys)
@@ -350,40 +386,42 @@ def _solve_slices(pairs: _PairBatch, top: np.ndarray, tol: float) -> tuple[np.nd
 
 
 def _slice_bounds(pairs: _PairBatch, top: np.ndarray) -> np.ndarray:
-    """Upper bound on every live slice's profit over weights [0, top]: per
-    piece, R(sum of lambda / min end rate) - (left end's expected reward) *
+    """Upper bound on every live slice's profit over each of its
+    _BOUND_PIECES pieces, as a (slices, pieces) array. Piece j spans the
+    scan weights _PIECE * j ... _PIECE * (j + 1), and its bound is
+    R(sum of lambda / min end rate) - (left end's expected reward) *
     (sum of lambda / max end rate), in the kernel's arithmetic (see the
-    module docstring); the largest over the slice's pieces."""
-    bounds = np.empty(len(top))
-    for start in range(0, len(top), _BOUND_BLOCK):
-        block = slice(start, start + _BOUND_BLOCK)
-        part, t = pairs.take(block), top[block]
-        y = np.arange(_BOUND_PIECES + 1) * (t / _BOUND_PIECES)[:, None]
-        y[:, -1] = t
-        s_lo = np.zeros((len(t), _BOUND_PIECES))
-        s_up = np.zeros((len(t), _BOUND_PIECES))
-        for lam, lo, hi in zip(part.lam, part.lo, part.hi):
-            lhat = (hi - lo)[:, None] * y
-            lhat += lo[:, None]
-            left, right = lhat[:, :-1], lhat[:, 1:]
-            s_up += lam[:, None] / np.minimum(left, right)
-            s_lo += lam[:, None] / np.maximum(left, right)
-        cost = part.rhat(y[:, :-1])
-        cost *= s_lo
-        bounds[block] = (part.revenue.value(s_up) - cost).max(axis=1)
-    return bounds
+    module docstring)."""
+    y = np.arange(0, SCAN_POINTS, _PIECE) * (top / (SCAN_POINTS - 1))[:, None]
+    y[:, -1] = top
+    s_lo = np.zeros((len(top), _BOUND_PIECES))
+    s_up = np.zeros((len(top), _BOUND_PIECES))
+    for lam, lo, hi in zip(pairs.lam, pairs.lo, pairs.hi):
+        lhat = (hi - lo)[:, None] * y
+        lhat += lo[:, None]
+        left, right = lhat[:, :-1], lhat[:, 1:]
+        rate = np.minimum(left, right)
+        s_up += np.divide(lam[:, None], rate, out=rate)
+        s_lo += np.divide(lam[:, None], np.maximum(left, right, out=rate), out=rate)
+    cost = pairs.rhat(y[:, :-1])
+    cost *= s_lo
+    return pairs.revenue.value(s_up) - cost
 
 
 def _beatable(inst: MarketInstance, live: np.ndarray, pairs: _PairBatch, top: np.ndarray):
-    """The live slices of _live_pairs whose profit bound reaches the best
-    non-degenerate singleton's profit, less a 1e-9 relative margin; the
-    others cannot hold the winner."""
+    """The live slices of _live_pairs whose profit bound, the largest over
+    their pieces, reaches the best non-degenerate singleton's profit, less a
+    1e-9 relative margin; the others cannot hold the winner."""
     single = np.arange(len(inst.rewards))
     profit, _, _, ok = _score(inst, single, single, np.zeros(len(single)))
     if not ok.any():
         return live, pairs, top
     lb = profit[ok].max()
-    keep = np.flatnonzero(~(_slice_bounds(pairs, top) < lb - 1e-9 * max(1.0, abs(lb))))
+    bound = np.empty(len(top))
+    for start in range(0, len(top), _BOUND_BLOCK):
+        block = slice(start, start + _BOUND_BLOCK)
+        bound[block] = _slice_bounds(pairs.take(block), top[block]).max(axis=1)
+    keep = np.flatnonzero(~(bound < lb - 1e-9 * max(1.0, abs(lb))))
     return live[keep], pairs.take(keep), top[keep]
 
 
@@ -725,6 +763,9 @@ def lottery_distribution(r_min: float, mu: float, sigma: float) -> RewardDistrib
         h = mu + sigma^2 / (mu - r_min)
         P(h) = (mu - r_min)^2 / ((mu - r_min)^2 + sigma^2)
     """
+    for name, v in (("mu", mu), ("sigma", sigma)):
+        if not math.isfinite(v):
+            raise InvalidMoments(f"{name} must be finite, got {v!r}")
     if mu <= r_min:
         raise InvalidMoments(f"mean {mu} must exceed the bottom reward {r_min}")
     if sigma <= 0.0:

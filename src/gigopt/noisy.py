@@ -393,7 +393,10 @@ def detect_double_threshold(
     terminal agreement run after any disagreement counts as one final
     crossing (the curves collapse onto each other). Consecutive crossings
     whose curves stay within rel_tol of each other in between merge into one.
+    Raises ValueError unless rel_tol is finite and non-negative.
     """
+    if not (math.isfinite(rel_tol) and rel_tol >= 0.0):
+        raise ValueError(f"rel_tol must be finite and non-negative, got {rel_tol!r}")
     e1, ra = _curve_arrays(curve_rational)
     e2, my = _curve_arrays(curve_myopic)
     if e1.shape != e2.shape or not np.allclose(e1, e2, rtol=0.0, atol=1e-12):

@@ -331,10 +331,13 @@ def fairness_audit(
     Cyclic policies default to starting at their steady state, where the
     audit is exact; everything else starts from an empty market unless n0
     says otherwise. A belief-based policy is audited in its own two-type
-    market (see _belief_streams), whatever inst's types are.
+    market (see _belief_streams), whatever inst's types are. Raises
+    ValueError unless delta is finite and non-negative.
     """
     if tau < 1 or horizon < tau:
         raise ValueError("need 1 <= tau <= horizon")
+    if not (math.isfinite(delta) and delta >= 0.0):
+        raise ValueError(f"delta must be finite and non-negative, got {delta!r}")
     if n0 is None and isinstance(policy, Cyclic):
         try:
             n0 = cyclic_steady_state(inst, policy)[0] - inst.lambdas

@@ -346,6 +346,18 @@ def test_cli_fairness_audit(tmp_path, capsys):
     assert doc["tau"] == 2 and doc["delta"] == 0.05
 
 
+@pytest.mark.parametrize("delta", ["nan", "inf", "-1"])
+def test_cli_fairness_audit_rejects_bad_delta(tmp_path, capsys, delta):
+    inst = _write(tmp_path, "p5.json", instance_to_dict(prop5_instance()))
+    pol = _write(tmp_path, "cyc.json", {"kind": "cyclic", "xs": [[0.0, 1.0], [1.0, 0.0]]})
+    rc = main(["fairness-audit", "--instance", inst, "--policy", pol,
+               "--tau", "2", "--horizon", "100", f"--delta={delta}"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "delta must be finite and non-negative" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_noisy_analyze_curve(tmp_path, capsys):
     inst = _write(tmp_path, "nv.json", noisy_to_dict(noisy_newsvendor_instance(5.0)))
     assert main(["noisy-analyze", "--instance", inst, "--eps", "1:1:5"]) == 0
@@ -366,6 +378,33 @@ def test_cli_noisy_analyze_crossovers(tmp_path, capsys):
     assert doc["count"] == 2
     assert doc["locations"] == pytest.approx([6.75, 12.0])
     assert doc["eps0"] is None  # three types: no single-type closed form
+
+
+@pytest.mark.parametrize("rel_tol", ["nan", "inf", "-1"])
+def test_cli_noisy_analyze_rejects_bad_rel_tol(tmp_path, capsys, rel_tol):
+    inst = _write(tmp_path, "dt.json", noisy_to_dict(double_threshold_instance(cap=75.0)))
+    rc = main(["noisy-analyze", "--instance", inst, "--eps", "1:1:5",
+               "--detect-crossovers", f"--rel-tol={rel_tol}"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "rel_tol must be finite and non-negative" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["--mu", "nan"], "mu"), (["--mu", "inf"], "mu"), (["--sigma", "nan"], "sigma"),
+])
+def test_cli_sweep_theta_rejects_non_finite_moments(canon_file, capsys, argv, name):
+    rc = main(["sweep-theta", "--instance", canon_file, "--thetas", "1", "--reps", "2",
+               "--measure", "10", "--burn-in", "5"] + argv)
+    assert rc == 2
+    assert f"{name} must be finite" in capsys.readouterr().err
+
+
+def test_cli_reproduce_rejects_non_finite_sigma(tmp_path, capsys):
+    rc = main(["reproduce", "fig_additive_loss", "--set", "sigma=nan", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "sigma must be finite" in capsys.readouterr().err
 
 
 def test_cli_noisy_analyze_bad_grid(tmp_path, capsys):

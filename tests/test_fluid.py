@@ -267,11 +267,38 @@ _PLATEAU = MarketInstance(
     Newsvendor(40.0, 300.0),
     eps_noisy_mode=True,
 )
+# one concave slice whose scanned maximum is scan index 512, the edge that
+# pieces 15 and 16 share
+_EDGE_PEAK = _tab_instance((10.0, 20.0), (0.5, 0.25), revenue=Log(110.0))
+# power revenue falling along the slice: the low end wins and all but one
+# piece is skipped
+_POWER_END = _tab_instance((15.0, 60.0), (0.5, 0.4), revenue=Power(250.0, 0.5))
+# the second type's rate at 20 is below the degeneracy floor, which cuts the
+# slice at weight 0.75
+_FLOOR_CUT = MarketInstance(
+    RewardSet((10.0, 20.0)),
+    (WorkerType(1.0, Tabulated((10.0, 20.0), (0.5, 0.25))),
+     WorkerType(1e-12, Tabulated((10.0, 20.0), (4e-12, 0.0)))),
+    Log(110.0),
+    eps_noisy_mode=True,
+)
+# revenue so large that every cost rounds away past the cap: profit is flat
+# from the kink to the top end, whose profit equals the bound of every piece
+# there, and a refined point just past the kink wins the tie
+_SATURATED = _tab_instance((10.0, 20.0), (0.5, 0.25), revenue=Newsvendor(1e20, 3.5))
+# a slice that reaches the best singleton's profit on some piece but peaks
+# on a piece bounded below it
+_BELOW_SINGLETON = MarketInstance(RewardSet((8.5, 11.5, 15.0, 19.5)), (WorkerType(5.0, ExpFloor(0.45, 12.0)),),
+                                  Log(335.0))
 
 
 @settings(deadline=None, max_examples=40)
 @given(_random_instances())
 @example(_PLATEAU)  # flat slices: hundreds of scanned local maxima per pair
+@example(_EDGE_PEAK)
+@example(_POWER_END)
+@example(_FLOOR_CUT)
+@example(_SATURATED)
 def test_pair_kernel_matches_scalar_reference(inst):
     vals = inst.rewards.values
     ii, jj = (np.array(v) for v in zip(*itertools.combinations(range(len(vals)), 2)))
@@ -283,6 +310,85 @@ def test_pair_kernel_matches_scalar_reference(inst):
         assert got.get(n) == _scalar_pair(inst, vals[i], vals[j])
     # one slice alone gets the bits it gets in the batch
     assert _pair(inst, vals[0], vals[-1]) == _scalar_pair(inst, vals[0], vals[-1])
+
+
+def _scan(inst):
+    """Profit at every scan weight of the slice between the lowest and the
+    highest reward, in the kernel's arithmetic, and its admissible maximum."""
+    _, pairs, top = _live_pairs(inst, np.array([0]), np.array([len(inst.rewards) - 1]))
+    y = np.arange(SCAN_POINTS) * (top / (SCAN_POINTS - 1))[:, None]
+    y[:, -1] = top
+    return pairs.profit(y)[0], float(top[0])
+
+
+def _local_maxima(p):
+    mid = p[1:-1]
+    return (np.flatnonzero((mid >= p[:-2]) & (mid >= p[2:])) + 1).tolist()
+
+
+def test_skip_examples_have_their_shape():
+    # the examples above pin the piece skip only while they keep these shapes
+    p, _ = _scan(_EDGE_PEAK)
+    assert _local_maxima(p) == [16 * fluid._PIECE]
+    assert p[512] > max(p[0], p[-1])
+    p, _ = _scan(_POWER_END)
+    assert p.argmax() == 0 and _local_maxima(p) == []
+    _, top = _scan(_FLOOR_CUT)
+    assert top == pytest.approx(0.75, abs=1e-12)
+
+
+def _scanned_pieces(monkeypatch, solve):
+    """(pieces scanned, pieces of the kernel's slices) over the kernel calls
+    that solve() makes."""
+    scanned, total = [0], [0]
+    profit, kernel = fluid._PairBatch.profit, fluid._solve_slices
+
+    def counted_profit(self, y):
+        if y.ndim == 2:
+            assert y.shape[1] == fluid._PIECE + 3  # one piece and a neighbour each side
+            scanned[0] += y.shape[0]
+        return profit(self, y)
+
+    def counted_kernel(pairs, top, *args):
+        total[0] += len(top) * fluid._BOUND_PIECES
+        return kernel(pairs, top, *args)
+
+    monkeypatch.setattr(fluid._PairBatch, "profit", counted_profit)
+    monkeypatch.setattr(fluid, "_solve_slices", counted_kernel)
+    solve()
+    return scanned[0], total[0]
+
+
+def test_canonical_kernel_scans_under_half_of_its_pieces(monkeypatch):
+    scanned, total = _scanned_pieces(monkeypatch, lambda: solve_fluid(canonical_instance()))
+    assert 0 < scanned < total / 2
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.lists(_random_instances(), min_size=1, max_size=3))
+@example([_BELOW_SINGLETON])
+@example([canonical_instance(), power_variant_instance(), _PLATEAU, _EDGE_PEAK])
+def test_kernel_inside_solve_fluid_returns_full_scan_bits(insts):
+    # the kernel's known candidates come from each slice alone, never from
+    # the singletons or another slice, so the slices solve_fluid puts through
+    # it get the bits of a call on their own batch
+    calls = []
+    kernel = fluid._solve_slices
+
+    def recorded(pairs, top, tol, *args):
+        out = kernel(pairs, top, tol, *args)
+        calls.append((pairs, top, tol, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fluid, "_solve_slices", recorded)
+        try:
+            solve_fluid_many(insts)
+        except DegenerateSupply:
+            pass
+    for pairs, top, tol, (y, p) in calls:
+        y_alone, p_alone = kernel(pairs, top, tol)
+        assert y.tobytes() == y_alone.tobytes() and p.tobytes() == p_alone.tobytes()
 
 
 def _tie_instance(grid, types, revenue):
@@ -414,7 +520,9 @@ def test_pruned_solve_matches_unpruned_reference(inst):
     ii, jj, live, pairs, top = _all_live_pairs(inst)
     _, profit = _solve_slices(pairs, top, REFINE_TOL)
     # the bound holds in the kernel's own arithmetic, with no tolerance
-    assert np.all(_slice_bounds(pairs, top) >= profit)
+    bounds = _slice_bounds(pairs, top)
+    assert bounds.shape == (len(top), fluid._BOUND_PIECES)
+    assert np.all(bounds.max(axis=1) >= profit)
     want = _unpruned_solve(inst)
     if want is None:
         with pytest.raises(DegenerateSupply):
@@ -425,6 +533,24 @@ def test_pruned_solve_matches_unpruned_reference(inst):
         assert getattr(got, f.name) == getattr(want, f.name), f.name
 
 
+@settings(deadline=None, max_examples=40)
+@given(_random_instances())
+@example(_EDGE_PEAK)
+@example(_FLOOR_CUT)
+@example(canonical_instance())
+def test_piece_bounds_cover_every_scan_weight_of_their_piece(inst):
+    # piece j's bound holds at scan indices _PIECE * j ... _PIECE * (j + 1),
+    # both edges included, in the kernel's own arithmetic
+    _, _, _, pairs, top = _all_live_pairs(inst)
+    y = np.arange(SCAN_POINTS) * (top / (SCAN_POINTS - 1))[:, None]
+    y[:, -1] = top
+    p = pairs.profit(y)
+    bounds = _slice_bounds(pairs, top)
+    for j in range(fluid._BOUND_PIECES):
+        piece = p[:, fluid._PIECE * j:fluid._PIECE * (j + 1) + 1]
+        assert np.all(bounds[:, j] >= piece.max(axis=1))
+
+
 def test_pruning_keeps_slices_within_the_margin(monkeypatch):
     # a slice is dropped only when its bound is below the best singleton by
     # more than 1e-9 relative: rounding in the two profit arithmetics stays inside
@@ -432,7 +558,8 @@ def test_pruning_keeps_slices_within_the_margin(monkeypatch):
     best = optimal_fixed_wage(inst)[1].profit
     _, _, live, pairs, top = _all_live_pairs(inst)
     for gap, kept in ((0.5e-9, len(live)), (2e-9, 0)):
-        monkeypatch.setattr(fluid, "_slice_bounds", lambda p, t, gap=gap: np.full(len(t), best - gap * best))
+        monkeypatch.setattr(fluid, "_slice_bounds",
+                            lambda p, t, gap=gap: np.full((len(t), fluid._BOUND_PIECES), best - gap * best))
         assert len(fluid._beatable(inst, live, pairs, top)[0]) == kept
 
 
@@ -815,6 +942,17 @@ def test_lottery_invalid_moments():
         lottery_distribution(15.0, 15.0, 5.0)
     with pytest.raises(InvalidMoments):
         lottery_distribution(15.0, 35.0, 0.0)
+
+
+@pytest.mark.parametrize("mu, sigma, name", [
+    (math.nan, 11.2, "mu"), (math.inf, 11.2, "mu"), (-math.inf, 11.2, "mu"),
+    (35.0, math.nan, "sigma"), (35.0, math.inf, "sigma"),
+])
+def test_lottery_rejects_non_finite_moments(mu, sigma, name):
+    with pytest.raises(InvalidMoments, match=f"{name} must be finite"):
+        lottery_distribution(15.0, mu, sigma)
+    with pytest.raises(InvalidMoments, match=f"{name} must be finite"):
+        lottery_for_instance(canonical_instance(), mu, sigma)
 
 
 def test_lottery_snaps_only_for_tabulated():
