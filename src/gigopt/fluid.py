@@ -10,17 +10,22 @@ the refinement alone cannot pin them to full precision.
 
 The pair slices are independent, so one batched kernel solves all of them
 with array operations, never a Python loop per slice or per point. The
-kernel spans instances too: each slice carries its own arrival rates, so
-solve_fluid_many puts the slices of every instance that shares the revenue
-and the number of types through one kernel call, and a sweep of small
-solves pays the kernel's per-step overhead once, not once per solve. Local
-maxima of the scan are found with a mask, and every bracket around one is
-golden-section refined at the same time, each with its own stopping rule;
-the newsvendor kinks are bisected together the same way. Each step keeps
-the per-slice arithmetic and its order (supply summed type by type from
-0.0, the scan grid exactly as np.linspace builds it), so every slice gets
-the bit-identical result a scalar scan would. The winner is then picked
-from all candidates in one vector pass with fluid_profit's arithmetic.
+solver spans instances too. solve_fluid_many lays the instances that share
+the revenue and the number of types side by side as one column table (each
+grid reward a column, with its own departure and arrival rates), and every
+phase runs once over the whole group: the live slices, the singleton
+scores, each instance's best singleton, the piece bounds, the kernel, the
+scores of all candidates and the winner pick. So a sweep of small solves
+pays each phase's per-step overhead once, not once per solve; only the
+winners' FluidOutcomes are built instance by instance. Local maxima of the
+scan are found with a mask, and every bracket around one is golden-section
+refined at the same time, each with its own stopping rule; the newsvendor
+kinks are bisected together the same way. Each step keeps the per-slice
+arithmetic and its order (supply summed type by type from 0.0, the scan
+grid exactly as np.linspace builds it), so every slice gets the
+bit-identical result a scalar scan would. Each instance's winner is then
+picked from its candidates with fluid_profit's arithmetic, by one stable
+sort over the group with the instance as the leading key.
 
 A slice's profit is bounded piece by piece. Its _BOUND_PIECES pieces have
 scan-grid points as edges: piece j spans scan indices _PIECE * j to
@@ -35,11 +40,11 @@ rounding is monotone in the weight, so it is at least every profit the
 kernel can return from that piece.
 
 The bound prunes twice. First, solve_fluid_many drops the slices whose
-largest piece bound is below the best non-degenerate singleton's profit by
-more than 1e-9 relative, which covers the rounding between the kernel's
-arithmetic and the winner's. Such a slice's candidate would score strictly
-below a singleton that is itself a candidate, so it could neither win nor
-tie the winner. Second, the kernel scores each slice's known candidates
+largest piece bound is below their instance's best non-degenerate
+singleton's profit by more than 1e-9 relative, which covers the rounding
+between the kernel's arithmetic and the winner's. Such a slice's candidate
+would score strictly below a singleton that is itself a candidate, so it
+could neither win nor tie the winner. Second, the kernel scores each slice's known candidates
 first (both ends and the newsvendor kink) and scans only the pieces whose
 bound is not below the best of them; a NaN bound keeps its piece. A kept
 piece is evaluated at its own scan points and one neighbour on each side,
@@ -51,8 +56,11 @@ a skipped bound, below the slice's best known candidate: it could neither
 win nor tie. The known candidates come from the slice alone, never from the
 scan or from another slice, so each slice still gets the bits of a full
 scalar scan. Slices are bounded _BOUND_BLOCK at a time and kept pieces
-scanned _TEMP_FLOATS points at a time, so no temporary outgrows 66 KB and
-a solve stays near half a megabyte of temporaries, whatever the grid size.
+scanned _TEMP_FLOATS points at a time, so those temporaries stay within
+66 KB whatever the grid size. The first pruning hands the kernel the piece
+bounds of the slices it keeps, kept x _BOUND_PIECES floats: 144 KB on the
+power variant, about 255 KB for the 50 noise levels of a 3-type
+noisy-entry curve.
 
 The budgeted variant (maximize supply subject to an expected-pay budget)
 reuses the same slices, whose cost and supply both rise with the weight on
@@ -107,8 +115,7 @@ SCAN_POINTS = 1025  # uniform pre-scan of each pair slice
 REFINE_TOL = 1e-12  # golden-section bracket width target
 # Floats in a scan or refinement temporary (66 KB), as many as a full scan
 # of 8 slices: kept pieces are scanned and brackets refined in chunks of
-# this many points, so a solve stays near half a megabyte of temporaries
-# whatever the grid size.
+# this many points, whatever the grid size.
 _TEMP_FLOATS = 8 * SCAN_POINTS
 # Pieces of each slice in its profit bound, each _PIECE scan steps long, and
 # slices bounded together: a bound temporary holds _BOUND_BLOCK x
@@ -166,6 +173,34 @@ class Dispersion(str, Enum):
 # Pair slices
 
 
+class _Group:
+    """Instances that share the revenue and K as one column table, one
+    column per grid reward of each instance in turn: column c is reward
+    vals[c] of instance owner[c], with departure probabilities rates[:, c]
+    and arrival rates lam[:, c] ((K, columns) arrays); instance n's columns
+    start at start[n]. Every solver phase runs once over the table."""
+
+    def __init__(self, insts: Sequence[MarketInstance]):
+        self.insts = list(insts)
+        self.revenue = self.insts[0].revenue
+        self.sizes = np.array([len(inst.rewards) for inst in self.insts])
+        self.start = np.cumsum(self.sizes) - self.sizes
+        self.owner = np.repeat(np.arange(len(self.insts)), self.sizes)
+        self.vals = np.concatenate([inst.rewards.values for inst in self.insts])
+        self.rates = np.concatenate([inst.departure_matrix for inst in self.insts], axis=1)
+        self.lam = np.repeat(np.stack([inst.lambdas for inst in self.insts], axis=1), self.sizes, axis=1)
+
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Column pairs (ii, jj) of every instance's rewards i < j, instance
+        by instance, each in np.triu_indices order."""
+        sizes = self.sizes.tolist()
+        tri = {m: np.triu_indices(m, 1) for m in set(sizes)}
+        shift = np.repeat(self.start, self.sizes * (self.sizes - 1) // 2)
+        ii = np.concatenate([tri[m][0] for m in sizes]) + shift
+        jj = np.concatenate([tri[m][1] for m in sizes]) + shift
+        return ii, jj
+
+
 class _PairBatch:
     """Pair slices as arrays, one row per slice: weight y on r_high and 1 - y
     on r_low. Per-type parameters (arrival rate and the two departure
@@ -182,21 +217,10 @@ class _PairBatch:
         self.r_high = r_high
 
     @classmethod
-    def of(cls, inst: MarketInstance, ii: np.ndarray, jj: np.ndarray) -> "_PairBatch":
-        """Slices between grid rewards ii[p] < jj[p] (index arrays)."""
-        mat = inst.departure_matrix
-        vals = np.asarray(inst.rewards.values)
-        lam = np.repeat(inst.lambdas[:, None], len(ii), axis=1)
-        return cls(inst.revenue, lam, mat[:, ii], mat[:, jj], vals[ii], vals[jj])
-
-    @classmethod
-    def concat(cls, batches: Sequence["_PairBatch"]) -> "_PairBatch":
-        """One batch holding the rows of every batch in turn; all must share
-        the revenue and K."""
-        def join(name: str) -> np.ndarray:
-            return np.concatenate([getattr(b, name) for b in batches], axis=-1)
-
-        return cls(batches[0].revenue, join("lam"), join("lo"), join("hi"), join("r_low"), join("r_high"))
+    def of(cls, group: _Group, ii: np.ndarray, jj: np.ndarray) -> "_PairBatch":
+        """Slices between the group's columns ii[p] < jj[p] (index arrays)."""
+        return cls(group.revenue, group.lam[:, ii], group.rates[:, ii], group.rates[:, jj],
+                   group.vals[ii], group.vals[jj])
 
     def take(self, rows) -> "_PairBatch":
         return _PairBatch(self.revenue, self.lam[:, rows], self.lo[:, rows], self.hi[:, rows],
@@ -297,18 +321,20 @@ def _bisect_up(f, target, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.where(found, 0.5 * (lo + hi), np.nan)
 
 
-def _live_pairs(inst: MarketInstance, ii: np.ndarray, jj: np.ndarray):
-    """(positions, slices, admissible maxima) of the pairs (ii[p], jj[p])
-    that are not degenerate throughout."""
-    pairs = _PairBatch.of(inst, ii, jj)
+def _live_pairs(group: _Group, ii: np.ndarray, jj: np.ndarray):
+    """(positions, slices, admissible maxima) of the column pairs
+    (ii[p], jj[p]) that are not degenerate throughout."""
+    pairs = _PairBatch.of(group, ii, jj)
     y_hi = pairs.admissible_max()
     live = np.flatnonzero(~np.isnan(y_hi))
     return live, pairs.take(live), y_hi[live]
 
 
-def _solve_slices(pairs: _PairBatch, top: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _solve_slices(pairs: _PairBatch, top: np.ndarray, tol: float,
+                  bounds: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Slice optimum of every live slice of the batch, top being its
-    admissible maximum weight.
+    admissible maximum weight and bounds its _slice_bounds (computed here
+    when not handed in).
 
     Returns the weight on the higher reward and the profit there. Per slice:
     score the known candidates, the endpoints and (newsvendor revenue) the
@@ -321,6 +347,8 @@ def _solve_slices(pairs: _PairBatch, top: np.ndarray, tol: float) -> tuple[np.nd
     n = len(top)
     if n == 0:
         return np.zeros(0), np.zeros(0)
+    if bounds is None:
+        bounds = _slice_bounds(pairs, top)
     step = top / (SCAN_POINTS - 1)  # np.linspace(0, top, SCAN_POINTS), row by row
     zero = np.zeros(n)
     rows = [np.arange(n), np.arange(n)]
@@ -336,33 +364,30 @@ def _solve_slices(pairs: _PairBatch, top: np.ndarray, tol: float) -> tuple[np.nd
         profits.append(pairs.take(hit).profit(kink[hit]))
         known[hit] = np.fmax(known[hit], profits[-1])
 
+    keep = ~(bounds < known[:, None])
+    piece_rows, piece = np.nonzero(keep)
+    # an edge two kept pieces share is tested by the left one only
+    owns_left = (piece > 0) & ~keep[piece_rows, piece - 1]
     # a kept piece is scanned at its own indices and one neighbour each side
     offsets = np.arange(-1.0, _PIECE + 2)
     chunk = _TEMP_FLOATS // len(offsets)
     bracket_rows, bracket_k = [np.zeros(0, int)], [np.zeros(0, int)]
-    for start in range(0, n, _BOUND_BLOCK):
-        block = slice(start, start + _BOUND_BLOCK)
-        keep = ~(_slice_bounds(pairs.take(block), top[block]) < known[block, None])
-        piece_rows, piece = np.nonzero(keep)
-        # an edge two kept pieces share is tested by the left one only
-        owns_left = (piece > 0) & ~keep[piece_rows, piece - 1]
-        piece_rows += start
-        for at in range(0, len(piece), chunk):
-            part = slice(at, at + chunk)
-            r, j = piece_rows[part], piece[part]
-            y = np.add.outer(_PIECE * j, offsets)
-            np.clip(y, 0, SCAN_POINTS - 1, out=y)
-            y *= step[r, None]
-            last = j == _BOUND_PIECES - 1
-            y[last, -2:] = top[r[last], None]
-            p = pairs.take(r).profit(y)
-            mid = p[:, 1:-1]
-            peak = (mid >= p[:, :-2]) & (mid >= p[:, 2:])
-            peak[:, 0] &= owns_left[part]
-            peak[:, -1] &= ~last
-            at_piece, k = np.nonzero(peak)
-            bracket_rows.append(r[at_piece])
-            bracket_k.append(_PIECE * j[at_piece] + k)
+    for at in range(0, len(piece), chunk):
+        part = slice(at, at + chunk)
+        r, j = piece_rows[part], piece[part]
+        y = np.add.outer(_PIECE * j, offsets)
+        np.clip(y, 0, SCAN_POINTS - 1, out=y)
+        y *= step[r, None]
+        last = j == _BOUND_PIECES - 1
+        y[last, -2:] = top[r[last], None]
+        p = pairs.take(r).profit(y)
+        mid = p[:, 1:-1]
+        peak = (mid >= p[:, :-2]) & (mid >= p[:, 2:])
+        peak[:, 0] &= owns_left[part]
+        peak[:, -1] &= ~last
+        at_piece, k = np.nonzero(peak)
+        bracket_rows.append(r[at_piece])
+        bracket_k.append(_PIECE * j[at_piece] + k)
     bracket_rows = np.concatenate(bracket_rows)
     bracket_k = np.concatenate(bracket_k)
     for start in range(0, len(bracket_rows), _TEMP_FLOATS):
@@ -408,60 +433,74 @@ def _slice_bounds(pairs: _PairBatch, top: np.ndarray) -> np.ndarray:
     return pairs.revenue.value(s_up) - cost
 
 
-def _beatable(inst: MarketInstance, live: np.ndarray, pairs: _PairBatch, top: np.ndarray):
-    """The live slices of _live_pairs whose profit bound, the largest over
-    their pieces, reaches the best non-degenerate singleton's profit, less a
-    1e-9 relative margin; the others cannot hold the winner."""
-    single = np.arange(len(inst.rewards))
-    profit, _, _, ok = _score(inst, single, single, np.zeros(len(single)))
-    if not ok.any():
-        return live, pairs, top
-    lb = profit[ok].max()
-    bound = np.empty(len(top))
+def _beatable(group: _Group, ii: np.ndarray, pairs: _PairBatch, top: np.ndarray):
+    """(rows, piece bounds) of the live slices of _live_pairs, ii[p] being
+    slice p's low column, whose profit bound, the largest over their pieces,
+    reaches their instance's best non-degenerate singleton profit less a
+    1e-9 relative margin; the others cannot hold the winner. A NaN bound
+    keeps its slice, and an instance with no non-degenerate singleton keeps
+    all its slices. Slices are bounded _BOUND_BLOCK at a time and only the
+    kept ones' bounds stay."""
+    single = np.arange(len(group.vals))
+    profit, _, _, ok = _score(group, single, single, np.zeros(len(single)))
+    lb = np.maximum.reduceat(np.where(ok, profit, -np.inf), group.start)
+    floor = (lb - 1e-9 * np.maximum(1.0, np.abs(lb)))[group.owner[ii]]
+    rows, bounds = [np.zeros(0, int)], [np.zeros((0, _BOUND_PIECES))]
     for start in range(0, len(top), _BOUND_BLOCK):
         block = slice(start, start + _BOUND_BLOCK)
-        bound[block] = _slice_bounds(pairs.take(block), top[block]).max(axis=1)
-    keep = np.flatnonzero(~(bound < lb - 1e-9 * max(1.0, abs(lb))))
-    return live[keep], pairs.take(keep), top[keep]
+        b = _slice_bounds(pairs.take(block), top[block])
+        keep = ~(b.max(axis=1) < floor[block])
+        rows.append(start + np.flatnonzero(keep))
+        bounds.append(b[keep])
+    return np.concatenate(rows), np.concatenate(bounds)
 
 
-def _score(inst: MarketInstance, ii: np.ndarray, jj: np.ndarray, w: np.ndarray):
+def _score(group: _Group, ii: np.ndarray, jj: np.ndarray, w: np.ndarray):
     """fluid_profit's arithmetic, vectorised over the distributions with
-    weight 1 - w[n] on grid reward ii[n] and w[n] on jj[n] (a point mass
-    when ii[n] == jj[n] and w[n] == 0). Returns (profit, total supply,
-    expected reward, non-degenerate mask)."""
-    mat = inst.departure_matrix.T  # (m, K): rows gather into (n, K)
-    vals = np.asarray(inst.rewards.values)
+    weight 1 - w[n] on column ii[n] and w[n] on column jj[n] of the group
+    (a point mass when ii[n] == jj[n] and w[n] == 0). Returns (profit, total
+    supply, expected reward, non-degenerate mask)."""
+    mat = group.rates.T  # (columns, K): rows gather into (n, K)
     v = 1.0 - w
     lhat = np.clip(mat[ii] * v[:, None] + mat[jj] * w[:, None], 0.0, 1.0)
     ok = (lhat >= MIN_DEPARTURE_FLOOR).all(axis=1)
-    total = (inst.lambdas / np.maximum(lhat, MIN_DEPARTURE_FLOOR)).sum(axis=1)
-    rhat = vals[ii] * v + vals[jj] * w
-    profit = np.asarray(inst.revenue.value(total)) - rhat * total
+    total = (group.lam.T[ii] / np.maximum(lhat, MIN_DEPARTURE_FLOOR)).sum(axis=1)
+    rhat = group.vals[ii] * v + group.vals[jj] * w
+    profit = np.asarray(group.revenue.value(total)) - rhat * total
     return profit, total, rhat, ok
 
 
 def _best_outcome(
-    inst: MarketInstance, ii: np.ndarray, jj: np.ndarray, w: np.ndarray, by: str
-) -> FluidOutcome | None:
-    """The candidate with the largest key (value, -expected reward, -r_high,
-    -r_low) among non-degenerate ones, value being the profit (by="profit")
-    or the total supply; None when every candidate is degenerate."""
-    profit, total, rhat, ok = _score(inst, ii, jj, w)
+    group: _Group, ii: np.ndarray, jj: np.ndarray, w: np.ndarray, by: str, degenerate: str
+) -> list[FluidOutcome]:
+    """Each instance's candidate (an _score distribution of its own columns)
+    with the largest key (value, -expected reward, -r_high, -r_low) among its
+    non-degenerate ones, value being the profit (by="profit") or the total
+    supply; a full tie goes to the later candidate. Instance by instance,
+    the winner's fluid_profit, or DegenerateSupply(degenerate) when every
+    candidate of the instance is degenerate."""
+    profit, total, rhat, ok = _score(group, ii, jj, w)
     keep = np.flatnonzero(ok)
-    if keep.size == 0:
-        return None
     value = profit if by == "profit" else total
-    vals = np.asarray(inst.rewards.values)
-    order = np.lexsort((-vals[ii[keep]], -vals[jj[keep]], -rhat[keep], value[keep]))
-    k = keep[order[-1]]
-    i, j, wk = int(ii[k]), int(jj[k]), float(w[k])
-    ws = [0.0] * len(vals)
-    if i == j:
-        ws[i] = 1.0
-    else:
-        ws[i], ws[j] = 1.0 - wk, wk
-    return fluid_profit(inst, RewardDistribution.on(inst.rewards, ws))
+    owner = group.owner[ii[keep]]
+    vals = group.vals
+    # one stable sort, the owner leading: each owner's segment ends in its winner
+    order = np.lexsort((-vals[ii[keep]], -vals[jj[keep]], -rhat[keep], value[keep], owner))
+    last = order[np.flatnonzero(np.diff(owner[order], append=-1))]
+    win = np.full(len(group.insts), -1)
+    win[owner[last]] = keep[last]
+    outcomes = []
+    for inst, start, k in zip(group.insts, group.start.tolist(), win.tolist()):
+        if k < 0:
+            raise DegenerateSupply(degenerate)
+        i, j, wk = int(ii[k]) - start, int(jj[k]) - start, float(w[k])
+        ws = [0.0] * len(inst.rewards)
+        if i == j:
+            ws[i] = 1.0
+        else:
+            ws[i], ws[j] = 1.0 - wk, wk
+        outcomes.append(fluid_profit(inst, RewardDistribution.on(inst.rewards, ws)))
+    return outcomes
 
 
 def _interior(y: np.ndarray) -> np.ndarray:
@@ -484,10 +523,10 @@ def solve_fluid_many(instances: Sequence[MarketInstance], tol: float = REFINE_TO
     """solve_fluid of every instance, in order.
 
     Instances that share the revenue and K (the number of worker types) are
-    solved together: the pair slices of the whole group go through one
-    kernel call, then each instance picks its own winner. Every outcome is
-    bit-identical to solving its instance alone. Raises ValueError unless
-    tol is finite and positive.
+    solved together: every solver phase, from the live slices to the winner
+    pick, runs once over the whole group. Every outcome is bit-identical to
+    solving its instance alone. Raises ValueError unless tol is finite and
+    positive.
     """
     _require_tol(tol)
     instances = list(instances)
@@ -496,26 +535,24 @@ def solve_fluid_many(instances: Sequence[MarketInstance], tol: float = REFINE_TO
         groups.setdefault((inst.revenue, inst.K), []).append(n)
     outcomes: list[FluidOutcome] = [None] * len(instances)
     for members in groups.values():
-        grids = [np.triu_indices(len(instances[n].rewards), 1) for n in members]
-        lives, batches, tops = zip(*(
-            _beatable(instances[n], *_live_pairs(instances[n], ii, jj)) for n, (ii, jj) in zip(members, grids)
-        ))
-        y, _ = _solve_slices(_PairBatch.concat(batches), np.concatenate(tops), tol)
-        ends = np.cumsum([len(top) for top in tops])[:-1]
-        for n, (ii, jj), live, y_n in zip(members, grids, lives, np.split(y, ends)):
-            inst = instances[n]
-            inner = _interior(y_n)
-            single = np.arange(len(inst.rewards))
-            best = _best_outcome(
-                inst,
-                np.concatenate([single, ii[live][inner]]),
-                np.concatenate([single, jj[live][inner]]),
-                np.concatenate([np.zeros(len(single)), y_n[inner]]),
-                by="profit",
-            )
-            if best is None:
-                raise DegenerateSupply("every candidate distribution is degenerate")
-            outcomes[n] = best
+        group = _Group([instances[n] for n in members])
+        ii, jj = group.pairs()
+        live, pairs, top = _live_pairs(group, ii, jj)
+        kept, bounds = _beatable(group, ii[live], pairs, top)
+        y, _ = _solve_slices(pairs.take(kept), top[kept], tol, bounds)
+        inner = _interior(y)
+        ii, jj = ii[live][kept][inner], jj[live][kept][inner]
+        single = np.arange(len(group.vals))
+        best = _best_outcome(
+            group,
+            np.concatenate([single, ii]),
+            np.concatenate([single, jj]),
+            np.concatenate([np.zeros(len(single)), y[inner]]),
+            by="profit",
+            degenerate="every candidate distribution is degenerate",
+        )
+        for n, out in zip(members, best):
+            outcomes[n] = out
     return outcomes
 
 
@@ -547,21 +584,30 @@ def _compositions(m: int, G: int) -> np.ndarray:
     return out
 
 
-def _composition_rank(C: np.ndarray, G: int) -> np.ndarray:
-    """Row index in _compositions(m, G) of every row of C, an (n, m) array
-    of compositions of G. The compositions before c in lexicographic order
-    first differ from it at some part i, with a smaller value there; with
-    k = m-1-i parts after part i and R = G - (c_0 + ... + c_{i-1}) left for
-    parts i onward, they number C(R + k, k) - C(R - c_i + k, k)."""
-    m = C.shape[1]
-    binom = np.array([[math.comb(n, k) for k in range(m)] for n in range(G + m)], dtype=np.int64)
-    rank = np.zeros(len(C), dtype=np.int64)
-    left = np.full(len(C), G, dtype=np.int64)
-    for i in range(m - 1):
-        k = m - 1 - i
-        rank += binom[left + k, k] - binom[left - C[:, i] + k, k]
-        left -= C[:, i]
-    return rank
+def _shifted_rows(C: np.ndarray, G: int) -> np.ndarray:
+    """Row of C = _compositions(m, G) that each row becomes when one unit
+    moves from its first nonzero part s to part s + 1, cyclically.
+
+    A composition c is preceded by those that first differ from it at some
+    part i with a smaller value there: with k = m-1-i parts after part i and
+    R = G - (c_0 + ... + c_{i-1}) left for parts i onward, they number
+    C(R + k, k) - C(R - c_i + k, k). The shift changes only the terms of
+    parts s and s + 1, so with k = m-1-s the row moves by
+    C(G - c_s + k - 1, k - 2) - C(G - c_s + k, k - 1), the first term 0
+    when k < 2. Row 0, (0, ..., 0, G), wraps to (1, 0, ..., 0, G - 1), the
+    first row after the C(G + m - 2, m - 2) with a zero first part.
+    """
+    n, m = C.shape
+    at = np.arange(n, dtype=np.int64)
+    if m == 1:
+        return at  # (G) shifts onto itself
+    binom = np.array([[math.comb(r, q) for q in range(m)] for r in range(G + m)], dtype=np.int64)
+    s = np.argmax(C > 0, axis=1)
+    k = m - 1 - s
+    r = G - C[at, s] + k
+    at += np.where(k >= 2, binom[r - 1, k - 2], 0) - binom[r, k - 1]
+    at[0] = binom[G + m - 2, m - 2]
+    return at
 
 
 def _grid_profits(inst: MarketInstance, X: np.ndarray):
@@ -606,16 +652,9 @@ def _grid_best(inst: MarketInstance, grid) -> FluidOutcome:
 def _grid_lipschitz(inst: MarketInstance, grid) -> float:
     """objective_lipschitz on an _oracle_grid. A shifted composition is
     itself a composition of G, so its profit and mask are read from the
-    grid's own pass at its rank."""
+    grid's own pass at its row."""
     G, C, p0, _, ok0 = grid
-    m = C.shape[1]
-    src = np.argmax(C > 0, axis=1)
-    dst = (src + 1) % m
-    C2 = C.copy()
-    rows = np.arange(len(C))
-    C2[rows, src] -= 1
-    C2[rows, dst] += 1
-    at = _composition_rank(C2, G)
+    at = _shifted_rows(C, G)
     p1 = p0[at]
     ok = ok0 & ok0[at]
     if not ok.any():
@@ -675,21 +714,20 @@ def solve_supply_opt(b: BudgetedInstance, tol: float = 1e-9) -> FluidOutcome:
     slack = tol * max(1.0, abs(B))
     fits = [k for k, r in enumerate(inst.rewards) if _singleton_cost(inst, r) <= B + slack]
     single = np.array(fits, dtype=np.intp)
-    ii, jj = np.triu_indices(len(inst.rewards), 1)
-    live, pairs, top = _live_pairs(inst, ii, jj)
+    group = _Group([inst])
+    ii, jj = group.pairs()
+    live, pairs, top = _live_pairs(group, ii, jj)
     zero = np.zeros(len(live))
     y = np.where(pairs.cost(top) <= B + slack, top, _bisect_up(pairs.cost, B, zero, top))
     pick = (pairs.cost(zero) <= B + slack) & _interior(y)
-    best = _best_outcome(
-        inst,
+    return _best_outcome(
+        group,
         np.concatenate([single, ii[live][pick]]),
         np.concatenate([single, jj[live][pick]]),
         np.concatenate([np.zeros(len(single)), y[pick]]),
         by="supply",
-    )
-    if best is None:
-        raise DegenerateSupply("no feasible non-degenerate distribution")
-    return best
+        degenerate="no feasible non-degenerate distribution",
+    )[0]
 
 
 def support_reduce(
@@ -750,9 +788,8 @@ def optimal_fixed_wage(inst: MarketInstance) -> tuple[float, FluidOutcome]:
     tie, and a point mass's rates are the grid's own.
     """
     single = np.arange(len(inst.rewards))
-    best = _best_outcome(inst, single, single, np.zeros(len(single)), by="profit")
-    if best is None:
-        raise DegenerateSupply("every fixed wage is degenerate")
+    best = _best_outcome(_Group([inst]), single, single, np.zeros(len(single)), by="profit",
+                         degenerate="every fixed wage is degenerate")[0]
     return best.x.support_rewards()[0], best
 
 

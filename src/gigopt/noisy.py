@@ -381,6 +381,11 @@ def _curve_arrays(curve: Sequence[tuple[float, float]]) -> tuple[np.ndarray, np.
     return eps, val
 
 
+def _require_rel_tol(rel_tol: float) -> None:
+    if not (math.isfinite(rel_tol) and rel_tol >= 0.0):
+        raise ValueError(f"rel_tol must be finite and non-negative, got {rel_tol!r}")
+
+
 def detect_double_threshold(
     curve_rational: Sequence[tuple[float, float]],
     curve_myopic: Sequence[tuple[float, float]],
@@ -395,8 +400,7 @@ def detect_double_threshold(
     whose curves stay within rel_tol of each other in between merge into one.
     Raises ValueError unless rel_tol is finite and non-negative.
     """
-    if not (math.isfinite(rel_tol) and rel_tol >= 0.0):
-        raise ValueError(f"rel_tol must be finite and non-negative, got {rel_tol!r}")
+    _require_rel_tol(rel_tol)
     e1, ra = _curve_arrays(curve_rational)
     e2, my = _curve_arrays(curve_myopic)
     if e1.shape != e2.shape or not np.allclose(e1, e2, rtol=0.0, atol=1e-12):

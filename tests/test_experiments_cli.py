@@ -27,7 +27,7 @@ from gigopt.experiments import (
     run_experiment,
     canonical_instance,
 )
-from gigopt import experiments, fluid
+from gigopt import cli, experiments, fluid
 from gigopt.cli import _build_parser, main
 from gigopt.market import Newsvendor, Power, instance_to_dict
 from gigopt.noisy import noisy_to_dict
@@ -385,6 +385,23 @@ def test_cli_noisy_analyze_rejects_bad_rel_tol(tmp_path, capsys, rel_tol):
     inst = _write(tmp_path, "dt.json", noisy_to_dict(double_threshold_instance(cap=75.0)))
     rc = main(["noisy-analyze", "--instance", inst, "--eps", "1:1:5",
                "--detect-crossovers", f"--rel-tol={rel_tol}"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "rel_tol must be finite and non-negative" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("rel_tol", ["nan", "inf", "-1"])
+def test_cli_noisy_analyze_rejects_bad_rel_tol_without_crossovers(tmp_path, capsys, monkeypatch, rel_tol):
+    # the CSV path never reads rel_tol, but a bad value is still an error,
+    # raised before any curve is solved
+    inst = _write(tmp_path, "dt.json", noisy_to_dict(double_threshold_instance(cap=75.0)))
+
+    def no_curve(*args, **kwargs):
+        raise AssertionError("a curve was solved")
+
+    monkeypatch.setattr(cli, "surplus_curve", no_curve)
+    rc = main(["noisy-analyze", "--instance", inst, "--eps", "1:1:3", f"--rel-tol={rel_tol}"])
     assert rc == 2
     captured = capsys.readouterr()
     assert "rel_tol must be finite and non-negative" in captured.err

@@ -51,12 +51,12 @@ from gigopt.fluid import (
     REFINE_TOL,
     SCAN_POINTS,
     _best_outcome,
-    _composition_rank,
     _compositions,
     _grid_profits,
     _live_pairs,
     _oracle_grid,
     _oracle_with_lipschitz,
+    _shifted_rows,
     _slice_bounds,
     _solve_slices,
 )
@@ -79,7 +79,7 @@ def _pair(inst, r_low, r_high):
     when the slice is degenerate throughout."""
     ii = np.array([inst.rewards.index_of(r_low)])
     jj = np.array([inst.rewards.index_of(r_high)])
-    live, pairs, top = _live_pairs(inst, ii, jj)
+    live, pairs, top = _live_pairs(fluid._Group([inst]), ii, jj)
     if len(live) == 0:
         return None
     y, p = _solve_slices(pairs, top, REFINE_TOL)
@@ -302,7 +302,7 @@ _BELOW_SINGLETON = MarketInstance(RewardSet((8.5, 11.5, 15.0, 19.5)), (WorkerTyp
 def test_pair_kernel_matches_scalar_reference(inst):
     vals = inst.rewards.values
     ii, jj = (np.array(v) for v in zip(*itertools.combinations(range(len(vals)), 2)))
-    live, pairs, top = _live_pairs(inst, ii, jj)
+    live, pairs, top = _live_pairs(fluid._Group([inst]), ii, jj)
     ys, ps = _solve_slices(pairs, top, REFINE_TOL)
     got = dict(zip(live.tolist(), zip(ys.tolist(), ps.tolist())))
     for n, (i, j) in enumerate(zip(ii, jj)):
@@ -315,7 +315,7 @@ def test_pair_kernel_matches_scalar_reference(inst):
 def _scan(inst):
     """Profit at every scan weight of the slice between the lowest and the
     highest reward, in the kernel's arithmetic, and its admissible maximum."""
-    _, pairs, top = _live_pairs(inst, np.array([0]), np.array([len(inst.rewards) - 1]))
+    _, pairs, top = _live_pairs(fluid._Group([inst]), np.array([0]), np.array([len(inst.rewards) - 1]))
     y = np.arange(SCAN_POINTS) * (top / (SCAN_POINTS - 1))[:, None]
     y[:, -1] = top
     return pairs.profit(y)[0], float(top[0])
@@ -466,6 +466,87 @@ def test_solve_fluid_many_matches_one_by_one(insts):
     assert solve_fluid_many(insts[::-1]) == many[::-1]
 
 
+@st.composite
+def _shared_revenue_groups(draw):
+    """Random instances cut to one K and given one revenue by value (each
+    its own object), so solve_fluid_many solves them as one group: mixed
+    grid sizes, floor cuts and eps-noisy zeros."""
+    insts = draw(st.lists(_random_instances(), min_size=2, max_size=5))
+    k = min(inst.K for inst in insts)
+    revenue = insts[0].revenue
+    return [dataclasses.replace(inst, types=inst.types[:k], revenue=dataclasses.replace(revenue))
+            for inst in insts]
+
+
+def _alone(inst):
+    try:
+        return solve_fluid(inst)
+    except DegenerateSupply as exc:
+        return exc
+
+
+@settings(deadline=None, max_examples=40)
+@given(_shared_revenue_groups())
+def test_one_group_solves_each_member_as_alone(insts):
+    assert len({(inst.revenue, inst.K) for inst in insts}) == 1
+    alone = [_alone(inst) for inst in insts]
+    failed = [a for a in alone if isinstance(a, DegenerateSupply)]
+    if failed:
+        # the first member that fails alone fails the group, with its message
+        with pytest.raises(DegenerateSupply) as exc:
+            solve_fluid_many(insts)
+        assert str(exc.value) == str(failed[0])
+    solvable = [inst for inst, a in zip(insts, alone) if not isinstance(a, DegenerateSupply)]
+    want = [a for a in alone if not isinstance(a, DegenerateSupply)]
+    for got, one in zip(solve_fluid_many(solvable), want, strict=True):
+        for f in dataclasses.fields(FluidOutcome):
+            assert getattr(got, f.name) == getattr(one, f.name), f.name
+
+
+_GROUP_REVENUE = Newsvendor(10.0, 4.0)
+_GROUP_MATE = MarketInstance(RewardSet((1.0, 2.0, 3.0, 4.0)),
+                             (WorkerType(1.0, ExpFloor(0.3, 1.0)), WorkerType(0.5, Linear(0.1, 1.0))),
+                             _GROUP_REVENUE)
+# type 0 stops departing from reward 2 on, and type 1's rate at reward 1
+# is below the degeneracy floor, rising above it within the 1e-12 slack
+# that departures may increase by: every singleton is degenerate, but the
+# mixes of reward 1 with 2 or 3 that put over 5/9 on the higher are not
+_NO_SINGLETON = MarketInstance(
+    RewardSet((1.0, 2.0, 3.0)),
+    tuple(WorkerType(1.0, Tabulated((1.0, 2.0, 3.0), rates))
+          for rates in ((1.0, 0.0, 0.0), (0.5e-12, 1.4e-12, 1.4e-12))),
+    _GROUP_REVENUE, eps_noisy_mode=True)
+
+
+def test_group_member_without_a_singleton_keeps_all_its_slices():
+    insts = [_GROUP_MATE, _NO_SINGLETON]
+    with pytest.raises(DegenerateSupply):
+        optimal_fixed_wage(_NO_SINGLETON)
+    group = fluid._Group(insts)
+    ii, jj = group.pairs()
+    live, pairs, top = _live_pairs(group, ii, jj)
+    kept, bounds = fluid._beatable(group, ii[live], pairs, top)
+    # its incumbent is -inf, so no bound prunes its two live slices
+    mine = np.flatnonzero(group.owner[ii[live]] == 1)
+    assert len(mine) == 2 and np.isin(mine, kept).all()
+    assert bounds.shape == (len(kept), fluid._BOUND_PIECES)
+    many = solve_fluid_many(insts)
+    assert many == [solve_fluid(inst) for inst in insts]
+    assert len(many[1].x.support()) == 2
+
+
+def test_group_with_a_wholly_degenerate_member_raises_as_alone():
+    # type 1 never departs at any reward of the grid
+    dead = MarketInstance(RewardSet((1.0, 2.0, 3.0)),
+                          (WorkerType(1.0, ExpFloor(0.3, 1.0)), WorkerType(1.0, Linear(1.0, 0.5))),
+                          Newsvendor(10.0, 4.0), eps_noisy_mode=True)
+    message = "^every candidate distribution is degenerate$"
+    with pytest.raises(DegenerateSupply, match=message):
+        solve_fluid(dead)
+    with pytest.raises(DegenerateSupply, match=message):
+        solve_fluid_many([_GROUP_MATE, dead, _GROUP_MATE])
+
+
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
 def test_refinement_tolerance_must_be_finite_and_positive(monkeypatch, tol):
     # golden-section never stops at tol <= 0 and stops at once at NaN, so the
@@ -490,7 +571,7 @@ def test_refinement_tolerance_must_be_finite_and_positive(monkeypatch, tol):
 def _all_live_pairs(inst):
     """(ii, jj, live, slices, admissible maxima) over every reward pair."""
     ii, jj = np.triu_indices(len(inst.rewards), 1)
-    return (ii, jj, *_live_pairs(inst, ii, jj))
+    return (ii, jj, *_live_pairs(fluid._Group([inst]), ii, jj))
 
 
 def _unpruned_solve(inst):
@@ -502,13 +583,17 @@ def _unpruned_solve(inst):
     y, _ = _solve_slices(pairs, top, REFINE_TOL)
     inner = (y > 1e-12) & (y < 1.0 - 1e-12)
     single = np.arange(m)
-    return _best_outcome(
-        inst,
-        np.concatenate([single, ii[live][inner]]),
-        np.concatenate([single, jj[live][inner]]),
-        np.concatenate([np.zeros(m), y[inner]]),
-        by="profit",
-    )
+    try:
+        return _best_outcome(
+            fluid._Group([inst]),
+            np.concatenate([single, ii[live][inner]]),
+            np.concatenate([single, jj[live][inner]]),
+            np.concatenate([np.zeros(m), y[inner]]),
+            by="profit",
+            degenerate="",
+        )[0]
+    except DegenerateSupply:
+        return None
 
 
 @settings(deadline=None, max_examples=60)
@@ -556,17 +641,17 @@ def test_pruning_keeps_slices_within_the_margin(monkeypatch):
     # more than 1e-9 relative: rounding in the two profit arithmetics stays inside
     inst = canonical_instance()
     best = optimal_fixed_wage(inst)[1].profit
-    _, _, live, pairs, top = _all_live_pairs(inst)
+    ii, _, live, pairs, top = _all_live_pairs(inst)
     for gap, kept in ((0.5e-9, len(live)), (2e-9, 0)):
         monkeypatch.setattr(fluid, "_slice_bounds",
                             lambda p, t, gap=gap: np.full((len(t), fluid._BOUND_PIECES), best - gap * best))
-        assert len(fluid._beatable(inst, live, pairs, top)[0]) == kept
+        assert len(fluid._beatable(fluid._Group([inst]), ii[live], pairs, top)[0]) == kept
 
 
 def test_pruning_drops_most_canonical_slices():
     inst = canonical_instance()
-    _, _, live, pairs, top = _all_live_pairs(inst)
-    assert len(fluid._beatable(inst, live, pairs, top)[0]) <= 215
+    ii, _, live, pairs, top = _all_live_pairs(inst)
+    assert len(fluid._beatable(fluid._Group([inst]), ii[live], pairs, top)[0]) <= 215
 
 
 def _compositions_by_combinations(m, G):
@@ -595,6 +680,24 @@ def _compositions_by_column_stack(m, G):
     return np.column_stack([head, rest])
 
 
+def _composition_rank(C, G):
+    """Reference: row index in _compositions(m, G) of every row of C, an
+    (n, m) array of compositions of G, part by part. The compositions before
+    c in lexicographic order first differ from it at some part i, with a
+    smaller value there; with k = m-1-i parts after part i and R = G -
+    (c_0 + ... + c_{i-1}) left for parts i onward, they number
+    C(R + k, k) - C(R - c_i + k, k)."""
+    m = C.shape[1]
+    binom = np.array([[math.comb(n, k) for k in range(m)] for n in range(G + m)], dtype=np.int64)
+    rank = np.zeros(len(C), dtype=np.int64)
+    left = np.full(len(C), G, dtype=np.int64)
+    for i in range(m - 1):
+        k = m - 1 - i
+        rank += binom[left + k, k] - binom[left - C[:, i] + k, k]
+        left -= C[:, i]
+    return rank
+
+
 def test_compositions_match_combinations_enumeration():
     # the row order sets which grid point wins an oracle tie, and the
     # Lipschitz bound looks shifted compositions up by their rank
@@ -609,6 +712,20 @@ def test_compositions_match_combinations_enumeration():
     np.testing.assert_array_equal(C, _compositions_by_column_stack(5, 50))
     pick = np.random.default_rng(3).permutation(len(C))[:500]
     np.testing.assert_array_equal(_composition_rank(C[pick], 50), pick)
+
+
+def test_shifted_rows_match_rank_of_every_shifted_composition():
+    # every row of every grid the oracle accepts but m = 5 at G = 100
+    # (4.6 million rows, too large for the suite)
+    for m in range(1, 6):
+        for G in [*range(1, 31), 50] + ([100] if m < 5 else []):
+            C = _compositions(m, G)
+            src = np.argmax(C > 0, axis=1)
+            rows = np.arange(len(C))
+            C2 = C.copy()
+            C2[rows, src] -= 1
+            C2[rows, (src + 1) % m] += 1
+            np.testing.assert_array_equal(_shifted_rows(C, G), _composition_rank(C2, G))
 
 
 def _lipschitz_by_second_pass(inst, G):
