@@ -17,7 +17,10 @@ phase runs once over the whole group: the live slices, the singleton
 scores, each instance's best singleton, the piece bounds, the kernel, the
 scores of all candidates and the winner pick. So a sweep of small solves
 pays each phase's per-step overhead once, not once per solve; only the
-winners' FluidOutcomes are built instance by instance. Local maxima of the
+winners' FluidOutcomes are built instance by instance. The table's rates
+and the winners' outcomes both read each instance's departure table
+(MarketInstance.departure_matrix), evaluated once when the instance was
+built, so no phase calls a departure rate again. Local maxima of the
 scan are found with a mask, and every bracket around one is golden-section
 refined at the same time, each with its own stopping rule; the newsvendor
 kinks are bisected together the same way. Each step keeps the per-slice

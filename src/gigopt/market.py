@@ -11,7 +11,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 from typing import Sequence, Union
@@ -369,29 +369,44 @@ class MarketInstance:
     probability mass at the top reward; instances built from valuation ramps
     (and the tabulated instances derived from them) legitimately hit
     l_i(r_max) = 0.
+
+    Each type's departure rates on the grid are evaluated and validated once,
+    at construction, into departure_matrix; every on-grid reader (the
+    solver, fluid_supply, the policy engine, the simulator) reads that table.
     """
 
     rewards: RewardSet
     types: tuple[WorkerType, ...]
     revenue: Revenue
     eps_noisy_mode: bool = False
+    #: (K, m) read-only matrix of departure probabilities on the reward grid
+    departure_matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "types", tuple(self.types))
         if not self.types:
             raise ValueError("an instance needs at least one worker type")
         grid = np.asarray(self.rewards.values)
-        for i, t in enumerate(self.types):
-            rates = np.asarray(t.departure.rate(grid), dtype=float)
-            if np.any(rates < -1e-9) or np.any(rates > 1.0 + 1e-9):
-                raise ValueError(f"type {i}: departure probabilities leave [0, 1] on the grid")
-            if np.any(np.diff(rates) > 1e-12):
+        mat = np.array([t.departure.rate(grid) for t in self.types], dtype=float)
+        # negated so that NaN, which fails every comparison, leaves [0, 1]
+        outside = ~((mat >= -1e-9) & (mat <= 1.0 + 1e-9))
+        rising = np.diff(mat, axis=1) > 1e-12
+        vanishing = (mat[:, -1] <= 0.0) & (not self.eps_noisy_mode)
+        failing = np.flatnonzero(outside.any(axis=1) | rising.any(axis=1) | vanishing)
+        if failing.size:
+            i = int(failing[0])
+            if outside[i].any():
+                bad = ~np.isfinite(mat[i])
+                detail = f" (non-finite values {mat[i][bad].tolist()})" if bad.any() else ""
+                raise ValueError(f"type {i}: departure probabilities leave [0, 1] on the grid{detail}")
+            if rising[i].any():
                 raise ValueError(f"type {i}: departure probabilities increase along the grid")
-            if rates[-1] <= 0.0 and not self.eps_noisy_mode:
-                raise ValueError(
-                    f"type {i}: departure vanishes at r_max; construct with "
-                    "eps_noisy_mode=True if this is intended"
-                )
+            raise ValueError(
+                f"type {i}: departure vanishes at r_max; construct with "
+                "eps_noisy_mode=True if this is intended"
+            )
+        mat.setflags(write=False)
+        object.__setattr__(self, "departure_matrix", mat)
 
     @property
     def K(self) -> int:
@@ -402,14 +417,6 @@ class MarketInstance:
         arr = np.array([t.lam for t in self.types])
         arr.setflags(write=False)
         return arr
-
-    @cached_property
-    def departure_matrix(self) -> np.ndarray:
-        """(K, m) matrix of departure probabilities on the reward grid."""
-        grid = np.asarray(self.rewards.values)
-        mat = np.vstack([_clamp01(np.asarray(t.departure.rate(grid), dtype=float)) for t in self.types])
-        mat.setflags(write=False)
-        return mat
 
     def max_fluid_supply(self) -> float:
         """Total fluid supply when everyone is paid r_max (inf if some type
@@ -520,12 +527,28 @@ def _mixture_rate(departure: Departure, support) -> float:
     call on the positive-weight rewards, an exact sum, a clamp into [0, 1]."""
     pos = [(r, w) for r, w in support if w > 0.0]
     rates = departure.rate(np.array([r for r, _ in pos], dtype=float)).tolist()
-    return min(1.0, max(0.0, math.fsum(l * w for l, (_, w) in zip(rates, pos))))
+    return _mix(rates, [w for _, w in pos])
+
+
+def _mix(rates, weights) -> float:
+    """The exact sum of the rate-weight products, clamped into [0, 1]."""
+    return min(1.0, max(0.0, math.fsum(l * w for l, w in zip(rates, weights))))
+
+
+def _mixture_rates(inst: MarketInstance, x: RewardDistribution) -> list[float]:
+    """Each type's expected_departure under x, in type order. A distribution
+    on the instance grid reads its rates from departure_matrix instead of
+    calling rate again; the arithmetic (_mix) is the same either way."""
+    if x.rewards != inst.rewards.values:
+        return [expected_departure(t, x) for t in inst.types]
+    pos = [k for k, w in enumerate(x.weights) if w > 0.0]
+    ws = [x.weights[k] for k in pos]
+    return [_mix(row, ws) for row in inst.departure_matrix[:, pos].tolist()]
 
 
 def fluid_supply(inst: MarketInstance, x: RewardDistribution) -> np.ndarray:
     """Per-type fluid steady-state supply lambda_i / l_hat_i(x)."""
-    lhat = np.array([expected_departure(t, x) for t in inst.types])
+    lhat = np.array(_mixture_rates(inst, x))
     bad = np.flatnonzero(lhat < MIN_DEPARTURE_FLOOR)
     if bad.size:
         raise DegenerateSupply(

@@ -265,7 +265,11 @@ def noisy_metrics(noisy: NoisyInstance, x: RewardDistribution) -> Metrics:
     covers entered (ties enter), in their arrival proportions, scaled to the
     head count N (0 when none enters); myopic, the surplus weighted by each
     type's retained mass N_i - lambda_i, scaled to N (0 when nobody stays)."""
-    n = _noisy_supplies(noisy, x)
+    return _score(noisy, x, _noisy_supplies(noisy, x))
+
+
+def _score(noisy: NoisyInstance, x: RewardDistribution, n: np.ndarray) -> Metrics:
+    """noisy_metrics of x from its per-type supply vector n."""
     total = float(n.sum())
     rhat = expected_reward(x)
     lam, vals = np.asarray(noisy.lambdas), np.asarray(noisy.values)
@@ -338,7 +342,8 @@ def surplus_curve(noisy: NoisyInstance, eps_grid: Sequence[float]) -> MetricCurv
 
     Single-type instances use the closed forms; multi-type instances solve
     the fluid problem on the augmented grid of every noise level in one
-    batched solve_fluid_many call.
+    batched solve_fluid_many call and score each level from its winner's
+    supply.
     """
     eps = [float(e) for e in eps_grid]
     if len(eps) < 2:
@@ -350,10 +355,13 @@ def surplus_curve(noisy: NoisyInstance, eps_grid: Sequence[float]) -> MetricCurv
     ats = [noisy.with_epsilon(e) for e in eps]
     if noisy.K == 1:
         solved = [_closed_form_at(at) for at in ats]
+        metrics = [noisy_metrics(at, dist) for at, (_, dist) in zip(ats, solved)]
     else:
         outs = solve_fluid_many([market_instance(at) for at in ats])
         solved = [(min(1.0, max(0.0, 1.0 - out.x.weight_at(at.r_min))), out.x) for at, out in zip(ats, outs)]
-    metrics = [noisy_metrics(at, dist) for at, (_, dist) in zip(ats, solved)]
+        # each winner's supply is lambda / l_hat on the level's own ramps,
+        # the vector _noisy_supplies would compute again
+        metrics = [_score(at, out.x, np.array(out.supply_per_type)) for at, out in zip(ats, outs)]
     columns = dict(zip(Metrics._fields, map(tuple, zip(*metrics))))
     eps0: float | None = None
     if noisy.K == 1:

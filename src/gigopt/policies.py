@@ -7,7 +7,8 @@ of period t-1 plus the period-t arrivals, and the payment drawn in period t
 applies to that whole population. The rule for which distribution a policy
 pays in period t lives here only, in period_index; the simulator reads it too.
 Mixture departure rates are built once per distribution (_rate_rows), never
-per period.
+per period, from the instance's departure table when the distribution is on
+its grid.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .market import (
     RewardSet,
     Tabulated,
     WorkerType,
-    expected_departure,
+    _mixture_rates,
     expected_reward,
     fluid_profit,
 )
@@ -162,7 +163,7 @@ def _rate_rows(inst: MarketInstance, policy: Policy) -> tuple[np.ndarray, np.nda
     """(D, K) mixture departure rates and (D,) expected rewards, one row per policy distribution."""
     period_index(policy, 1)  # rejects policies without distributions
     xs = policy.distributions
-    return (np.array([[expected_departure(w, x) for w in inst.types] for x in xs]),
+    return (np.array([_mixture_rates(inst, x) for x in xs]),
             np.array([expected_reward(x) for x in xs]))
 
 

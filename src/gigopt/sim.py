@@ -101,8 +101,12 @@ def _policy_rows(inst: MarketInstance, policy: Policy):
         period_index(policy, 1)
     except TypeError as exc:
         raise ConfigError(f"{exc}; evaluate it with the policy engine") from None
-    dom = np.asarray(policy.distributions[0].rewards)
-    mat = np.array([t.departure.rate(dom) for t in inst.types])
+    rewards = policy.distributions[0].rewards
+    dom = np.asarray(rewards)
+    if rewards == inst.rewards.values:
+        mat = inst.departure_matrix
+    else:
+        mat = np.array([t.departure.rate(dom) for t in inst.types])
     return dom, np.array([x.weights for x in policy.distributions]), mat
 
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gigopt
@@ -638,6 +639,18 @@ def test_cli_instance_rejects_strings_and_booleans(tmp_path, capsys, where, valu
     doc = _set(instance_to_dict(canonical_instance()), where, value)
     assert main(["fluid-solve", "--instance", _write(tmp_path, "bad.json", doc)]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_cli_rejects_non_finite_departure_rates(tmp_path, capsys):
+    # Quadratic.rate overflows to NaN at r = 1e10; the instance check must catch it
+    doc = {"rewards": [1.0, 1e10], "eps_noisy_mode": True,
+           "types": [{"lambda": 1.0, "departure": {"kind": "quadratic", "alpha": 1e300, "beta": 1e300,
+                                                   "gamma": 0.5}}],
+           "revenue": {"kind": "linear", "alpha": 10.0}}
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["fluid-solve", "--instance", _write(tmp_path, "nan.json", doc)]) == 2
+    assert "type 0: departure probabilities leave [0, 1] on the grid (non-finite values [nan])" \
+        in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("where, value, message", [

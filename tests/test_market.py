@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from gigopt import (
     DegenerateSupply,
@@ -30,8 +30,11 @@ from gigopt import (
     instance_to_dict,
     load_instance,
 )
-from gigopt.experiments import prop5_instance, canonical_instance
-from gigopt.market import _mixture_rate
+from gigopt.experiments import prop5_instance, canonical_instance, prop5_policy
+from gigopt.market import MIN_DEPARTURE_FLOOR, _mixture_rate
+from gigopt.policies import Static, cyclic_steady_state, fluid_trajectory
+from gigopt.sim import SimConfig, simulate
+from gigopt.fluid import optimal_fixed_wage, solve_fluid
 
 
 # --------------------------------------------------------------------------
@@ -237,6 +240,167 @@ def test_instance_validation():
     with pytest.raises(ValueError, match="eps_noisy_mode"):
         MarketInstance(rs, (t,), Newsvendor(100.0, 150.0))
     MarketInstance(rs, (t,), Newsvendor(100.0, 150.0), eps_noisy_mode=True)
+
+
+class _Rates:
+    """A departure that returns fixed rates on a three-reward grid, in or out
+    of range; the built-in families all clamp into [0, 1]."""
+
+    def __init__(self, *values):
+        self.values = values
+
+    def rate(self, r):
+        return np.array(self.values)
+
+
+_G3 = RewardSet((1.0, 2.0, 3.0))
+_NAN = math.nan
+
+
+@pytest.mark.parametrize("rates, mode, message", [
+    # type 0 rises, type 1 leaves [0, 1]: the first failing type is named
+    ([(0.5, 0.6, 0.4), (1.5, 0.5, 0.4)], True, "type 0: departure probabilities increase along the grid"),
+    ([(0.5, 0.4, 0.3), (1.5, 0.5, 0.4)], True, "type 1: departure probabilities leave [0, 1] on the grid"),
+    ([(0.5, 0.4, 0.0), (0.5, 0.6, 0.4)], False,
+     "type 0: departure vanishes at r_max; construct with eps_noisy_mode=True if this is intended"),
+    # within one type: range, then increase, then vanishing
+    ([(0.5, 0.4, 0.3), (-0.1, 0.6, 0.0)], False, "type 1: departure probabilities leave [0, 1] on the grid"),
+    ([(0.5, 0.4, 0.3), (0.5, 0.6, 0.0)], False, "type 1: departure probabilities increase along the grid"),
+    # NaN fails every comparison, so it must not slip through
+    ([(0.5, _NAN, 0.3)], True, "type 0: departure probabilities leave [0, 1] on the grid (non-finite values [nan])"),
+    ([(0.5, 0.4, 0.3), (math.inf, 0.4, -math.inf)], True,
+     "type 1: departure probabilities leave [0, 1] on the grid (non-finite values [inf, -inf])"),
+], ids=["rise_before_range", "second_type_range", "vanish_first", "range_first", "rise_before_vanish",
+        "nan", "inf"])
+def test_departure_table_check_names_the_first_failing_type(rates, mode, message):
+    types = tuple(WorkerType(1.0, _Rates(*r)) for r in rates)
+    with pytest.raises(ValueError) as exc:
+        MarketInstance(_G3, types, LinearRev(10.0), eps_noisy_mode=mode)
+    assert str(exc.value) == message
+
+
+def test_departure_table_check_tolerances():
+    # 1e-9 either side of [0, 1] and rises up to 1e-12 pass, as before
+    inst = MarketInstance(_G3, (WorkerType(1.0, _Rates(1.0 + 5e-10, 1.0 + 5e-10 + 5e-13, -5e-10)),),
+                          LinearRev(10.0), eps_noisy_mode=True)
+    assert inst.departure_matrix.tolist() == [[1.0 + 5e-10, 1.0 + 5e-10 + 5e-13, -5e-10]]
+
+
+def test_instance_rejects_non_finite_departure_rates():
+    # -alpha r^2 and beta r overflow to -inf and inf at r = 1e10; their sum is NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        dep = Quadratic(1e300, 1e300, 0.5)
+        assert np.isnan(dep.rate(np.array([1.0, 1e10]))[1])
+        with pytest.raises(ValueError, match=r"type 0: .* leave \[0, 1\] .*non-finite values \[nan\]"):
+            MarketInstance(RewardSet((1.0, 1e10)), (WorkerType(1.0, dep),), LinearRev(10.0), eps_noisy_mode=True)
+
+
+_DEPARTURES = ["tabulated", "exp_floor", "linear", "quadratic", "eps_noisy"]
+
+
+@st.composite
+def _grid_instances(draw):
+    """Instances of one to three types over every departure family on a
+    random grid; the revenue is immaterial to the departure table."""
+    grid = tuple(sorted(draw(st.lists(st.floats(0.0, 60.0), min_size=2, max_size=12, unique=True))))
+    types = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(_DEPARTURES))
+        if kind == "tabulated":
+            dep = Tabulated(grid, tuple(sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=len(grid),
+                                                             max_size=len(grid))), reverse=True)))
+        elif kind == "exp_floor":
+            dep = ExpFloor(draw(st.floats(0.01, 2.0)), draw(st.floats(0.0, 50.0)))
+        elif kind == "linear":
+            dep = Linear(draw(st.floats(0.0, 0.2)), draw(st.floats(0.0, 2.0)))
+        elif kind == "quadratic":
+            dep = Quadratic(draw(st.floats(0.0, 0.005)), draw(st.floats(-0.05, 0.0)), draw(st.floats(0.0, 1.2)))
+        else:
+            dep = EpsNoisy(draw(st.floats(0.0, 60.0)), draw(st.floats(0.1, 20.0)))
+        types.append(WorkerType(draw(st.floats(0.5, 5.0)), dep))
+    revenue = draw(st.sampled_from([LinearRev(40.0), Power(250.0, 0.5), Log(300.0), Newsvendor(60.0, 20.0)]))
+    return MarketInstance(RewardSet(grid), tuple(types), revenue, eps_noisy_mode=True)
+
+
+@given(_grid_instances())
+def test_departure_table_is_each_rate_on_the_grid(inst):
+    mat = inst.departure_matrix
+    assert mat.shape == (inst.K, len(inst.rewards)) and not mat.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        mat[0, 0] = 0.5
+    grid = np.asarray(inst.rewards.values)
+    for row, t in zip(mat, inst.types):
+        assert row.tobytes() == np.asarray(t.departure.rate(grid), dtype=float).tobytes()
+
+
+@st.composite
+def _on_grid_pay(draw):
+    """An instance and a distribution on its grid with 1 to m support cells."""
+    inst = draw(_grid_instances())
+    m = len(inst.rewards)
+    cells = sorted(draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True)))
+    raw = draw(st.lists(st.floats(0.01, 1.0), min_size=len(cells), max_size=len(cells)))
+    ws = [0.0] * m
+    for c, w in zip(cells, raw):
+        ws[c] = w / math.fsum(raw)
+    ws[cells[-1]] = 0.0
+    ws[cells[-1]] = 1.0 - math.fsum(ws)
+    assume(ws[cells[-1]] >= 0.0)
+    return inst, RewardDistribution.on(inst.rewards, ws)
+
+
+@given(_on_grid_pay())
+def test_fluid_supply_and_profit_match_per_type_expected_departure(case):
+    inst, x = case
+    # the reference: each type's expected_departure, which calls rate on the support
+    lhat = np.array([expected_departure(t, x) for t in inst.types])
+    # the same support as its own domain, off the instance grid
+    off = RewardDistribution(tuple(r for r, _ in x.support()), tuple(w for _, w in x.support()))
+    if (lhat < MIN_DEPARTURE_FLOOR).any():
+        for dist in (x, off):
+            with pytest.raises(DegenerateSupply):
+                fluid_supply(inst, dist)
+        return
+    want = inst.lambdas / lhat
+    total = float(want.sum())
+    rhat = expected_reward(x)
+    for dist in (x, off):
+        assert fluid_supply(inst, dist).tobytes() == want.tobytes()
+    out = fluid_profit(inst, x)
+    assert out.supply_per_type == tuple(float(v) for v in want)
+    assert out.total_supply == total
+    assert out.profit == float(inst.revenue.value(total)) - rhat * total
+
+
+class _Counted:
+    """A departure that counts its rate calls."""
+
+    def __init__(self, departure):
+        self.departure, self.calls = departure, 0
+
+    def rate(self, r):
+        self.calls += 1
+        return self.departure.rate(r)
+
+
+def test_on_grid_readers_never_call_rate_again():
+    # rate runs once per type when the instance is built, and never again
+    # for distributions on its grid: the solver, fluid_profit, the policy
+    # engine and the simulator read the departure table
+    for inst, policy in ((canonical_instance(), None), (prop5_instance(), prop5_policy())):
+        deps = [_Counted(t.departure) for t in inst.types]
+        inst = MarketInstance(inst.rewards, tuple(WorkerType(t.lam, d) for t, d in zip(inst.types, deps)),
+                              inst.revenue, inst.eps_noisy_mode)
+        assert [d.calls for d in deps] == [1] * inst.K
+        out = solve_fluid(inst)
+        optimal_fixed_wage(inst)
+        policy = policy or Static(out.x)
+        fluid_profit(inst, out.x)
+        fluid_trajectory(inst, policy, 20)
+        if len(policy.distributions) > 1:
+            cyclic_steady_state(inst, policy)
+        simulate(inst, policy, SimConfig(theta=1, periods=30, burn_in=10, replications=2, seed=1))
+        assert [d.calls for d in deps] == [1] * inst.K
 
 
 def test_fluid_supply_single_type():

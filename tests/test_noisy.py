@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from gigopt.fluid import solve_fluid_many
 from gigopt.experiments import double_threshold_instance, noisy_newsvendor_instance, noisy_sqrt_instance
 from gigopt.market import (
     MIN_DEPARTURE_FLOOR,
@@ -28,6 +29,7 @@ from gigopt.noisy import (
     GridMismatch,
     InvalidRegime,
     MetricCurve,
+    Metrics,
     NoisyInstance,
     detect_double_threshold,
     load_noisy,
@@ -260,6 +262,29 @@ def test_noisy_metrics_match_the_separate_computations(case):
             noisy_metrics(noisy, x)
         return
     assert tuple(noisy_metrics(noisy, x)) == want
+
+
+@pytest.mark.parametrize("noisy", [double_threshold_instance(25.0), double_threshold_instance(75.0), _TWO_TYPES,
+                                   _TIE], ids=["cap25", "cap75", "two_types", "tie"])
+def test_surplus_curve_levels_score_as_noisy_metrics(noisy):
+    # a multi-type level is scored from its winner's supply, which must be
+    # the supply noisy_metrics computes afresh from the winner's distribution
+    eps = EPS_GRID[::4]
+    curve = surplus_curve(noisy, eps)
+    ats = [noisy.with_epsilon(e) for e in eps]
+    outs = solve_fluid_many([market_instance(at) for at in ats])
+    for k, (at, out) in enumerate(zip(ats, outs)):
+        assert tuple(getattr(curve, f)[k] for f in Metrics._fields) == tuple(noisy_metrics(at, out.x))
+
+
+def test_surplus_curve_evaluates_each_rate_once_per_level(monkeypatch):
+    calls = []
+    rate = EpsNoisy.rate
+    monkeypatch.setattr(EpsNoisy, "rate", lambda self, r: calls.append(self) or rate(self, r))
+    noisy = double_threshold_instance(75.0)
+    surplus_curve(noisy, EPS_GRID[:10])
+    # one call per type and level, when the level's instance builds its table
+    assert len(calls) == noisy.K * 10
 
 
 def test_mhr_like_check():
