@@ -65,6 +65,14 @@ bounds of the slices it keeps, kept x _BOUND_PIECES floats: 144 KB on the
 power variant, about 255 KB for the 50 noise levels of a 3-type
 noisy-entry curve.
 
+The brute-force oracle, the independent check of the two-support theorem,
+scores every weight vector with denominator G on instances of at most 5
+rewards. It streams the grid one block of compositions at a time (all those
+with the same first part), holding at most two blocks, so its memory is that
+of the largest block, C(G + m - 2, m - 2) rows, not of the C(G + m - 1, m - 1)
+grid points. Each point's rates are summed part by part, never by a matrix
+product, so a point's profit does not depend on the block it is scored in.
+
 The budgeted variant (maximize supply subject to an expected-pay budget)
 reuses the same slices, whose cost and supply both rise with the weight on
 the higher reward: each slice's optimum is its largest weight within
@@ -613,71 +621,135 @@ def _shifted_rows(C: np.ndarray, G: int) -> np.ndarray:
     return at
 
 
-def _grid_profits(inst: MarketInstance, X: np.ndarray):
-    """Vectorized profit over rows of weight matrix X; returns (profit, rhat,
-    feasible mask) where infeasible rows have some mixture rate below the
-    floor."""
+def _point_profits(inst: MarketInstance, parts: list):
+    """(profit, rhat, feasible mask) of grid points, row by row: parts[j] is
+    the weight on reward j, a float shared by every row or an array with one
+    weight per row. Each type's mixture rate is summed part by part from
+    part 0, x_0 * l(r_0) + x_1 * l(r_1) + ..., and so is the expected reward;
+    the supply is summed type by type. Every row gets the same bits whatever
+    the array's length, which a matrix product (its kernel chosen by shape)
+    does not promise. A row is infeasible when some mixture rate is below
+    the floor."""
     mat = inst.departure_matrix
-    lhat = X @ mat.T
-    mask = (lhat >= MIN_DEPARTURE_FLOOR).all(axis=1)
-    safe = np.maximum(lhat, MIN_DEPARTURE_FLOOR)
-    n = (inst.lambdas[None, :] / safe).sum(axis=1)
-    rhat = X @ np.asarray(inst.rewards.values)
-    profit = np.asarray(inst.revenue.value(n)) - rhat * n
-    return profit, rhat, mask
+    vals = inst.rewards.values
+    ok = True
+    total = 0.0
+    for k, lam in enumerate(inst.lambdas.tolist()):
+        lhat = parts[0] * mat[k, 0]
+        for j in range(1, len(parts)):
+            lhat = lhat + parts[j] * mat[k, j]
+        ok = ok & (lhat >= MIN_DEPARTURE_FLOOR)
+        total = total + lam / np.maximum(lhat, MIN_DEPARTURE_FLOOR)
+    rhat = parts[0] * vals[0]
+    for j in range(1, len(parts)):
+        rhat = rhat + parts[j] * vals[j]
+    profit = np.asarray(inst.revenue.value(total)) - rhat * total
+    return profit, rhat, ok
 
 
-def _oracle_grid(inst: MarketInstance, grid_resolution: int):
-    """(G, compositions C, profit, rhat, feasible mask) over all weight
-    vectors C / G: one enumeration and one profit pass, which the oracle and
-    the Lipschitz bound share. Guarded to at most 5 rewards and G <= 100."""
-    G = int(grid_resolution)
+def _resolution(inst: MarketInstance, grid_resolution) -> int:
+    """G as an int. ValueError unless it is an integral number (a bool is
+    not); TooLarge outside the guard: at most 5 rewards and 1 <= G <= 100."""
+    try:
+        G = int(grid_resolution)
+        integral = not isinstance(grid_resolution, (bool, np.bool_)) and G == grid_resolution
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:
+        raise ValueError(f"oracle grid resolution must be an integer, got {grid_resolution!r}")
     m = len(inst.rewards)
     if m > 5 or G > 100 or G < 1:
         raise TooLarge(f"oracle limited to |rewards| <= 5 and 1 <= G <= 100, got m={m}, G={G}")
-    C = _compositions(m, G)
-    return (G, C, *_grid_profits(inst, C.astype(float) / G))
+    return G
 
 
-def _grid_best(inst: MarketInstance, grid) -> FluidOutcome:
-    """brute_force_oracle on an _oracle_grid."""
-    G, C, profit, rhat, mask = grid
-    profit = np.where(mask, profit, -np.inf)
-    p_max = profit.max()
-    if not np.isfinite(p_max):
+def _oracle_pass(inst: MarketInstance, grid_resolution) -> tuple[FluidOutcome | None, float]:
+    """(brute_force_oracle's outcome, or None when no grid point is
+    non-degenerate; objective_lipschitz) from one streamed pass.
+
+    The compositions of G into m parts are scored one block at a time, block
+    a holding those whose first part is a: a contiguous run of the
+    lexicographic order, a followed by each composition of G - a into m - 1
+    parts. Those are the last C(G - a + m - 2, m - 2) rows of the (m - 1)-part
+    compositions of G with a taken off their first part, so one parts-major
+    copy of block 0 serves every block.
+
+    Best point: each block's best non-degenerate row (highest profit, then
+    lowest expected reward, then first) replaces the incumbent only when its
+    profit is strictly higher, or equal with a strictly lower expected
+    reward; so the pick is the whole grid's first best point.
+
+    Lipschitz pairs: a row (a, d_1, ...) with a >= 1 shifts to (a - 1,
+    d_1 + 1, ...), and the rows of block a shift, in order, onto the last
+    |block a| rows of block a - 1. Block 0 shifts within itself, along the
+    (m - 1)-part grid's own shifts, except its row 0, (0, ..., 0, G), which
+    wraps to block 1's row 0. So only two blocks are held at a time, and
+    memory is O(C(G + m - 2, m - 2)), block 0's size.
+    """
+    G = _resolution(inst, grid_resolution)
+    m = len(inst.rewards)  # a reward set has at least two rewards
+    head = _compositions(m - 1, G)
+    shift = _shifted_rows(head, G)[1:]  # block 0's rows 1..: their shifted rows
+    head = np.ascontiguousarray(head.T)  # parts-major
+    rest = head[1:] / G  # parts 2.. of every block are tail slices of these
+    n0 = head.shape[1]
+    best = None  # (profit, rhat, composition)
+    nan = False
+    lip = None
+    for a in range(G + 1):
+        start = n0 - math.comb(G - a + m - 2, m - 2)
+        profit, rhat, ok = _point_profits(inst, [a / G, (head[0, start:] - a) / G, *rest[:, start:]])
+        masked = np.where(ok, profit, -np.inf)
+        top = float(masked.max())
+        nan |= math.isnan(top)
+        if top > -math.inf and (best is None or top >= best[0]):
+            tied = np.flatnonzero(masked == top)
+            i = int(tied[np.argmin(rhat[tied])])
+            if best is None or top > best[0] or rhat[i] < best[1]:
+                best = (top, float(rhat[i]), np.concatenate(([a, head[0, start + i] - a], head[1:, start + i])))
+        if a == 0:
+            pairs = [(profit[1:], ok[1:], profit[shift], ok[shift])]
+            corner = profit[:1], ok[:1]
+        else:
+            n = len(profit)
+            pairs = [(profit, ok, prev[0][-n:], prev[1][-n:])]
+            if a == 1:
+                pairs.append((*corner, profit[:1], ok[:1]))
+        for p0, ok0, p1, ok1 in pairs:
+            both = ok0 & ok1
+            if both.any():
+                d = np.abs(p1[both] - p0[both]).max()
+                lip = d if lip is None else np.maximum(lip, d)
+        prev = profit, ok
+    if nan or best is None or not math.isfinite(best[0]):
+        outcome = None
+    else:
+        outcome = fluid_profit(inst, RewardDistribution.on(inst.rewards, best[2].astype(float) / G))
+    return outcome, (0.0 if lip is None else float(lip * (G / 2.0)))
+
+
+def _found(outcome: FluidOutcome | None) -> FluidOutcome:
+    if outcome is None:
         raise DegenerateSupply("every grid point is degenerate")
-    tied = np.flatnonzero(profit == p_max)
-    best = tied[np.argmin(rhat[tied])]
-    x = RewardDistribution.on(inst.rewards, C[best].astype(float) / G)
-    return fluid_profit(inst, x)
-
-
-def _grid_lipschitz(inst: MarketInstance, grid) -> float:
-    """objective_lipschitz on an _oracle_grid. A shifted composition is
-    itself a composition of G, so its profit and mask are read from the
-    grid's own pass at its row."""
-    G, C, p0, _, ok0 = grid
-    at = _shifted_rows(C, G)
-    p1 = p0[at]
-    ok = ok0 & ok0[at]
-    if not ok.any():
-        return 0.0
-    return float(np.abs(p1[ok] - p0[ok]).max() * (G / 2.0))
+    return outcome
 
 
 def _oracle_with_lipschitz(inst: MarketInstance, grid_resolution: int) -> tuple[FluidOutcome, float]:
-    """brute_force_oracle and objective_lipschitz from one grid enumeration."""
-    grid = _oracle_grid(inst, grid_resolution)
-    return _grid_best(inst, grid), _grid_lipschitz(inst, grid)
+    """brute_force_oracle and objective_lipschitz from one streamed pass."""
+    outcome, lip = _oracle_pass(inst, grid_resolution)
+    return _found(outcome), lip
 
 
 def brute_force_oracle(inst: MarketInstance, grid_resolution: int) -> FluidOutcome:
     """Exhaustive search over all weight vectors with denominator G.
 
-    Guarded to small instances: at most 5 rewards and G <= 100. Ties resolve
-    to the lowest expected reward.
+    Guarded to small instances: at most 5 rewards and G <= 100; ValueError
+    unless G is an integer. Ties resolve to the lowest expected reward, then
+    to the first in lexicographic order. The grid is streamed one block of
+    compositions at a time (see _oracle_pass), so memory grows with
+    C(G + m - 2, m - 2), not with the C(G + m - 1, m - 1) grid points.
     """
-    return _grid_best(inst, _oracle_grid(inst, grid_resolution))
+    return _found(_oracle_pass(inst, grid_resolution)[0])
 
 
 def objective_lipschitz(inst: MarketInstance, grid_resolution: int) -> float:
@@ -686,9 +758,9 @@ def objective_lipschitz(inst: MarketInstance, grid_resolution: int) -> float:
     Max finite difference |profit(x') - profit(x)| / ||x' - x||_1 over unit
     mass transfers from each composition's first occupied bin to the next bin
     (cyclically), restricted to pairs where both points are non-degenerate.
-    Guarded like brute_force_oracle.
+    Guarded like brute_force_oracle, and streamed the same way.
     """
-    return _grid_lipschitz(inst, _oracle_grid(inst, grid_resolution))
+    return _oracle_pass(inst, grid_resolution)[1]
 
 
 # --------------------------------------------------------------------------

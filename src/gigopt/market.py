@@ -408,6 +408,11 @@ class MarketInstance:
         mat.setflags(write=False)
         object.__setattr__(self, "departure_matrix", mat)
 
+    def __reduce__(self):
+        # numpy does not pickle the read-only flag: rebuilding through the
+        # constructor evaluates, checks and freezes the table again
+        return type(self), (self.rewards, self.types, self.revenue, self.eps_noisy_mode)
+
     @property
     def K(self) -> int:
         return len(self.types)

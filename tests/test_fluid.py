@@ -4,6 +4,9 @@ oracle, budgeted supply maximization, support reduction, and lotteries."""
 import dataclasses
 import itertools
 import math
+import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -52,9 +55,7 @@ from gigopt.fluid import (
     SCAN_POINTS,
     _best_outcome,
     _compositions,
-    _grid_profits,
     _live_pairs,
-    _oracle_grid,
     _oracle_with_lipschitz,
     _shifted_rows,
     _slice_bounds,
@@ -714,30 +715,80 @@ def test_compositions_match_combinations_enumeration():
     np.testing.assert_array_equal(_composition_rank(C[pick], 50), pick)
 
 
+def _shift(C):
+    """Reference: each composition with one unit moved from its first
+    nonzero part s to part s + 1, cyclically."""
+    m = C.shape[1]
+    src = np.argmax(C > 0, axis=1)
+    rows = np.arange(len(C))
+    C2 = C.copy()
+    C2[rows, src] -= 1
+    C2[rows, (src + 1) % m] += 1
+    return C2
+
+
 def test_shifted_rows_match_rank_of_every_shifted_composition():
-    # every row of every grid the oracle accepts but m = 5 at G = 100
-    # (4.6 million rows, too large for the suite)
+    # the oracle hands _shifted_rows only its block 0, the (m - 1)-part grid
+    # of G, so m <= 4 up to G = 100 covers every grid it sees
     for m in range(1, 6):
         for G in [*range(1, 31), 50] + ([100] if m < 5 else []):
             C = _compositions(m, G)
-            src = np.argmax(C > 0, axis=1)
-            rows = np.arange(len(C))
-            C2 = C.copy()
-            C2[rows, src] -= 1
-            C2[rows, (src + 1) % m] += 1
-            np.testing.assert_array_equal(_shifted_rows(C, G), _composition_rank(C2, G))
+            np.testing.assert_array_equal(_shifted_rows(C, G), _composition_rank(_shift(C), G))
+
+
+def test_each_block_shifts_onto_the_tail_of_the_block_before():
+    # the streamed oracle's layout: block a (first part a) is a followed by
+    # the last C(G - a + m - 2, m - 2) rows of the (m - 1)-part grid less a on
+    # their first part; its rows shift, in order, onto the last |block a| rows
+    # of block a - 1; block 0 shifts within itself but for (0, ..., 0, G)
+    for m in range(2, 6):
+        for G in range(1, 31):
+            C = _compositions(m, G)
+            head = _compositions(m - 1, G)
+            at = _composition_rank(_shift(C), G)
+            starts = np.searchsorted(C[:, 0], np.arange(G + 2))
+            for a in range(G + 1):
+                lo, hi = starts[a], starts[a + 1]
+                size = math.comb(G - a + m - 2, m - 2)
+                assert hi - lo == size
+                tail = head[len(head) - size:].copy()
+                tail[:, 0] -= a
+                np.testing.assert_array_equal(tail, _compositions(m - 1, G - a))
+                np.testing.assert_array_equal(C[lo:hi], np.column_stack([np.full(size, a), tail]))
+                if a >= 1:
+                    np.testing.assert_array_equal(at[lo:hi], np.arange(lo - size, lo))
+            block0 = at[:starts[1]]
+            assert C[0].tolist() == [0] * (m - 1) + [G] and block0[0] == starts[1]
+            assert (block0[1:] < starts[1]).all()
+            np.testing.assert_array_equal(block0[1:], _shifted_rows(head, G)[1:])
+
+
+def _whole_grid_profits(inst, C, G):
+    """Reference: (profit, rhat, feasible mask) over a whole (n, m) array of
+    compositions of G at once, each mixture rate and the expected reward
+    summed part by part from part 0, the supply type by type."""
+    X = C.T / G
+    mat, vals = inst.departure_matrix, inst.rewards.values
+    ok = np.ones(len(C), dtype=bool)
+    total = np.zeros(len(C))
+    for k, lam in enumerate(inst.lambdas):
+        lhat = X[0] * mat[k, 0]
+        for j in range(1, C.shape[1]):
+            lhat = lhat + X[j] * mat[k, j]
+        ok &= lhat >= MIN_DEPARTURE_FLOOR
+        total = total + lam / np.maximum(lhat, MIN_DEPARTURE_FLOOR)
+    rhat = X[0] * vals[0]
+    for j in range(1, C.shape[1]):
+        rhat = rhat + X[j] * vals[j]
+    return np.asarray(inst.revenue.value(total)) - rhat * total, rhat, ok
 
 
 def _lipschitz_by_second_pass(inst, G):
-    """Reference: a second profit pass over the shifted compositions."""
-    _, C, p0, _, ok0 = _oracle_grid(inst, G)
-    m = C.shape[1]
-    src = np.argmax(C > 0, axis=1)
-    C2 = C.copy()
-    rows = np.arange(len(C))
-    C2[rows, src] -= 1
-    C2[rows, (src + 1) % m] += 1
-    p1, _, ok1 = _grid_profits(inst, C2.astype(float) / G)
+    """Reference: a second whole-grid profit pass over the shifted
+    compositions."""
+    C = _compositions_by_combinations(len(inst.rewards), G)
+    p0, _, ok0 = _whole_grid_profits(inst, C, G)
+    p1, _, ok1 = _whole_grid_profits(inst, _shift(C), G)
     ok = ok0 & ok1
     return float(np.abs(p1[ok] - p0[ok]).max() * (G / 2.0)) if ok.any() else 0.0
 
@@ -746,6 +797,95 @@ def _lipschitz_by_second_pass(inst, G):
 @given(_random_instances(max_m=5), st.sampled_from([1, 7, 20]))
 def test_lipschitz_rank_lookup_matches_second_pass(inst, G):
     assert objective_lipschitz(inst, G) == _lipschitz_by_second_pass(inst, G)
+
+
+def _first_best(profit, rhat, ok):
+    """Reference: the oracle's tie rule by a plain loop over the rows: the
+    highest profit among the feasible rows, then the lowest expected reward,
+    then the first row; None when no row is feasible."""
+    pick = None
+    for n in np.flatnonzero(ok).tolist():
+        if pick is None or profit[n] > profit[pick] or (profit[n] == profit[pick] and rhat[n] < rhat[pick]):
+            pick = n
+    return pick
+
+
+@settings(deadline=None, max_examples=60)
+@given(_random_instances(max_m=5), st.sampled_from([1, 2, 7, 20]))
+def test_streamed_oracle_matches_whole_grid_pass(inst, G):
+    C = _compositions_by_combinations(len(inst.rewards), G)
+    profit, rhat, ok = _whole_grid_profits(inst, C, G)
+    pick = _first_best(profit, rhat, ok)
+    lip = _lipschitz_by_second_pass(inst, G)
+    # every block's rows get the whole grid's bits, in order
+    blocks = []
+    score = fluid._point_profits
+
+    def spy(*args):
+        blocks.append(score(*args))
+        return blocks[-1]
+
+    with mock.patch.object(fluid, "_point_profits", spy):
+        got = fluid._oracle_pass(inst, G)
+    for n, want in enumerate((profit, rhat, ok)):
+        assert np.concatenate([b[n] for b in blocks]).tobytes() == want.tobytes()
+    if pick is None:
+        assert got == (None, lip)
+        with pytest.raises(DegenerateSupply, match="every grid point is degenerate"):
+            _oracle_with_lipschitz(inst, G)
+        assert objective_lipschitz(inst, G) == lip
+    else:
+        best = fluid_profit(inst, RewardDistribution.on(inst.rewards, C[pick] / G))
+        assert got == (best, lip) and _oracle_with_lipschitz(inst, G) == (best, lip)
+
+
+def _coarse_profits(inst, parts):
+    """Stand-in scores with many exact ties, within blocks and across them:
+    the best profit is taken in every block, the expected reward steps down
+    as the first part grows, so ties on both fall across blocks too, and
+    points with a large second part are degenerate."""
+    x = np.broadcast_arrays(*parts)
+    profit = -np.floor(2.0 * x[-1]) - 0.25 * np.floor(3.0 * x[1])
+    rhat = np.floor(2.0 * (1.0 - x[0]))
+    return profit, rhat, x[1] < 0.8
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@pytest.mark.parametrize("G", [1, 4, 7, 12])
+def test_streamed_pick_and_lipschitz_under_ties(m, G):
+    # the running best keeps the whole grid's first best point and the
+    # Lipschitz pairs are the whole grid's, whatever the scores
+    inst = _tab_instance(tuple(float(r) for r in range(m)), tuple(1.0 - 0.2 * r for r in range(m)))
+    C = _compositions_by_combinations(m, G)
+    profit, rhat, ok = _coarse_profits(inst, list(C.T / G))
+    pick = _first_best(profit, rhat, ok)
+    p1, _, ok1 = _coarse_profits(inst, list(_shift(C).T / G))
+    both = ok & ok1
+    lip = float(np.abs(p1[both] - profit[both]).max() * (G / 2.0)) if both.any() else 0.0
+    with mock.patch.object(fluid, "_point_profits", _coarse_profits):
+        best, got = fluid._oracle_pass(inst, G)
+    assert got == lip
+    assert best.x.weights == tuple(C[pick] / G)
+
+
+# the benchmark's fluid-solve --oracle market: two types on five rewards
+_ORACLE_5 = MarketInstance(
+    RewardSet((15.0, 26.0, 37.0, 48.0, 60.0)),
+    (WorkerType(6.0, Tabulated((15.0, 26.0, 37.0, 48.0, 60.0), (0.9, 0.6, 0.45, 0.3, 0.2))),
+     WorkerType(4.0, Tabulated((15.0, 26.0, 37.0, 48.0, 60.0), (1.0, 0.8, 0.35, 0.25, 0.1)))),
+    Newsvendor(100.0, 60.0),
+)
+
+
+def test_oracle_memory_stays_within_a_block():
+    # m = 5 at G = 60 has 635 376 grid points; block 0 has 39 711 rows
+    tracemalloc.start()
+    try:
+        _oracle_with_lipschitz(_ORACLE_5, 60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_solver_matches_oracle_on_small_instances():
@@ -802,6 +942,20 @@ def test_oracle_and_lipschitz_share_one_grid():
         assert _oracle_with_lipschitz(small, G) == (brute_force_oracle(small, G), objective_lipschitz(small, G))
     with pytest.raises(TooLarge):
         _oracle_with_lipschitz(small, 101)
+
+
+@pytest.mark.parametrize("G", [50.7, 1.5, True, False, np.bool_(True), "50", math.nan, math.inf])
+def test_oracle_rejects_a_non_integral_resolution(G):
+    for run in (brute_force_oracle, objective_lipschitz, _oracle_with_lipschitz):
+        with pytest.raises(ValueError, match=re.escape(repr(G))) as exc:
+            run(_ORACLE_5, G)
+        assert type(exc.value) is ValueError
+
+
+def test_oracle_takes_an_integral_resolution_of_any_type():
+    want = _oracle_with_lipschitz(_ORACLE_5, 7)
+    for G in (7.0, np.int64(7), np.float64(7.0)):
+        assert _oracle_with_lipschitz(_ORACLE_5, G) == want
 
 
 def test_oracle_guards():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -331,6 +332,19 @@ def test_departure_table_is_each_rate_on_the_grid(inst):
     grid = np.asarray(inst.rewards.values)
     for row, t in zip(mat, inst.types):
         assert row.tobytes() == np.asarray(t.departure.rate(grid), dtype=float).tobytes()
+
+
+@given(_grid_instances())
+def test_pickled_instance_is_rebuilt_read_only(inst):
+    inst.lambdas  # a cached copy must not travel writeable either
+    back = pickle.loads(pickle.dumps(inst))
+    assert back == inst and back.eps_noisy_mode == inst.eps_noisy_mode
+    for name in ("departure_matrix", "lambdas"):
+        got, want = getattr(back, name), getattr(inst, name)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            got.flat[0] = 0.5
 
 
 @st.composite
