@@ -35,7 +35,6 @@ from .policies import (
     Cyclic,
     Policy,
     Static,
-    cyclic_profit,
     cyclic_steady_state,
     cyclic_to_static_report,
     fairness_audit,
@@ -130,6 +129,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep_theta(args) -> int:
     thetas = [t for t in args.thetas.split(",") if t.strip()]
+    if not thetas:
+        raise ValueError(f"--thetas needs at least one scale, got {args.thetas!r}")
     rows = _loss_study(load_instance(args.instance), {**vars(args), "thetas": thetas})
     writer = csv.writer(sys.stdout)
     writer.writerow(["policy", "theta", "loss", "se", "reps"])
@@ -149,7 +150,7 @@ def _cmd_cyclic_eval(args) -> int:
         {
             "tau": policy.tau,
             "steady_state": [[float(v) for v in row] for row in states],
-            "profit": cyclic_profit(inst, policy),
+            "profit": report["cyclic_profit"],
             "fairness_eps": report["cyclic_fairness_eps"],
             "anchors": [
                 {

@@ -28,6 +28,8 @@ from .fluid import (
     solve_fluid,
 )
 from .market import (
+    MIN_DEPARTURE_FLOOR,
+    DegenerateSupply,
     ExpFloor,
     Linear,
     LinearRev,
@@ -276,8 +278,12 @@ def float_range(start: float, step: float, stop: float, names: Sequence[str]) ->
     return out
 
 
-def _supply(inst: MarketInstance, x: RewardDistribution) -> float:
-    return inst.types[0].lam / expected_departure(inst.types[0], x)
+def _supply(worker: WorkerType, rate: float, mu: float) -> float:
+    """worker's fluid supply at departure rate `rate` under pay of mean mu, by
+    fluid_supply's rule: a rate below MIN_DEPARTURE_FLOOR raises DegenerateSupply."""
+    if rate < MIN_DEPARTURE_FLOOR:
+        raise DegenerateSupply(f"expected departure vanishes at mu={mu!r}; fluid supply is unbounded")
+    return worker.lam / rate
 
 
 def _run_example1(p: dict) -> dict[str, Panel]:
@@ -286,10 +292,10 @@ def _run_example1(p: dict) -> dict[str, Panel]:
     worker = inst.types[0]
     rows = []
     for mu in float_range(p["mu_lo"], p["mu_step"], p["mu_hi"], ("mu_lo", "mu_step", "mu_hi")):
-        fixed = worker.lam / float(worker.departure.rate(mu))
-        lottery = _supply(inst, lottery_distribution(grid.r_min, mu, p["sigma"]))
-        normal = _supply(inst, normal_policy(mu, p["sigma"], grid))
-        rows.append([mu, fixed, lottery, normal])
+        rates = (float(worker.departure.rate(mu)),  # fixed wage, lottery, normal pay
+                 expected_departure(worker, lottery_distribution(grid.r_min, mu, p["sigma"])),
+                 expected_departure(worker, normal_policy(mu, p["sigma"], grid)))
+        rows.append([mu] + [_supply(worker, rate, mu) for rate in rates])
     return {"data": (["mu", "fixed_wage", "lottery", "normal"], rows)}
 
 
@@ -409,7 +415,7 @@ def _run_normal_variance(p: dict) -> dict[str, Panel]:
         line = [s]
         for mu in p["mus"]:
             x = normal_policy(mu, s, inst.rewards)
-            n = _supply(inst, x)
+            n = _supply(inst.types[0], expected_departure(inst.types[0], x), mu)
             line.append(float(inst.revenue.value(n)) - expected_reward(x) * n)
         rows.append(line)
     return {"data": (header, rows)}

@@ -74,10 +74,11 @@ grid points. Each point's rates are summed part by part, never by a matrix
 product, so a point's profit does not depend on the block it is scored in.
 
 The budgeted variant (maximize supply subject to an expected-pay budget)
-reuses the same slices, whose cost and supply both rise with the weight on
-the higher reward: each slice's optimum is its largest weight within
-budget, found by one batched bisection. Support reduction is the same
-search run on a budget-tight distribution's own support.
+prices the singletons with _score and reuses the slices, whose cost and
+supply rise with the weight on the higher reward: a slice fits the budget
+when its low-end singleton does, and its optimum is its largest weight
+within budget, found by one batched bisection. Support reduction is the
+same search run on a budget-tight distribution's own support.
 """
 
 from __future__ import annotations
@@ -167,11 +168,11 @@ class BudgetedInstance:
     budget: float
 
     def __post_init__(self) -> None:
-        floor_cost = _singleton_cost(self.inst, self.inst.rewards.r_min)
-        if math.isfinite(floor_cost) and self.budget < floor_cost - 1e-9 * max(1.0, abs(floor_cost)):
-            raise ValueError(
-                f"budget {self.budget} cannot cover the bottom-reward cost {floor_cost}"
-            )
+        rates = self.inst.departure_matrix[:, 0]  # r_min is the grid's first column
+        if np.all(rates >= MIN_DEPARTURE_FLOOR):  # else r_min alone is degenerate
+            floor_cost = float(self.inst.rewards.r_min * (self.inst.lambdas / rates).sum())
+            if self.budget < floor_cost - 1e-9 * max(1.0, abs(floor_cost)):
+                raise ValueError(f"budget {self.budget} cannot cover the bottom-reward cost {floor_cost}")
 
 
 class Dispersion(str, Enum):
@@ -342,10 +343,9 @@ def _live_pairs(group: _Group, ii: np.ndarray, jj: np.ndarray):
 
 
 def _solve_slices(pairs: _PairBatch, top: np.ndarray, tol: float,
-                  bounds: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                  bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Slice optimum of every live slice of the batch, top being its
-    admissible maximum weight and bounds its _slice_bounds (computed here
-    when not handed in).
+    admissible maximum weight and bounds its _slice_bounds.
 
     Returns the weight on the higher reward and the profit there. Per slice:
     score the known candidates, the endpoints and (newsvendor revenue) the
@@ -358,8 +358,6 @@ def _solve_slices(pairs: _PairBatch, top: np.ndarray, tol: float,
     n = len(top)
     if n == 0:
         return np.zeros(0), np.zeros(0)
-    if bounds is None:
-        bounds = _slice_bounds(pairs, top)
     step = top / (SCAN_POINTS - 1)  # np.linspace(0, top, SCAN_POINTS), row by row
     zero = np.zeros(n)
     rows = [np.arange(n), np.arange(n)]
@@ -767,16 +765,6 @@ def objective_lipschitz(inst: MarketInstance, grid_resolution: int) -> float:
 # Budgeted supply maximization
 
 
-def _singleton_cost(inst: MarketInstance, r: float) -> float:
-    """Expected pay per period when everyone receives r; inf when the point
-    mass is degenerate."""
-    j = inst.rewards.index_of(r)
-    rates = inst.departure_matrix[:, j]
-    if np.any(rates < MIN_DEPARTURE_FLOOR):
-        return math.inf
-    return float(r * (inst.lambdas / rates).sum())
-
-
 def solve_supply_opt(b: BudgetedInstance, tol: float = 1e-9) -> FluidOutcome:
     """Maximize total fluid supply subject to expected pay <= budget.
 
@@ -785,21 +773,21 @@ def solve_supply_opt(b: BudgetedInstance, tol: float = 1e-9) -> FluidOutcome:
     is the largest admissible weight whose cost stays within budget (found by
     bisection when the budget binds).
     """
-    inst, B = b.inst, b.budget
+    B = b.budget
     slack = tol * max(1.0, abs(B))
-    fits = [k for k, r in enumerate(inst.rewards) if _singleton_cost(inst, r) <= B + slack]
-    single = np.array(fits, dtype=np.intp)
-    group = _Group([inst])
+    group = _Group([b.inst])
+    single, point = np.arange(len(group.vals)), np.zeros(len(group.vals))
+    _, total, rhat, _ = _score(group, single, single, point)
+    fits = rhat * total <= B + slack  # _best_outcome drops the degenerate ones
     ii, jj = group.pairs()
     live, pairs, top = _live_pairs(group, ii, jj)
-    zero = np.zeros(len(live))
-    y = np.where(pairs.cost(top) <= B + slack, top, _bisect_up(pairs.cost, B, zero, top))
-    pick = (pairs.cost(zero) <= B + slack) & _interior(y)
+    y = np.where(pairs.cost(top) <= B + slack, top, _bisect_up(pairs.cost, B, np.zeros(len(live)), top))
+    pick = fits[ii[live]] & _interior(y)  # a slice fits if its low end does
     return _best_outcome(
         group,
-        np.concatenate([single, ii[live][pick]]),
-        np.concatenate([single, jj[live][pick]]),
-        np.concatenate([np.zeros(len(single)), y[pick]]),
+        np.concatenate([single[fits], ii[live][pick]]),
+        np.concatenate([single[fits], jj[live][pick]]),
+        np.concatenate([point[fits], y[pick]]),
         by="supply",
         degenerate="no feasible non-degenerate distribution",
     )[0]

@@ -6,9 +6,9 @@ Periods are 1-based everywhere; the population in period t is the survivors
 of period t-1 plus the period-t arrivals, and the payment drawn in period t
 applies to that whole population. The rule for which distribution a policy
 pays in period t lives here only, in period_index; the simulator reads it too.
-Mixture departure rates are built once per distribution (_rate_rows), never
-per period, from the instance's departure table when the distribution is on
-its grid.
+Mixture departure rates and expected rewards are built once per
+distribution (_rate_rows), never per period, from the instance's departure
+table when the distribution is on its grid; the simulator reads them too.
 """
 
 from __future__ import annotations

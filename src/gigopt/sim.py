@@ -8,6 +8,10 @@ post-arrival population of every period; occupancy_samples reads its total
 in period burn_in + 1 under a static policy. Scales whose expected occupancy
 could overflow int64 are rejected.
 
+Expected pay, the occupancy bound and default_burn_in's fallback read the
+policy engine's mixture rates and expected rewards (policies._rate_rows), the
+bits fluid_trajectory reads; only the draws read weights and cell rates.
+
 Cells that no distribution of the policy pays are never drawn: numpy's
 binomial spends no randomness on a draw with n = 0 or p = 0, and its
 multinomial hands the last cell the remainder without a draw, so dropping
@@ -31,7 +35,7 @@ import numpy as np
 
 from .fluid import solve_fluid
 from .market import MarketInstance, RewardDistribution
-from .policies import Policy, Static, period_index
+from .policies import Policy, Static, _rate_rows, period_index
 
 __all__ = [
     "ConfigError",
@@ -96,9 +100,10 @@ class SimResult:
 
 def _policy_rows(inst: MarketInstance, policy: Policy):
     """Shared reward domain, one weight row per entry of policy.distributions,
-    and the (K, m) departure probabilities of every type on that domain."""
+    the (K, m) departure probabilities of every type on that domain, and
+    _rate_rows' (D, K) mixture rates and (D,) expected rewards."""
     try:
-        period_index(policy, 1)
+        rates, rhats = _rate_rows(inst, policy)
     except TypeError as exc:
         raise ConfigError(f"{exc}; evaluate it with the policy engine") from None
     rewards = policy.distributions[0].rewards
@@ -107,7 +112,7 @@ def _policy_rows(inst: MarketInstance, policy: Policy):
         mat = inst.departure_matrix
     else:
         mat = np.array([t.departure.rate(dom) for t in inst.types])
-    return dom, np.array([x.weights for x in policy.distributions]), mat
+    return dom, np.array([x.weights for x in policy.distributions]), mat, rates, rhats
 
 
 def _steps(inst: MarketInstance, policy: Policy, theta: int, R: int, periods: int, seed: int, realized: bool):
@@ -115,13 +120,12 @@ def _steps(inst: MarketInstance, policy: Policy, theta: int, R: int, periods: in
     period's post-arrival state before the departures leave: (n, arrivals,
     departures, rhat, paid), with rhat the expected pay per worker and paid
     the drawn pay per replication (None unless realized)."""
-    rewards, rows, mat = _policy_rows(inst, policy)
+    rewards, rows, mat, rates, rhats = _policy_rows(inst, policy)
     # a worker stays at most periods, and on average at most 1 / (slowest rate)
-    stay = 1.0 / np.maximum((rows @ mat.T).min(axis=0), 1.0 / periods)
+    stay = 1.0 / np.maximum(rates.min(axis=0), 1.0 / periods)
     if theta * float(inst.lambdas @ stay) > 2.0**62:
         raise ConfigError(f"theta {theta} lets the expected occupancy overflow int64")
     K, lam = inst.K, inst.lambdas * theta
-    rhat_rows = rows @ rewards
     # draw only the cells some distribution pays, and always the last one
     paid_cells = (rows > 0.0).any(axis=0)
     paid_cells[-1] = True
@@ -139,7 +143,7 @@ def _steps(inst: MarketInstance, policy: Policy, theta: int, R: int, periods: in
             departures[:, i] = rng.binomial(cells, mat[i]).sum(axis=1)
             if paid is not None:
                 paid += cells @ rewards
-        yield n, arrivals, departures, rhat_rows[k], paid
+        yield n, arrivals, departures, rhats[k], paid
         n -= departures
 
 
@@ -152,8 +156,7 @@ def default_burn_in(inst: MarketInstance, policy: Policy) -> int:
     """
     rate = float(inst.departure_matrix[:, -1].min())
     if rate < 1e-9:
-        _, rows, mat = _policy_rows(inst, policy)
-        rate = float((rows @ mat.T).min())
+        rate = float(_policy_rows(inst, policy)[3].min())  # the mixture rates
     if rate < 1e-9:
         raise ConfigError("policy never mixes: some type would sit forever")
     return math.ceil(10.0 / rate)

@@ -419,6 +419,28 @@ def test_cli_sweep_theta_rejects_non_finite_moments(canon_file, capsys, argv, na
     assert f"{name} must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("thetas", ["", ",,", " , "])
+def test_cli_sweep_theta_rejects_an_empty_scale_list(canon_file, capsys, thetas):
+    rc = main(["sweep-theta", "--instance", canon_file, "--thetas", thetas])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "--thetas needs at least one scale" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, mu", [
+    (["fig_normal_variance", "--set", "mus=60"], "60"),
+    (["example1", "--set", "mu_lo=20000", "--set", "mu_hi=20001"], "20000.0"),
+])
+def test_cli_reproduce_vanishing_departure_exits_2(tmp_path, capsys, argv, mu):
+    # the type never departs at that pay: fluid supply is unbounded, as
+    # fluid_supply reports, not a division by zero
+    assert main(["reproduce", *argv, "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert f"expected departure vanishes at mu={mu}" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_cli_reproduce_rejects_non_finite_sigma(tmp_path, capsys):
     rc = main(["reproduce", "fig_additive_loss", "--set", "sigma=nan", "--out", str(tmp_path)])
     assert rc == 2

@@ -83,7 +83,7 @@ def _pair(inst, r_low, r_high):
     live, pairs, top = _live_pairs(fluid._Group([inst]), ii, jj)
     if len(live) == 0:
         return None
-    y, p = _solve_slices(pairs, top, REFINE_TOL)
+    y, p = _solve_slices(pairs, top, REFINE_TOL, _slice_bounds(pairs, top))
     return float(y[0]), float(p[0])
 
 
@@ -304,7 +304,7 @@ def test_pair_kernel_matches_scalar_reference(inst):
     vals = inst.rewards.values
     ii, jj = (np.array(v) for v in zip(*itertools.combinations(range(len(vals)), 2)))
     live, pairs, top = _live_pairs(fluid._Group([inst]), ii, jj)
-    ys, ps = _solve_slices(pairs, top, REFINE_TOL)
+    ys, ps = _solve_slices(pairs, top, REFINE_TOL, _slice_bounds(pairs, top))
     got = dict(zip(live.tolist(), zip(ys.tolist(), ps.tolist())))
     for n, (i, j) in enumerate(zip(ii, jj)):
         # a slice missing from the live ones is degenerate throughout
@@ -388,7 +388,7 @@ def test_kernel_inside_solve_fluid_returns_full_scan_bits(insts):
         except DegenerateSupply:
             pass
     for pairs, top, tol, (y, p) in calls:
-        y_alone, p_alone = kernel(pairs, top, tol)
+        y_alone, p_alone = kernel(pairs, top, tol, _slice_bounds(pairs, top))
         assert y.tobytes() == y_alone.tobytes() and p.tobytes() == p_alone.tobytes()
 
 
@@ -581,7 +581,7 @@ def _unpruned_solve(inst):
     degenerate."""
     m = len(inst.rewards)
     ii, jj, live, pairs, top = _all_live_pairs(inst)
-    y, _ = _solve_slices(pairs, top, REFINE_TOL)
+    y, _ = _solve_slices(pairs, top, REFINE_TOL, _slice_bounds(pairs, top))
     inner = (y > 1e-12) & (y < 1.0 - 1e-12)
     single = np.arange(m)
     try:
@@ -604,9 +604,9 @@ def _unpruned_solve(inst):
 @example(power_variant_instance())
 def test_pruned_solve_matches_unpruned_reference(inst):
     ii, jj, live, pairs, top = _all_live_pairs(inst)
-    _, profit = _solve_slices(pairs, top, REFINE_TOL)
-    # the bound holds in the kernel's own arithmetic, with no tolerance
     bounds = _slice_bounds(pairs, top)
+    _, profit = _solve_slices(pairs, top, REFINE_TOL, bounds)
+    # the bound holds in the kernel's own arithmetic, with no tolerance
     assert bounds.shape == (len(top), fluid._BOUND_PIECES)
     assert np.all(bounds.max(axis=1) >= profit)
     want = _unpruned_solve(inst)
@@ -1024,6 +1024,22 @@ def test_supply_opt_monotone_in_budget():
     inst = _budget_instance()
     supplies = [solve_supply_opt(BudgetedInstance(inst, b)).total_supply for b in (300.0, 600.0, 1200.0, 2400.0)]
     assert all(b >= a - 1e-9 for a, b in zip(supplies, supplies[1:]))
+
+
+@settings(deadline=None, max_examples=60)
+@given(_random_instances())
+@example(_budget_instance())
+def test_singleton_scores_price_a_point_mass_like_the_budget_floor(inst):
+    # solve_supply_opt prices each point mass with _score, BudgetedInstance
+    # the bottom reward with r * sum(lambda / l(r)): the same bits, so a
+    # budget of exactly the floor cost keeps the bottom reward feasible
+    single = np.arange(len(inst.rewards))
+    _, total, rhat, ok = fluid._score(fluid._Group([inst]), single, single, np.zeros(len(single)))
+    for k, r in enumerate(inst.rewards):
+        rates = inst.departure_matrix[:, k]
+        assert ok[k] == bool(np.all(rates >= MIN_DEPARTURE_FLOOR))
+        if ok[k]:
+            assert rhat[k] * total[k] == r * float((inst.lambdas / rates).sum())
 
 
 # --------------------------------------------------------------------------

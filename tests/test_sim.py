@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from gigopt import (
@@ -21,12 +21,13 @@ from gigopt import (
     Tabulated,
     Trajectory,
     WorkerType,
+    expected_reward,
     fluid_supply,
     solve_fluid,
 )
 from gigopt import sim
 from gigopt.experiments import canonical_instance, example1_instance
-from gigopt.policies import period_index
+from gigopt.policies import _rate_rows, period_index
 from gigopt.sim import (
     ConfigError,
     SimConfig,
@@ -336,7 +337,7 @@ def _full_width_steps(inst, policy, theta, R, periods, seed, realized):
     rewards = np.asarray(policy.distributions[0].rewards)
     rows = np.array([x.weights for x in policy.distributions])
     mat = np.array([[float(t.departure.rate(r)) for r in rewards] for t in inst.types])
-    K, lam, rhat_rows = inst.K, inst.lambdas * theta, rows @ rewards
+    K, lam, rhat_rows = inst.K, inst.lambdas * theta, _rate_rows(inst, policy)[1]
     rng = np.random.default_rng(seed)
     n = np.zeros((R, K), dtype=np.int64)
     for t in range(1, periods + 1):
@@ -435,3 +436,20 @@ def test_support_only_realized_pay_on_off_integer_grid(policy, seed):
     # a reordered sum of at most 29 float64 products, on pay below 1e4
     np.testing.assert_allclose(res.trace.profit, ref.trace.profit, rtol=0.0, atol=1e-9)
     assert res.mean_profit == pytest.approx(ref.mean_profit, rel=0.0, abs=1e-9)
+
+
+# weight 1/301 on 20 and the rest on 60: with numpy's usual BLAS builds,
+# weights @ rewards rounds this expected reward one ulp away from
+# expected_reward's exact sum
+_DOT_DISAGREES = RewardDistribution.on(
+    _CANON_GRID, [1 / 301 if r == 20.0 else 1 - 1 / 301 if r == 60.0 else 0.0 for r in _CANON_GRID])
+
+
+@settings(deadline=None, max_examples=60)
+@given(policy=_policies(_CANON_GRID))
+@example(policy=Static(_DOT_DISAGREES))
+def test_step_pay_is_the_expected_reward_of_the_period(canon, policy):
+    # the simulator's expected pay is the policy engine's r_hat, bit for bit
+    steps = sim._steps(canon, policy, 1, 2, len(policy.distributions) + 3, 0, False)
+    for t, (_, _, _, rhat, _) in enumerate(steps, 1):
+        assert rhat == expected_reward(policy.distributions[period_index(policy, t)])
