@@ -35,7 +35,6 @@ from .policies import (
     Cyclic,
     Policy,
     Static,
-    cyclic_steady_state,
     cyclic_to_static_report,
     fairness_audit,
 )
@@ -144,12 +143,11 @@ def _cmd_cyclic_eval(args) -> int:
     policy = _load_policy(args.policy, inst)
     if not isinstance(policy, Cyclic):
         raise ValueError("cyclic-eval needs a policy of kind 'cyclic'")
-    states = cyclic_steady_state(inst, policy)
     report = cyclic_to_static_report(inst, policy)
     _print_json(
         {
             "tau": policy.tau,
-            "steady_state": [[float(v) for v in row] for row in states],
+            "steady_state": [[float(v) for v in row] for row in report["steady_state"]],
             "profit": report["cyclic_profit"],
             "fairness_eps": report["cyclic_fairness_eps"],
             "anchors": [

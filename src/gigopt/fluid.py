@@ -782,7 +782,8 @@ def solve_supply_opt(b: BudgetedInstance, tol: float = 1e-9) -> FluidOutcome:
     ii, jj = group.pairs()
     live, pairs, top = _live_pairs(group, ii, jj)
     y = np.where(pairs.cost(top) <= B + slack, top, _bisect_up(pairs.cost, B, np.zeros(len(live)), top))
-    pick = fits[ii[live]] & _interior(y)  # a slice fits if its low end does
+    # a slice whose low end overspends has no root: its cost rises with the weight
+    pick = _interior(y)
     return _best_outcome(
         group,
         np.concatenate([single[fits], ii[live][pick]]),

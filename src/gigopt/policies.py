@@ -9,10 +9,16 @@ pays in period t lives here only, in period_index; the simulator reads it too.
 Mixture departure rates and expected rewards are built once per
 distribution (_rate_rows), never per period, from the instance's departure
 table when the distribution is on its grid; the simulator reads them too.
+
+One pass over a policy's repeating cycle (_cycle) alone decides whether a
+policy mixes; the cyclic closed forms, the fairness audit's default start and
+the simulator's default burn-in fallback read it.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -53,6 +59,21 @@ __all__ = [
     "belief_based_policy",
     "turnover_profit",
 ]
+
+
+# Cap on the entries of one per-period or per-replication table: horizon x
+# types x reward cells here, replications x types or paid cells in the
+# simulator. 10^7 float64 or int64 entries take 80 MB and a run holds a few
+# such tables at once, so a run at the cap still fits a small machine, while
+# the largest table a shipped study builds (1000 replications x 46 cells) is
+# two hundred times smaller.
+_MAX_TABLE = 10**7
+
+
+def _check_table(field: str, n: int, width: int) -> None:
+    """Raise ValueError, naming field, unless an n x width table fits under _MAX_TABLE."""
+    if int(n) * int(width) > _MAX_TABLE:
+        raise ValueError(f"{field} {n} needs {n} x {width} table entries, more than the cap of {_MAX_TABLE}")
 
 
 class NonMixing(ValueError):
@@ -181,6 +202,7 @@ def fluid_trajectory(
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     K = inst.K
+    _check_table("horizon", horizon, K)
     n = np.zeros(K) if n0 is None else np.asarray(n0, dtype=float).copy()
     if n.shape != (K,):
         raise ValueError(f"n0 must have {K} entries")
@@ -199,6 +221,40 @@ def fluid_trajectory(
     )
 
 
+def _cycle(inst: MarketInstance, policy: Policy) -> tuple[np.ndarray, ...]:
+    """(tau, K) mixture rates, (tau,) expected rewards, and each type's mean
+    rate and survival over the policy's repeating cycle: a Static policy's
+    distribution, a Cyclic policy's tau, a Trajectory's tail. Raises NonMixing
+    when a type's mean rate is below 1e-9 (no turnover in 10^9 periods)."""
+    rates, rhats = _rate_rows(inst, policy)
+    start = len(policy.head) if isinstance(policy, Trajectory) else 0
+    rates, rhats = rates[start:], rhats[start:]
+    rate = rates.mean(axis=0)
+    if np.any(rate < 1e-9):
+        raise NonMixing(f"type(s) {np.flatnonzero(rate < 1e-9).tolist()} never depart over the cycle")
+    return rates, rhats, rate, (1.0 - rates).prod(axis=0)
+
+
+def _cyclic(inst: MarketInstance, cyc: Cyclic):
+    """The cycle's rates, steady state (cyclic_steady_state), average profit
+    (cyclic_profit) and each type's experienced distribution."""
+    rates, rhats, _, survival = _cycle(inst, cyc)
+    z = 1.0 - rates
+    run, acc = np.ones_like(z), np.ones_like(z)
+    for d in range(1, cyc.tau):
+        run = run * np.roll(z, d, axis=0)  # row t times z(t - d), wrapping around
+        acc += run
+    states = inst.lambdas * acc / (1.0 - survival)
+    profit, mix = 0.0, np.zeros((inst.K, len(cyc.xs[0].rewards)))
+    for t, x in enumerate(cyc.xs):
+        n = float(states[t].sum())
+        profit += float(inst.revenue.value(n)) - float(rhats[t]) * n
+        mix += states[t][:, None] * x.as_array()
+    mix /= np.array([states[:, i].sum() for i in range(inst.K)])[:, None]
+    hats = [RewardDistribution(cyc.xs[0].rewards, tuple(float(v) for v in row)) for row in mix]
+    return rates, states, profit / cyc.tau, hats
+
+
 def cyclic_steady_state(inst: MarketInstance, cyc: Cyclic) -> np.ndarray:
     """Per-period steady-state populations of a cyclic policy, closed form.
 
@@ -208,33 +264,14 @@ def cyclic_steady_state(inst: MarketInstance, cyc: Cyclic) -> np.ndarray:
                  / (1 - prod_{t'=1}^{tau} z_i(t'))
 
     with z_i(t) = 1 - l_hat_i(x(t)) and wrap-around period indices. Raises
-    NonMixing when some type survives a whole cycle with probability one.
+    NonMixing when some type does not mix over the cycle (see _cycle).
     """
-    z = 1.0 - _rate_rows(inst, cyc)[0]
-    tau, K = z.shape
-    full = z.prod(axis=0)
-    if np.any(full >= 1.0 - 1e-12):
-        bad = np.flatnonzero(full >= 1.0 - 1e-12).tolist()
-        raise NonMixing(f"type(s) {bad} never depart over the cycle")
-    out = np.empty((tau, K))
-    for t in range(tau):
-        acc = np.ones(K)
-        run = np.ones(K)
-        for d in range(1, tau):
-            run = run * z[(t - d) % tau]
-            acc += run
-        out[t] = inst.lambdas * acc / (1.0 - full)
-    return out
+    return _cyclic(inst, cyc)[1]
 
 
 def cyclic_profit(inst: MarketInstance, cyc: Cyclic) -> float:
     """Average per-period steady-state profit of a cyclic policy."""
-    states = cyclic_steady_state(inst, cyc)
-    total = 0.0
-    for t, x in enumerate(cyc.xs):
-        n = float(states[t].sum())
-        total += float(inst.revenue.value(n)) - expected_reward(x) * n
-    return total / cyc.tau
+    return _cyclic(inst, cyc)[2]
 
 
 def experienced_distribution(inst: MarketInstance, cyc: Cyclic, type_index: int) -> RewardDistribution:
@@ -242,48 +279,36 @@ def experienced_distribution(inst: MarketInstance, cyc: Cyclic, type_index: int)
     cycle: the supply-weighted average of the per-period distributions."""
     if not 0 <= type_index < inst.K:
         raise ValueError("type index out of range")
-    states = cyclic_steady_state(inst, cyc)
-    weights = states[:, type_index]
-    mix = np.zeros(len(cyc.xs[0].rewards))
-    for t, x in enumerate(cyc.xs):
-        mix += weights[t] * x.as_array()
-    mix /= weights.sum()
-    return RewardDistribution(cyc.xs[0].rewards, tuple(float(v) for v in mix))
+    return _cyclic(inst, cyc)[3][type_index]
 
 
 def cyclic_to_static_report(inst: MarketInstance, cyc: Cyclic) -> dict:
     """How well anchored static policies replace a cyclic one.
 
-    Reports the cyclic policy's internal unfairness (max pairwise L1 gap of
+    Reports the steady state, the internal unfairness (max pairwise L1 gap of
     experienced distributions), each anchored static's fluid profit, the
     cyclic profit, and a numerically estimated constant c0 such that every
     anchored static is within eps * c0 of the cyclic profit. The constant is
     an estimate: it samples |R'| over the occupied supply range.
     """
-    states = cyclic_steady_state(inst, cyc)
-    hats = [experienced_distribution(inst, cyc, i) for i in range(inst.K)]
-    eps = 0.0
-    for i in range(inst.K):
-        for j in range(i + 1, inst.K):
-            gap = float(np.abs(hats[i].as_array() - hats[j].as_array()).sum())
-            eps = max(eps, gap)
-    cyc_profit = cyclic_profit(inst, cyc)
-    anchors = {}
-    for i, x in enumerate(hats):
-        anchors[i] = {"x": x, "profit": fluid_profit(inst, x).profit}
+    rates, states, cyc_profit, hats = _cyclic(inst, cyc)
+    gaps = (float(np.abs(a.as_array() - b.as_array()).sum()) for a, b in itertools.combinations(hats, 2))
+    eps = max(gaps, default=0.0)
+    anchors = {i: {"x": x, "profit": fluid_profit(inst, x).profit} for i, x in enumerate(hats)}
 
     n_max = inst.max_fluid_supply()
     if math.isfinite(n_max):
         lo = max(1e-9, 0.5 * float(states.sum(axis=1).min()))
         us = np.linspace(lo, n_max, 513)
         c_rev = max(abs(inst.revenue.derivative(float(u), side="left")) for u in us)
-        slope = float((inst.lambdas / float(_rate_rows(inst, cyc)[0].min()) ** 2).max())
+        slope = float((inst.lambdas / float(rates.min()) ** 2).max())
         r_max = inst.rewards.r_max
         c0 = r_max * n_max * inst.K + c_rev * slope * inst.K + r_max * slope * inst.K
     else:
         c0 = math.inf
     worst = max(cyc_profit - anchors[i]["profit"] for i in range(inst.K))
     return {
+        "steady_state": states,
         "cyclic_fairness_eps": eps,
         "cyclic_profit": cyc_profit,
         "anchors": anchors,
@@ -310,7 +335,9 @@ def _payment_streams(
     """Per-type supply weights (T, K) and per-type per-period payment
     distributions (T, K, m), as weight vectors over a shared domain."""
     if isinstance(policy, BeliefBased):
+        _check_table("horizon", horizon, 2 * 3)
         return _belief_streams(policy, horizon)
+    _check_table("horizon", horizon, inst.K * len(policy.distributions[0].rewards))
     traj = fluid_trajectory(inst, policy, horizon, n0)
     rows = np.array([x.as_array() for x in policy.distributions])
     idx = [period_index(policy, t) for t in range(1, horizon + 1)]
@@ -340,10 +367,8 @@ def fairness_audit(
     if not (math.isfinite(delta) and delta >= 0.0):
         raise ValueError(f"delta must be finite and non-negative, got {delta!r}")
     if n0 is None and isinstance(policy, Cyclic):
-        try:
+        with contextlib.suppress(NonMixing):
             n0 = cyclic_steady_state(inst, policy)[0] - inst.lambdas
-        except NonMixing:
-            pass
     supplies, dists = _payment_streams(inst, policy, horizon, n0)
     K = supplies.shape[1]
     gaps = np.zeros((K, K))

@@ -8,9 +8,12 @@ post-arrival population of every period; occupancy_samples reads its total
 in period burn_in + 1 under a static policy. Scales whose expected occupancy
 could overflow int64 are rejected.
 
-Expected pay, the occupancy bound and default_burn_in's fallback read the
-policy engine's mixture rates and expected rewards (policies._rate_rows), the
-bits fluid_trajectory reads; only the draws read weights and cell rates.
+Expected pay and the occupancy bound read the policy engine's mixture rates
+and expected rewards (policies._rate_rows), the bits fluid_trajectory reads;
+only the draws read weights and cell rates. default_burn_in's fallback reads
+the policy engine's cycle rule (policies._cycle), which alone decides whether
+a policy mixes. Tables of replications x types or paid cells are capped like
+the policy engine's per-period tables (policies._check_table).
 
 Cells that no distribution of the policy pays are never drawn: numpy's
 binomial spends no randomness on a draw with n = 0 or p = 0, and its
@@ -35,7 +38,7 @@ import numpy as np
 
 from .fluid import solve_fluid
 from .market import MarketInstance, RewardDistribution
-from .policies import Policy, Static, _rate_rows, period_index
+from .policies import NonMixing, Policy, Static, Trajectory, _check_table, _cycle, _rate_rows, period_index
 
 __all__ = [
     "ConfigError",
@@ -98,29 +101,27 @@ class SimResult:
     trace: SimTrace | None
 
 
-def _policy_rows(inst: MarketInstance, policy: Policy):
-    """Shared reward domain, one weight row per entry of policy.distributions,
-    the (K, m) departure probabilities of every type on that domain, and
-    _rate_rows' (D, K) mixture rates and (D,) expected rewards."""
+def _engine(read, inst: MarketInstance, policy: Policy):
+    """read(inst, policy) from the policy engine, its refusals as ConfigError."""
     try:
-        rates, rhats = _rate_rows(inst, policy)
+        return read(inst, policy)
     except TypeError as exc:
         raise ConfigError(f"{exc}; evaluate it with the policy engine") from None
-    rewards = policy.distributions[0].rewards
-    dom = np.asarray(rewards)
-    if rewards == inst.rewards.values:
-        mat = inst.departure_matrix
-    else:
-        mat = np.array([t.departure.rate(dom) for t in inst.types])
-    return dom, np.array([x.weights for x in policy.distributions]), mat, rates, rhats
+    except NonMixing:
+        raise ConfigError("policy never mixes: some type would sit forever") from None
 
 
 def _steps(inst: MarketInstance, policy: Policy, theta: int, R: int, periods: int, seed: int, realized: bool):
     """The market's period loop over R lockstep replications. Yields each
     period's post-arrival state before the departures leave: (n, arrivals,
     departures, rhat, paid), with rhat the expected pay per worker and paid
-    the drawn pay per replication (None unless realized)."""
-    rewards, rows, mat, rates, rhats = _policy_rows(inst, policy)
+    the drawn pay per replication (None unless realized); the draws read the
+    distributions' weights and the types' rates on their shared domain."""
+    rates, rhats = _engine(_rate_rows, inst, policy)
+    dom = policy.distributions[0].rewards
+    rewards, rows = np.asarray(dom), np.array([x.weights for x in policy.distributions])
+    on_grid = dom == inst.rewards.values
+    mat = inst.departure_matrix if on_grid else np.array([t.departure.rate(rewards) for t in inst.types])
     # a worker stays at most periods, and on average at most 1 / (slowest rate)
     stay = 1.0 / np.maximum(rates.min(axis=0), 1.0 / periods)
     if theta * float(inst.lambdas @ stay) > 2.0**62:
@@ -130,6 +131,7 @@ def _steps(inst: MarketInstance, policy: Policy, theta: int, R: int, periods: in
     paid_cells = (rows > 0.0).any(axis=0)
     paid_cells[-1] = True
     rewards, rows, mat = rewards[paid_cells], rows[:, paid_cells], mat[:, paid_cells]
+    _check_table("replications", R, max(K, len(rewards)))
     rng = np.random.default_rng(seed)
     n = np.zeros((R, K), dtype=np.int64)
     for t in range(1, periods + 1):
@@ -148,18 +150,17 @@ def _steps(inst: MarketInstance, policy: Policy, theta: int, R: int, periods: in
 
 
 def default_burn_in(inst: MarketInstance, policy: Policy) -> int:
-    """Roughly ten mixing times.
+    """Roughly ten mixing times, after a trajectory's head.
 
     Uses the slowest departure rate at the top reward; when a departure
     function vanishes there (flagged instances) it falls back to the slowest
-    mixture rate the policy actually induces.
+    type's mean rate over the policy's repeating cycle (policies._cycle).
     """
     rate = float(inst.departure_matrix[:, -1].min())
     if rate < 1e-9:
-        rate = float(_policy_rows(inst, policy)[3].min())  # the mixture rates
-    if rate < 1e-9:
-        raise ConfigError("policy never mixes: some type would sit forever")
-    return math.ceil(10.0 / rate)
+        rate = float(_engine(_cycle, inst, policy)[2].min())  # the mean rates
+    head = len(policy.head) if isinstance(policy, Trajectory) else 0
+    return head + math.ceil(10.0 / rate)
 
 
 def simulate(inst: MarketInstance, policy: Policy, cfg: SimConfig) -> SimResult:
@@ -171,6 +172,7 @@ def simulate(inst: MarketInstance, policy: Policy, cfg: SimConfig) -> SimResult:
     """
     K, R = inst.K, cfg.replications
     measured = cfg.periods - cfg.burn_in
+    _check_table("replications", R, K)
     profit_acc = np.zeros(R)
     supply_acc = np.zeros((R, K))
     if cfg.record_trace:

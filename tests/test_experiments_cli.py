@@ -28,7 +28,7 @@ from gigopt.experiments import (
     run_experiment,
     canonical_instance,
 )
-from gigopt import cli, experiments, fluid
+from gigopt import cli, experiments, fluid, policies
 from gigopt.cli import _build_parser, main
 from gigopt.market import Newsvendor, Power, instance_to_dict
 from gigopt.noisy import noisy_to_dict
@@ -326,6 +326,63 @@ def test_cli_cyclic_eval(tmp_path, capsys):
     assert doc["c0"] is None  # unbounded supply range: no finite constant
     assert doc["bound_holds"] is True
     assert [a["type"] for a in doc["anchors"]] == [0, 1]
+
+
+def _prop5_files(tmp_path, xs):
+    return (_write(tmp_path, "p5.json", instance_to_dict(prop5_instance())),
+            _write(tmp_path, "cyc.json", {"kind": "cyclic", "xs": xs}))
+
+
+def test_cli_cyclic_eval_reads_the_cycle_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    rate_rows = policies._rate_rows
+    monkeypatch.setattr(policies, "_rate_rows", lambda *a: calls.append(a) or rate_rows(*a))
+    inst, pol = _prop5_files(tmp_path, [[0.0, 1.0], [1.0, 0.0]])
+    assert main(["cyclic-eval", "--instance", inst, "--policy", pol]) == 0
+    assert len(calls) == 1
+
+
+def test_cli_simulates_the_prop5_cycle_with_its_default_burn_in(tmp_path, capsys):
+    inst, pol = _prop5_files(tmp_path, [[0.0, 1.0], [1.0, 0.0]])
+    assert main(["simulate", "--instance", inst, "--policy", pol, "--reps", "4", "--periods", "260"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["burn_in"] == 200  # ten over the slowest type's mean rate, 0.05
+
+
+@pytest.mark.parametrize("command", ["simulate", "cyclic-eval"])
+def test_cli_refuses_a_cycle_that_never_mixes(tmp_path, capsys, command):
+    inst, pol = _prop5_files(tmp_path, [[0.0, 1.0], [0.0, 1.0]])
+    assert main([command, "--instance", inst, "--policy", pol]) == 2
+    err = capsys.readouterr().err
+    assert "never" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--reps", "1000000000", "--burn-in", "0", "--periods", "10"], "replications 1000000000 needs"),
+    (["sweep-theta", "--thetas", "1", "--reps", "100000000"], "replications 100000000 needs"),
+    (["reproduce", "fig_additive_loss", "--reps", "100000000"], "replications 100000000 needs"),
+    (["fairness-audit", "--horizon", "1000000000"], "horizon 1000000000 needs"),
+    (["fairness-audit", "--horizon", "1000000000", "belief"], "horizon 1000000000 needs"),
+], ids=["simulate", "sweep_theta", "reproduce", "fairness_audit", "fairness_audit_belief"])
+def test_cli_oversized_tables_exit_2(tmp_path, argv, message):
+    # each table is refused before it is allocated; in a child process with
+    # a 2 GB address space and a timeout all the same, so an unguarded table
+    # fails the test instead of filling the memory
+    inst, pol = _prop5_files(tmp_path, [[0.0, 1.0], [1.0, 0.0]])
+    if argv[0] == "sweep-theta":
+        argv = argv + ["--instance", _write(tmp_path, "canon.json", instance_to_dict(canonical_instance()))]
+    elif argv[0] == "reproduce":
+        argv = argv + ["--out", str(tmp_path / "out")]
+    elif argv[-1] == "belief":
+        belief = {"kind": "belief_based", "alpha": 3.0, "v1": 1.0, "v2": 1.2, "D": 100.0}
+        argv = argv[:-1] + ["--instance", inst, "--policy", _write(tmp_path, "belief.json", belief)]
+    else:
+        argv = argv + ["--instance", inst, "--policy", pol]
+    env = {**os.environ, "PYTHONPATH": str(Path(gigopt.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "gigopt", *argv], capture_output=True, text=True,
+                          timeout=30, env=env, preexec_fn=_limit_memory)
+    assert proc.returncode == 2
+    assert message in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_cli_cyclic_eval_rejects_static(tmp_path, capsys):

@@ -34,7 +34,7 @@ from gigopt import (
     turnover_profit,
 )
 from gigopt.experiments import canonical_instance, example1_instance, prop5_instance, prop5_policy
-from gigopt.policies import period_index
+from gigopt.policies import _rate_rows, period_index
 
 
 # --------------------------------------------------------------------------
@@ -125,6 +125,17 @@ def test_trajectory_matches_per_period_reference(canon, kind, n0):
     assert traj.tail_average == float(profits[-12:].mean())
 
 
+def test_per_period_tables_are_capped_before_allocation(canon, prop5, prop5_cycle):
+    # 10^10 periods would need hundreds of gigabytes: refused before any
+    # array exists (the belief-based audit's cap is checked in a memory-capped
+    # child process by the CLI tests)
+    with pytest.raises(ValueError, match="horizon 10000000000 needs 10000000000 x 3 table entries"):
+        fluid_trajectory(canon, Static(RewardDistribution.point_mass(canon.rewards, 35.0)), 10**10)
+    # the audit's payment table is horizon x types x reward cells
+    with pytest.raises(ValueError, match="horizon 10000000000 needs 10000000000 x 4"):
+        fairness_audit(prop5, prop5_cycle, tau=2, horizon=10**10)
+
+
 def test_trajectory_rejects_belief_policies(canon):
     with pytest.raises(TypeError, match="belief-based"):
         fluid_trajectory(canon, BeliefBased(3.0, 1.0, 1.2, 100.0), horizon=5)
@@ -205,8 +216,43 @@ def test_cyclic_closed_form_matches_trajectory(tau, lows, mults, data):
     )
 
 
+def _double_loop_steady_state(inst, cyc):
+    """The closed form one period and one lag at a time, as the policy
+    engine computed it before its array form."""
+    z = 1.0 - _rate_rows(inst, cyc)[0]
+    tau, K = z.shape
+    full = z.prod(axis=0)
+    out = np.empty((tau, K))
+    for t in range(tau):
+        acc = np.ones(K)
+        run = np.ones(K)
+        for d in range(1, tau):
+            run = run * z[(t - d) % tau]
+            acc += run
+        out[t] = inst.lambdas * acc / (1.0 - full)
+    return out
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 8), st.integers(1, 4), st.integers(2, 5), st.data())
+def test_cyclic_steady_state_is_the_double_loop_bit_for_bit(tau, K, m, data):
+    rs = RewardSet(tuple(float(5 * k) for k in range(m)))
+    rate = st.floats(min_value=0.05, max_value=1.0)
+    types = tuple(
+        WorkerType(data.draw(st.floats(0.1, 5.0)),
+                   Tabulated(rs.values, tuple(sorted(data.draw(st.lists(rate, min_size=m, max_size=m)), reverse=True))))
+        for _ in range(K)
+    )
+    inst = MarketInstance(rs, types, LinearRev(alpha=2.0))
+    weights = st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m).filter(lambda w: sum(w) > 0.1)
+    rows = [data.draw(weights) for _ in range(tau)]
+    cyc = Cyclic(tuple(RewardDistribution(rs.values, tuple(v / sum(w) for v in w)) for w in rows))
+    assert cyclic_steady_state(inst, cyc).tobytes() == _double_loop_steady_state(inst, cyc).tobytes()
+
+
 def test_cyclic_to_static_report(prop5, prop5_cycle):
     rpt = cyclic_to_static_report(prop5, prop5_cycle)
+    assert rpt["steady_state"].tobytes() == cyclic_steady_state(prop5, prop5_cycle).tobytes()
     assert rpt["cyclic_fairness_eps"] == pytest.approx(34.0 / 195.0, abs=1e-12)
     assert rpt["cyclic_profit"] == pytest.approx(0.79, abs=1e-9)
     for i, anchor in rpt["anchors"].items():

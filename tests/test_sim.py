@@ -15,18 +15,21 @@ from gigopt import (
     Linear,
     LinearRev,
     MarketInstance,
+    NonMixing,
     RewardDistribution,
     RewardSet,
     Static,
     Tabulated,
     Trajectory,
     WorkerType,
+    cyclic_profit,
+    cyclic_steady_state,
     expected_reward,
     fluid_supply,
     solve_fluid,
 )
 from gigopt import sim
-from gigopt.experiments import canonical_instance, example1_instance
+from gigopt.experiments import canonical_instance, example1_instance, prop5_instance, prop5_policy
 from gigopt.policies import _rate_rows, period_index
 from gigopt.sim import (
     ConfigError,
@@ -229,6 +232,45 @@ def test_default_burn_in(canon):
         default_burn_in(canon, top)
 
 
+def test_default_burn_in_of_a_cycle_reads_its_mean_rates(canon):
+    # Proposition 5's cycle: type 0 never leaves while paid r, and leaves at
+    # rate 0.1 while paid 0, so its mean rate over the cycle is 0.05
+    assert default_burn_in(prop5_instance(), prop5_policy()) == 200
+    cyc = Cyclic((solve_fluid(canon).x, RewardDistribution.point_mass(canon.rewards, 42.0)))
+    rates = _rate_rows(canon, cyc)[0]
+    assert default_burn_in(canon, cyc) == math.ceil(10 / min((rates[0] + rates[1]) / 2))
+
+
+def test_default_burn_in_of_a_trajectory_starts_after_its_head(canon):
+    # the head pays the top reward, where two canonical types never leave;
+    # the burn-in counts ten mixing times of the tail from its first period
+    top = RewardDistribution.point_mass(canon.rewards, 60.0)
+    fluid = solve_fluid(canon).x
+    assert default_burn_in(canon, Trajectory(head=(top,) * 500, tail=(fluid,))) == 500 + 194
+    assert default_burn_in(example1_instance(), Trajectory(head=(top,) * 3, tail=(fluid,))) == 3 + 234
+
+
+def test_a_cycle_that_never_mixes_is_refused_by_both_engines():
+    inst = prop5_instance()
+    pay_r = RewardDistribution.point_mass(inst.rewards, 1.0)
+    cyc = Cyclic((pay_r, pay_r))
+    with pytest.raises(ConfigError, match="never mixes"):
+        default_burn_in(inst, cyc)
+    with pytest.raises(NonMixing, match=r"type\(s\) \[0\]"):
+        cyclic_steady_state(inst, cyc)
+
+
+def test_simulated_prop5_cycle_averages_its_cyclic_profit():
+    # linear revenue and expected pay make each period's mean profit exact;
+    # an even number of measured periods covers whole cycles
+    inst, cyc = prop5_instance(), prop5_policy()
+    burn = default_burn_in(inst, cyc)
+    cfg = SimConfig(theta=40, periods=burn + 300, burn_in=burn, replications=20, seed=5)
+    res = simulate(inst, cyc, cfg)
+    assert (cfg.periods - cfg.burn_in) % cyc.tau == 0
+    assert abs(res.mean_profit - cyclic_profit(inst, cyc)) <= 5 * res.std_error
+
+
 def test_realized_cost_agrees_with_expected_cost():
     inst = _fast_instance()
     x = RewardDistribution.two_point(10.0, 30.0, 0.5)
@@ -324,6 +366,22 @@ def test_scale_that_would_overflow_int64_is_rejected(canon):
         simulate(canon, x, SimConfig(theta=10**17, periods=60, burn_in=10, replications=2, seed=1))
     with pytest.raises(ConfigError, match="overflow"):
         occupancy_samples(canon, x.x, theta=10**17, n_samples=2, burn_in=200, seed=1)
+
+
+def test_replication_tables_are_capped_before_allocation(canon):
+    # 10^10 replications would need hundreds of gigabytes: the cap refuses
+    # them before any array exists, so the test needs no memory
+    x = Static(solve_fluid(canon).x)
+    cfg = SimConfig(theta=1, periods=10, burn_in=0, replications=10**10, seed=1)
+    with pytest.raises(ValueError, match="replications 10000000000 needs 10000000000 x 3 table entries"):
+        simulate(canon, x, cfg)
+    # the draws' paid cells count too: all 46 under a uniform lottery
+    uniform = RewardDistribution.on(canon.rewards, [1 / 46] * 46)
+    cfg = SimConfig(theta=1, periods=2, burn_in=0, replications=300_000, seed=1)
+    with pytest.raises(ValueError, match="replications 300000 needs 300000 x 46"):
+        simulate(canon, Static(uniform), cfg)
+    with pytest.raises(ValueError, match="replications 300000 needs 300000 x 46"):
+        occupancy_samples(canon, uniform, theta=1, n_samples=300_000, burn_in=0, seed=1)
 
 
 # --------------------------------------------------------------------------
