@@ -80,7 +80,6 @@ from .sim import (
 from .noisy import (
     AssumptionViolated,
     CrossoverReport,
-    DerivativeVanishes,
     GridMismatch,
     InvalidRegime,
     MetricCurve,
@@ -89,7 +88,6 @@ from .noisy import (
     detect_double_threshold,
     market_instance,
     marginal_surplus,
-    mhr_like_check,
     newsvendor_optimal,
     noisy_metrics,
     optimal_noisy,

@@ -20,7 +20,6 @@ from pathlib import Path
 from .experiments import (
     EXPERIMENT_IDS,
     ExperimentSpec,
-    UnknownExperiment,
     _curve_panel,
     _loss_study,
     experiment_defaults,
@@ -216,11 +215,7 @@ def _cmd_noisy_analyze(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    try:
-        defaults = experiment_defaults(args.id)
-    except UnknownExperiment as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    defaults = experiment_defaults(args.id)
     overrides: dict = {}
     for item in args.set or []:
         if "=" not in item:

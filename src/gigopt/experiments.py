@@ -634,26 +634,28 @@ _REGISTRY: dict[str, _Experiment] = {
 EXPERIMENT_IDS = tuple(sorted(_REGISTRY))
 
 
-def experiment_defaults(experiment_id: str) -> dict:
-    """Default parameter map of one experiment (a copy)."""
+def _lookup(experiment_id: str) -> _Experiment:
+    """The registry entry of one experiment; raises UnknownExperiment."""
     if experiment_id not in _REGISTRY:
         raise UnknownExperiment(
             f"unknown experiment {experiment_id!r}; known: {', '.join(EXPERIMENT_IDS)}"
         )
-    return dict(_REGISTRY[experiment_id].defaults)
+    return _REGISTRY[experiment_id]
+
+
+def experiment_defaults(experiment_id: str) -> dict:
+    """Default parameter map of one experiment (a copy)."""
+    return dict(_lookup(experiment_id).defaults)
 
 
 def _coerce(default, value):
     if isinstance(value, str):
-        if isinstance(default, bool):
-            return value.lower() in ("1", "true", "yes")
         if isinstance(default, int):
             return int(value)
         if isinstance(default, float):
             return float(value)
         if isinstance(default, tuple):
             return tuple(json.loads(f"[{value}]"))
-        return value
     if isinstance(default, tuple) and isinstance(value, (list, tuple)):
         return tuple(value)
     if isinstance(default, float) and isinstance(value, (int, float)):
@@ -756,9 +758,7 @@ def run_experiment(spec: ExperimentSpec, run_checks: bool = False) -> dict:
     Returns the manifest. With run_checks=True the manifest also carries the
     experiment's self-check failures (empty means all held).
     """
-    if spec.id not in _REGISTRY:
-        raise UnknownExperiment(f"unknown experiment {spec.id!r}; known: {', '.join(EXPERIMENT_IDS)}")
-    exp = _REGISTRY[spec.id]
+    exp = _lookup(spec.id)
     params = _resolve_params(exp, spec.overrides)
     out_dir = Path(spec.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

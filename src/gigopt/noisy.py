@@ -45,7 +45,6 @@ from .market import (
 __all__ = [
     "AssumptionViolated",
     "InvalidRegime",
-    "DerivativeVanishes",
     "GridMismatch",
     "NoisyInstance",
     "NoisySolution",
@@ -56,7 +55,6 @@ __all__ = [
     "newsvendor_optimal",
     "noisy_metrics",
     "marginal_surplus",
-    "mhr_like_check",
     "surplus_curve",
     "detect_double_threshold",
     "noisy_from_dict",
@@ -73,10 +71,6 @@ class AssumptionViolated(ValueError):
 
 class InvalidRegime(ValueError):
     """Capacity at or below total arrivals: paying anything is pointless."""
-
-
-class DerivativeVanishes(ValueError):
-    """Marginal-surplus slope is zero somewhere on the requested grid."""
 
 
 class GridMismatch(ValueError):
@@ -294,22 +288,6 @@ def _score(noisy: NoisyInstance, x: RewardDistribution, n: np.ndarray) -> Metric
 def marginal_surplus(revenue: Revenue, v: float, u: float) -> float:
     """Net marginal revenue S(u) = R'(u) - v of one extra retained worker."""
     return float(revenue.derivative(u)) - v
-
-
-def mhr_like_check(revenue: Revenue, v: float, lam: float, grid: Sequence[float]) -> bool:
-    """Whether S/S' is non-decreasing along the grid (tolerance 1e-9)."""
-    us = [float(u) for u in grid]
-    if len(us) < 2:
-        raise ValueError("need at least two grid points")
-    if any(u < lam - 1e-12 for u in us):
-        raise ValueError("grid must not go below the arrival rate")
-    ratios = []
-    for u in us:
-        sp = float(revenue.second_derivative(u))
-        if abs(sp) < 1e-12:
-            raise DerivativeVanishes(f"marginal surplus has zero slope at u = {u!r}")
-        ratios.append(marginal_surplus(revenue, v, u) / sp)
-    return all(b - a >= -1e-9 for a, b in zip(ratios, ratios[1:]))
 
 
 @dataclass(frozen=True)

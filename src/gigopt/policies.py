@@ -13,6 +13,13 @@ table when the distribution is on its grid; the simulator reads them too.
 One pass over a policy's repeating cycle (_cycle) alone decides whether a
 policy mixes; the cyclic closed forms, the fairness audit's default start and
 the simulator's default burn-in fallback read it.
+
+One windowed-mix rule (_window_mixes) builds every experienced distribution,
+each type's supply-weighted mix of its pay over a window of tau periods, for
+all windows in tau array passes over the period offsets; the fairness audit
+and the cyclic experienced distributions read it, and _gaps takes their L1
+gaps. Each denominator is its window's own sum: a running sum over the
+offsets rounds differently.
 """
 
 from __future__ import annotations
@@ -206,6 +213,8 @@ def fluid_trajectory(
     n = np.zeros(K) if n0 is None else np.asarray(n0, dtype=float).copy()
     if n.shape != (K,):
         raise ValueError(f"n0 must have {K} entries")
+    if not (np.isfinite(n).all() and (n >= 0.0).all()):
+        raise ValueError(f"n0 must be finite and non-negative, got {n.tolist()}")
     rates, rhats = _rate_rows(inst, policy)
     supplies, profits = np.empty((horizon, K)), np.empty(horizon)
     for t in range(1, horizon + 1):
@@ -237,7 +246,8 @@ def _cycle(inst: MarketInstance, policy: Policy) -> tuple[np.ndarray, ...]:
 
 def _cyclic(inst: MarketInstance, cyc: Cyclic):
     """The cycle's rates, steady state (cyclic_steady_state), average profit
-    (cyclic_profit) and each type's experienced distribution."""
+    (cyclic_profit), and each type's experienced distribution with the (1, K, m)
+    mix it is built from (one window of the cycle's tau periods)."""
     rates, rhats, _, survival = _cycle(inst, cyc)
     z = 1.0 - rates
     run, acc = np.ones_like(z), np.ones_like(z)
@@ -245,14 +255,13 @@ def _cyclic(inst: MarketInstance, cyc: Cyclic):
         run = run * np.roll(z, d, axis=0)  # row t times z(t - d), wrapping around
         acc += run
     states = inst.lambdas * acc / (1.0 - survival)
-    profit, mix = 0.0, np.zeros((inst.K, len(cyc.xs[0].rewards)))
-    for t, x in enumerate(cyc.xs):
+    profit = 0.0
+    for t in range(cyc.tau):
         n = float(states[t].sum())
         profit += float(inst.revenue.value(n)) - float(rhats[t]) * n
-        mix += states[t][:, None] * x.as_array()
-    mix /= np.array([states[:, i].sum() for i in range(inst.K)])[:, None]
-    hats = [RewardDistribution(cyc.xs[0].rewards, tuple(float(v) for v in row)) for row in mix]
-    return rates, states, profit / cyc.tau, hats
+    mixes = _window_mixes(states, np.array([x.as_array() for x in cyc.xs])[:, None, :], cyc.tau)
+    hats = [RewardDistribution(cyc.xs[0].rewards, tuple(row.tolist())) for row in mixes[0]]
+    return rates, states, profit / cyc.tau, hats, mixes
 
 
 def cyclic_steady_state(inst: MarketInstance, cyc: Cyclic) -> np.ndarray:
@@ -291,9 +300,8 @@ def cyclic_to_static_report(inst: MarketInstance, cyc: Cyclic) -> dict:
     anchored static is within eps * c0 of the cyclic profit. The constant is
     an estimate: it samples |R'| over the occupied supply range.
     """
-    rates, states, cyc_profit, hats = _cyclic(inst, cyc)
-    gaps = (float(np.abs(a.as_array() - b.as_array()).sum()) for a, b in itertools.combinations(hats, 2))
-    eps = max(gaps, default=0.0)
+    rates, states, cyc_profit, hats, mixes = _cyclic(inst, cyc)
+    eps = float(_gaps(mixes).max())
     anchors = {i: {"x": x, "profit": fluid_profit(inst, x).profit} for i, x in enumerate(hats)}
 
     n_max = inst.max_fluid_supply()
@@ -329,19 +337,56 @@ class FairnessReport:
     fair: bool
 
 
+def _window_sums(a: np.ndarray, tau: int) -> np.ndarray:
+    """Each column's sum over every window of tau rows, bit for bit as the 1-D
+    a[s:s + tau, j].sum(): summed over contiguous window copies, at most
+    _MAX_TABLE entries at a time."""
+    windows = np.lib.stride_tricks.sliding_window_view(a, tau, axis=0)
+    out = np.empty(windows.shape[:-1])
+    step = max(1, _MAX_TABLE // windows[0].size)
+    for s in range(0, len(windows), step):
+        out[s:s + step] = np.ascontiguousarray(windows[s:s + step]).sum(axis=-1)
+    return out
+
+
+def _window_mixes(supplies: np.ndarray, dists: np.ndarray, tau: int) -> np.ndarray:
+    """(T - tau + 1, K, m) mixes, one per window of tau periods, from (T, K)
+    supplies and (T, K, m) distributions ((T, 1, m) when all types are paid
+    alike). Numerators add the periods in order, as sum(axis=0) does for m > 1;
+    for one reward cell it sums like the denominators."""
+    den = _window_sums(supplies, tau)[:, :, None]
+    paid = supplies[:, :, None] * dists
+    if paid.shape[2] == 1:
+        return _window_sums(paid, tau) / den
+    num = paid[:len(den)].copy()
+    for d in range(1, tau):
+        num += paid[d:d + len(den)]
+    num /= den
+    return num
+
+
+def _gaps(mixes: np.ndarray) -> np.ndarray:
+    """(K, K) largest L1 gap between two types' (windows, K, m) mixes."""
+    K = mixes.shape[1]
+    gaps = np.zeros((K, K))
+    for i, j in itertools.combinations(range(K), 2):
+        gaps[i, j] = gaps[j, i] = np.abs(mixes[:, i] - mixes[:, j]).sum(axis=1).max()
+    return gaps
+
+
 def _payment_streams(
     inst: MarketInstance, policy: Policy, horizon: int, n0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-type supply weights (T, K) and per-type per-period payment
-    distributions (T, K, m), as weight vectors over a shared domain."""
+    """Per-type supply weights (T, K) and per-period payment distributions,
+    (T, 1, m) shared by all types or (T, K, m), over a shared domain."""
     if isinstance(policy, BeliefBased):
         _check_table("horizon", horizon, 2 * 3)
-        return _belief_streams(policy, horizon)
+        return _belief_dynamics(policy, policy.D / 4.0, policy.D / 2.0, horizon)[1:]
     _check_table("horizon", horizon, inst.K * len(policy.distributions[0].rewards))
     traj = fluid_trajectory(inst, policy, horizon, n0)
     rows = np.array([x.as_array() for x in policy.distributions])
     idx = [period_index(policy, t) for t in range(1, horizon + 1)]
-    return traj.supplies, np.repeat(rows[idx][:, None, :], inst.K, axis=1)
+    return traj.supplies, rows[idx][:, None, :]
 
 
 def fairness_audit(
@@ -359,7 +404,7 @@ def fairness_audit(
     Cyclic policies default to starting at their steady state, where the
     audit is exact; everything else starts from an empty market unless n0
     says otherwise. A belief-based policy is audited in its own two-type
-    market (see _belief_streams), whatever inst's types are. Raises
+    market (see _belief_dynamics), whatever inst's types are. Raises
     ValueError unless delta is finite and non-negative.
     """
     if tau < 1 or horizon < tau:
@@ -369,21 +414,8 @@ def fairness_audit(
     if n0 is None and isinstance(policy, Cyclic):
         with contextlib.suppress(NonMixing):
             n0 = cyclic_steady_state(inst, policy)[0] - inst.lambdas
-    supplies, dists = _payment_streams(inst, policy, horizon, n0)
-    K = supplies.shape[1]
-    gaps = np.zeros((K, K))
-    for start in range(horizon - tau + 1):
-        window = slice(start, start + tau)
-        mixes = []
-        for i in range(K):
-            w = supplies[window, i]
-            mixes.append((w[:, None] * dists[window, i]).sum(axis=0) / w.sum())
-        for i in range(K):
-            for j in range(i + 1, K):
-                gap = float(np.abs(mixes[i] - mixes[j]).sum())
-                if gap > gaps[i, j]:
-                    gaps[i, j] = gaps[j, i] = gap
-    max_gap = float(gaps.max()) if K > 1 else 0.0
+    gaps = _gaps(_window_mixes(*_payment_streams(inst, policy, horizon, n0), tau))
+    max_gap = float(gaps.max())
     return FairnessReport(
         tau=tau,
         delta=delta,
@@ -422,8 +454,8 @@ def _belief_instance(policy: BeliefBased, lambda1: float, lambda2: float) -> Mar
 
 
 def _belief_dynamics(policy: BeliefBased, lambda1: float, lambda2: float, horizon: int):
-    """Population and profit per period, plus per-period per-type payment
-    splits for fairness audits.
+    """Population and profit per period, plus each type's (T, 2) supplies and
+    (T, 2, 3) payment weights over (0, v1, v2) for fairness audits.
 
     Phase 1 pays v1 to everyone until the retained type-1 stock plus fresh
     arrivals covers D; afterwards exactly D - lambda1 - lambda2 retained
@@ -434,35 +466,21 @@ def _belief_dynamics(policy: BeliefBased, lambda1: float, lambda2: float, horizo
     keep = D - lam  # retained stock needed in steady state
     retained = 0.0
     rows = []
-    splits = []  # (weights per type over domain (0, v1, v2)) per period
-    for _ in range(horizon):
-        n = retained + lam
+    supplies, dists = np.empty((horizon, 2)), np.zeros((horizon, 2, 3))
+    for t in range(horizon):
+        n, n1 = retained + lam, retained + lambda1
+        supplies[t] = n1, lambda2
         if n < D - 1e-12:
             # still learning: pay v1 to the whole population
             rows.append((n, alpha * min(n, D) - v1 * n))
-            splits.append((np.array([0.0, 1.0, 0.0]), np.array([0.0, 1.0, 0.0]), n, retained))
-            retained = retained + lambda1  # type-1 workers paid v1 stay
+            dists[t, :, 1] = 1.0
+            retained = n1  # type-1 workers paid v1 stay
         else:
-            paid = keep
-            rows.append((D, alpha * D - v1 * paid))
-            n1 = retained + lambda1
-            w1 = np.array([(n1 - paid) / n1, paid / n1, 0.0])
-            w2 = np.array([1.0, 0.0, 0.0])
-            splits.append((w1, w2, D, retained))
+            rows.append((D, alpha * D - v1 * keep))
+            dists[t, 0] = (n1 - keep) / n1, keep / n1, 0.0
+            dists[t, 1, 0] = 1.0
             retained = keep
-    return rows, splits
-
-
-def _belief_streams(policy: BeliefBased, horizon: int) -> tuple[np.ndarray, np.ndarray]:
-    lambda1, lambda2 = policy.D / 4.0, policy.D / 2.0
-    _, splits = _belief_dynamics(policy, lambda1, lambda2, horizon)
-    supplies = np.empty((horizon, 2))
-    dists = np.empty((horizon, 2, 3))
-    for t, (w1, w2, _, retained) in enumerate(splits):
-        supplies[t, 0] = retained + lambda1
-        supplies[t, 1] = lambda2
-        dists[t] = w1, w2
-    return supplies, dists
+    return rows, supplies, dists
 
 
 def belief_based_policy(
@@ -483,7 +501,7 @@ def belief_based_policy(
     if abs(lambda1 - D / 4.0) > 1e-9 * D or abs(lambda2 - D / 2.0) > 1e-9 * D:
         raise PreconditionViolated("need lambda1 = D/4 and lambda2 = D/2")
     policy = BeliefBased(alpha=alpha, v1=v1, v2=v2, D=D)
-    rows, _ = _belief_dynamics(policy, lambda1, lambda2, horizon=12)
+    rows = _belief_dynamics(policy, lambda1, lambda2, horizon=12)[0]
     profit = rows[-1][1]
     if v2 > v1:
         inst = _belief_instance(policy, lambda1, lambda2)

@@ -548,8 +548,10 @@ def test_cli_parser_is_built_once_and_shared(tmp_path, canon_file, capsys):
 
 
 def test_cli_reproduce(tmp_path, capsys):
-    assert main(["reproduce", "no_such_id", "--out", str(tmp_path / "x")]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert main(["reproduce", "fig_bogus", "--out", str(tmp_path / "x")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: unknown experiment 'fig_bogus'; known: {', '.join(EXPERIMENT_IDS)}\n"
+    assert captured.out == "" and not (tmp_path / "x").exists()
     out = tmp_path / "p4"
     assert main(["reproduce", "prop4_belief", "--out", str(out), "--check"]) == 0
     doc = json.loads(capsys.readouterr().out)

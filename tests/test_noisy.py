@@ -25,7 +25,6 @@ from gigopt.market import (
 )
 from gigopt.noisy import (
     AssumptionViolated,
-    DerivativeVanishes,
     GridMismatch,
     InvalidRegime,
     MetricCurve,
@@ -34,7 +33,6 @@ from gigopt.noisy import (
     detect_double_threshold,
     load_noisy,
     market_instance,
-    mhr_like_check,
     newsvendor_optimal,
     noisy_from_dict,
     noisy_metrics,
@@ -285,16 +283,6 @@ def test_surplus_curve_evaluates_each_rate_once_per_level(monkeypatch):
     surplus_curve(noisy, EPS_GRID[:10])
     # one call per type and level, when the level's instance builds its table
     assert len(calls) == noisy.K * 10
-
-
-def test_mhr_like_check():
-    assert mhr_like_check(Power(c=250.0, beta=0.5), 25.0, 10.0, list(np.linspace(10, 50, 9)))
-    with pytest.raises(DerivativeVanishes):
-        mhr_like_check(LinearRev(alpha=40.0), 25.0, 10.0, [10.0, 20.0])
-    with pytest.raises(ValueError, match="two grid points"):
-        mhr_like_check(Power(c=250.0, beta=0.5), 25.0, 10.0, [10.0])
-    with pytest.raises(ValueError, match="below the arrival rate"):
-        mhr_like_check(Power(c=250.0, beta=0.5), 25.0, 10.0, [5.0, 20.0])
 
 
 # --------------------------------------------------------------------------

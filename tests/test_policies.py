@@ -34,7 +34,8 @@ from gigopt import (
     turnover_profit,
 )
 from gigopt.experiments import canonical_instance, example1_instance, prop5_instance, prop5_policy
-from gigopt.policies import _rate_rows, period_index
+from gigopt import policies
+from gigopt.policies import _gaps, _payment_streams, _rate_rows, _window_mixes, _window_sums, period_index
 
 
 # --------------------------------------------------------------------------
@@ -88,6 +89,16 @@ def test_trajectory_input_validation(canon):
         fluid_trajectory(canon, Static(x), horizon=0)
     with pytest.raises(ValueError, match="entries"):
         fluid_trajectory(canon, Static(x), horizon=5, n0=(1.0,))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -5.0])
+def test_trajectory_rejects_a_start_that_is_not_a_population(prop5, prop5_cycle, bad):
+    # a NaN start once audited as perfectly fair and a negative one ran on a
+    # negative population
+    with pytest.raises(ValueError, match="n0 must be finite and non-negative"):
+        fluid_trajectory(prop5, prop5_cycle, 10, n0=[bad, 0.0])
+    with pytest.raises(ValueError, match="n0"):
+        fairness_audit(prop5, prop5_cycle, 2, 10, n0=[bad, 0.0])
 
 
 def _per_period_trajectory(inst, policy, horizon, n0):
@@ -318,6 +329,88 @@ def test_fairness_validation(prop5, prop5_cycle):
         fairness_audit(prop5, prop5_cycle, tau=0, horizon=10)
     with pytest.raises(ValueError, match="tau"):
         fairness_audit(prop5, prop5_cycle, tau=11, horizon=10)
+
+
+def _per_window_gaps(supplies, dists, tau):
+    """The audit's gap matrix one window and one type pair at a time, as the
+    policy engine computed it before _window_mixes."""
+    horizon, K = supplies.shape
+    gaps = np.zeros((K, K))
+    for start in range(horizon - tau + 1):
+        window = slice(start, start + tau)
+        mixes = []
+        for i in range(K):
+            w = supplies[window, i]
+            mixes.append((w[:, None] * dists[window, i]).sum(axis=0) / w.sum())
+        for i in range(K):
+            for j in range(i + 1, K):
+                gap = float(np.abs(mixes[i] - mixes[j]).sum())
+                if gap > gaps[i, j]:
+                    gaps[i, j] = gaps[j, i] = gap
+    return gaps
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(1, 150), st.data())
+def test_window_mixes_are_the_per_window_loop_bit_for_bit(T, data):
+    tau = data.draw(st.integers(1, T), label="tau")
+    if data.draw(st.booleans(), label="belief"):
+        v1 = data.draw(st.floats(0.1, 5.0), label="v1")
+        pol = BeliefBased(alpha=3.0 * v1, v1=v1, v2=1.2 * v1, D=data.draw(st.floats(1.0, 1e3), label="D"))
+        supplies, dists = _payment_streams(None, pol, T, None)
+    else:
+        # per-type or shared distributions over 1-8 cells, supplies spanning
+        # seven orders of magnitude
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        K, m = data.draw(st.integers(1, 4), label="K"), data.draw(st.integers(1, 8), label="m")
+        supplies = rng.random((T, K)) * 10.0 ** rng.uniform(-3.0, 4.0, size=K) + 1e-3
+        dists = rng.random((T, data.draw(st.sampled_from([1, K]), label="types paid"), m))
+        dists *= rng.random(dists.shape) < 0.7
+        dists[..., -1] += 1e-3
+        dists /= dists.sum(axis=-1, keepdims=True)
+    want = _per_window_gaps(supplies, np.broadcast_to(dists, supplies.shape + dists.shape[2:]), tau)
+    assert _gaps(_window_mixes(supplies, dists, tau)).tobytes() == want.tobytes()
+
+
+def test_window_sums_are_per_column_sums_in_any_block_size(monkeypatch):
+    a = np.random.default_rng(5).random((40, 3)) * 1e3
+    want = np.array([[a[s:s + 9, j].sum() for j in range(3)] for s in range(32)])
+    assert _window_sums(a, 9).tobytes() == want.tobytes()
+    monkeypatch.setattr(policies, "_MAX_TABLE", 60)  # two 3 x 9 windows per block
+    assert _window_sums(a, 9).tobytes() == want.tobytes()
+
+
+def test_experienced_distributions_of_a_random_canonical_cycle(canon):
+    # recorded from the per-period mix loop the windowed-mix rule replaced
+    rng = np.random.default_rng(18)
+    xs = []
+    for _ in range(3):
+        w = np.zeros(len(canon.rewards))
+        w[rng.choice(len(w), size=2, replace=False)] = rng.random(2)
+        xs.append(RewardDistribution.on(canon.rewards, w / w.sum()))
+    cyc = Cyclic(tuple(xs))
+    want = [
+        {3: 0.24502429654300212, 5: 0.14048787232405524, 12: 0.10781336954613754,
+         16: 0.17048821773901246, 26: 0.1424828218123861, 39: 0.19370342203540666},
+        {3: 0.2523557206122256, 5: 0.1413588660013339, 12: 0.10297806949877149,
+         16: 0.17154520690999706, 26: 0.14674608061579572, 39: 0.18501605636187624},
+        {3: 0.25592879407100544, 5: 0.14066784562346718, 12: 0.10150444148534972,
+         16: 0.1707066232607829, 26: 0.14882384023446502, 39: 0.18236845532492985},
+    ]
+    for i in range(3):
+        x = experienced_distribution(canon, cyc, i)
+        assert {k: w for k, w in enumerate(x.weights) if w} == want[i]
+    rpt = cyclic_to_static_report(canon, cyc)
+    assert rpt["cyclic_fairness_eps"] == 0.035287789542529244
+    assert rpt["cyclic_profit"] == 1175.5007090387667
+    assert rpt["steady_state"].tolist() == [
+        [6.923413565250227, 4.543345427488284, 3.631636038958549],
+        [8.897919169875307, 6.296160861937348, 5.178071841742408],
+        [7.140617506301777, 4.93632043589682, 3.98346850128269],
+    ]
+    assert [a["profit"] for a in rpt["anchors"].values()] == [
+        1178.5022171647058, 1171.7277736844312, 1169.5402313712773]
+    assert math.isinf(rpt["c0"]) and rpt["bound_holds"]
 
 
 # --------------------------------------------------------------------------

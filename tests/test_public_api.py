@@ -19,6 +19,8 @@ REMOVED = [
     ("fluid", "InterlacingNotFound"),
     ("policies", "distribution_at"),
     ("policies", "static_from_cyclic"),
+    ("noisy", "mhr_like_check"),
+    ("noisy", "DerivativeVanishes"),
 ]
 
 
