@@ -27,8 +27,8 @@ from .experiments import (
     run_experiment,
 )
 from .fluid import _oracle_with_lipschitz, classify_dispersion, solve_fluid
-from .market import MarketInstance, RewardDistribution, float_field, json_object, load_instance
-from .noisy import _require_rel_tol, detect_double_threshold, load_noisy, surplus_curve
+from .market import MarketInstance, RewardDistribution, _require_number, float_field, json_object, load_instance
+from .noisy import detect_double_threshold, load_noisy, surplus_curve
 from .policies import (
     BeliefBased,
     Cyclic,
@@ -188,7 +188,7 @@ def _parse_eps_range(spec: str) -> list[float]:
 
 
 def _cmd_noisy_analyze(args) -> int:
-    _require_rel_tol(args.rel_tol)  # checked with or without --detect-crossovers
+    _require_number("rel_tol", args.rel_tol, "non-negative")  # checked with or without --detect-crossovers
     noisy = load_noisy(args.instance)
     curve = surplus_curve(noisy, _parse_eps_range(args.eps))
     if args.detect_crossovers:

@@ -41,6 +41,7 @@ from .market import (
     RewardSet,
     Tabulated,
     WorkerType,
+    _require_number,
     expected_departure,
     expected_reward,
 )
@@ -262,8 +263,7 @@ def float_range(start: float, step: float, stop: float, names: Sequence[str]) ->
     most MAX_RANGE_POINTS.
     """
     for name, v in zip(names, (start, step, stop)):
-        if not math.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {v!r}")
+        _require_number(name, v)
     if step <= 0.0:
         raise ValueError(f"{names[1]} must be positive, got {step!r}")
     if (stop - start) / step > MAX_RANGE_POINTS:

@@ -99,6 +99,8 @@ from .market import (
     RewardDistribution,
     RewardSet,
     Tabulated,
+    _check_table,
+    _require_number,
     fluid_profit,
 )
 
@@ -202,9 +204,13 @@ class _Group:
         self.rates = np.concatenate([inst.departure_matrix for inst in self.insts], axis=1)
         self.lam = np.repeat(np.stack([inst.lambdas for inst in self.insts], axis=1), self.sizes, axis=1)
 
-    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+    def pairs(self, width: int = 1) -> tuple[np.ndarray, np.ndarray]:
         """Column pairs (ii, jj) of every instance's rewards i < j, instance
-        by instance, each in np.triu_indices order."""
+        by instance, each in np.triu_indices order. Raises ValueError first
+        unless a table of width entries per pair, the caller's widest
+        per-slice table (1 for these indices), fits under the cap
+        (market._check_table)."""
+        _check_table("reward pairs", int((self.sizes * (self.sizes - 1) // 2).sum()), width)
         sizes = self.sizes.tolist()
         tri = {m: np.triu_indices(m, 1) for m in set(sizes)}
         shift = np.repeat(self.start, self.sizes * (self.sizes - 1) // 2)
@@ -275,13 +281,6 @@ class _PairBatch:
 
     def cost(self, y: np.ndarray) -> np.ndarray:
         return self.rhat(y) * self.supply(y)
-
-
-def _require_tol(tol: float) -> None:
-    """Golden-section refinement runs until every bracket is at most tol
-    wide: forever when tol <= 0, not at all when tol is NaN."""
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
 
 
 def _golden_section(f, a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
@@ -537,7 +536,9 @@ def solve_fluid_many(instances: Sequence[MarketInstance], tol: float = REFINE_TO
     solving its instance alone. Raises ValueError unless tol is finite and
     positive.
     """
-    _require_tol(tol)
+    # golden-section refinement runs until every bracket is at most tol wide:
+    # forever when tol <= 0, not at all when tol is NaN
+    _require_number("tol", tol, "positive")
     instances = list(instances)
     groups: dict[tuple, list[int]] = {}
     for n, inst in enumerate(instances):
@@ -545,7 +546,8 @@ def solve_fluid_many(instances: Sequence[MarketInstance], tol: float = REFINE_TO
     outcomes: list[FluidOutcome] = [None] * len(instances)
     for members in groups.values():
         group = _Group([instances[n] for n in members])
-        ii, jj = group.pairs()
+        # the kernel's widest per-slice rows: K rates, or the kept piece bounds
+        ii, jj = group.pairs(max(group.insts[0].K, _BOUND_PIECES))
         live, pairs, top = _live_pairs(group, ii, jj)
         kept, bounds = _beatable(group, ii[live], pairs, top)
         y, _ = _solve_slices(pairs.take(kept), top[kept], tol, bounds)
@@ -779,7 +781,7 @@ def solve_supply_opt(b: BudgetedInstance, tol: float = 1e-9) -> FluidOutcome:
     single, point = np.arange(len(group.vals)), np.zeros(len(group.vals))
     _, total, rhat, _ = _score(group, single, single, point)
     fits = rhat * total <= B + slack  # _best_outcome drops the degenerate ones
-    ii, jj = group.pairs()
+    ii, jj = group.pairs(b.inst.K)
     live, pairs, top = _live_pairs(group, ii, jj)
     y = np.where(pairs.cost(top) <= B + slack, top, _bisect_up(pairs.cost, B, np.zeros(len(live)), top))
     # a slice whose low end overspends has no root: its cost rises with the weight
@@ -864,9 +866,8 @@ def lottery_distribution(r_min: float, mu: float, sigma: float) -> RewardDistrib
         h = mu + sigma^2 / (mu - r_min)
         P(h) = (mu - r_min)^2 / ((mu - r_min)^2 + sigma^2)
     """
-    for name, v in (("mu", mu), ("sigma", sigma)):
-        if not math.isfinite(v):
-            raise InvalidMoments(f"{name} must be finite, got {v!r}")
+    _require_number("mu", mu, error=InvalidMoments)
+    _require_number("sigma", sigma, error=InvalidMoments)
     if mu <= r_min:
         raise InvalidMoments(f"mean {mu} must exceed the bottom reward {r_min}")
     if sigma <= 0.0:

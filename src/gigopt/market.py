@@ -64,14 +64,40 @@ def _clamp01(a):
     return np.clip(a, 0.0, 1.0)
 
 
+# Cap on the entries of one table whose size the input sets: a reward range's
+# points, a group of solver instances' pair slices times their widest per-slice
+# row (K rates or _BOUND_PIECES piece bounds), horizon x types x reward cells
+# in the policy engine, replications x types or paid cells in the simulator.
+# 10^7 float64 or int64 entries take 80 MB and a run holds a few such tables
+# at once, so a run at the cap still fits a small machine, while the largest
+# table a shipped study builds (1000 replications x 46 cells) is two hundred
+# times smaller.
+_MAX_TABLE = 10**7
+
+
+def _check_table(name: str, n, width: int) -> None:
+    """Raise ValueError, naming the table, unless an n x width table fits
+    under _MAX_TABLE; n may be a float count, inf included."""
+    if n == math.inf or int(n) * int(width) > _MAX_TABLE:
+        raise ValueError(f"{name} {n} needs {n} x {width} table entries, more than the cap of {_MAX_TABLE}")
+
+
+def _require_number(name: str, value, sign: str = "", error: type = ValueError) -> None:
+    """Raise error("{name} must be finite[ and {sign}], got {value!r}") unless
+    value is finite and has the sign, if one is named ("positive" or
+    "non-negative"): comparisons such as lam <= 0 are false for NaN, so range
+    checks alone let it through."""
+    if not math.isfinite(value) or (sign == "positive" and value <= 0.0) or (sign == "non-negative" and value < 0.0):
+        raise error(f"{name} must be finite{' and ' + sign if sign else ''}, got {value!r}")
+
+
 def _require_finite(obj, *names: str) -> None:
-    """Reject NaN and infinite parameters: comparisons such as lam <= 0
-    are false for NaN, so range checks alone let them through."""
+    """_require_number of each named field of obj, every entry of a tuple
+    field, named after obj's class."""
     for name in names:
-        value = getattr(obj, name)
+        value, label = getattr(obj, name), f"{type(obj).__name__} {name}"
         for v in value if isinstance(value, tuple) else (value,):
-            if not math.isfinite(v):
-                raise ValueError(f"{type(obj).__name__} {name} must be finite, got {v!r}")
+            _require_number(label, v)
 
 
 @dataclass(frozen=True)
@@ -97,7 +123,10 @@ class RewardSet:
             raise ValueError(f"reward range {lo!r}..{hi!r} step {step!r} must be finite")
         if step <= 0.0:
             raise ValueError("step must be positive")
-        n = int(math.floor((hi - lo) / step + 1e-9))
+        # a reversed range holds no more than one point; inf when the quotient overflows
+        span = max(0.0, (hi - lo) / step)
+        _check_table("rewards", span + 1.0, 1)
+        n = int(math.floor(span + 1e-9))
         return cls(tuple(lo + k * step for k in range(n + 1)))
 
     @property

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple, Sequence, Union
@@ -34,6 +33,8 @@ from .market import (
     RewardDistribution,
     RewardSet,
     WorkerType,
+    _require_finite,
+    _require_number,
     expected_departure,
     expected_reward,
     float_field,
@@ -91,12 +92,9 @@ class NoisyInstance:
         vals = tuple(float(v) for v in self.values)
         if len(lams) != len(vals) or not lams:
             raise ValueError("need one arrival rate per worker value")
-        # NaN passes every range check below, so finiteness is checked first
-        for name, group in (("lambdas", lams), ("values", vals), ("epsilon", (self.epsilon,)),
-                            ("r_min", (self.r_min,)), ("r_max", (self.r_max,))):
-            for v in group:
-                if not math.isfinite(v):
-                    raise ValueError(f"NoisyInstance {name} must be finite, got {v!r}")
+        object.__setattr__(self, "lambdas", lams)
+        object.__setattr__(self, "values", vals)
+        _require_finite(self, "lambdas", "values", "epsilon", "r_min", "r_max")
         if any(l <= 0.0 for l in lams):
             raise ValueError("arrival rates must be positive")
         if not self.r_min < self.r_max:
@@ -107,8 +105,6 @@ class NoisyInstance:
             raise ValueError("worker values must lie strictly inside (r_min, r_max)")
         if self.epsilon < 0.0:
             raise ValueError("noise level must be non-negative")
-        object.__setattr__(self, "lambdas", lams)
-        object.__setattr__(self, "values", vals)
 
     @property
     def K(self) -> int:
@@ -367,11 +363,6 @@ def _curve_arrays(curve: Sequence[tuple[float, float]]) -> tuple[np.ndarray, np.
     return eps, val
 
 
-def _require_rel_tol(rel_tol: float) -> None:
-    if not (math.isfinite(rel_tol) and rel_tol >= 0.0):
-        raise ValueError(f"rel_tol must be finite and non-negative, got {rel_tol!r}")
-
-
 def detect_double_threshold(
     curve_rational: Sequence[tuple[float, float]],
     curve_myopic: Sequence[tuple[float, float]],
@@ -386,7 +377,7 @@ def detect_double_threshold(
     whose curves stay within rel_tol of each other in between merge into one.
     Raises ValueError unless rel_tol is finite and non-negative.
     """
-    _require_rel_tol(rel_tol)
+    _require_number("rel_tol", rel_tol, "non-negative")
     e1, ra = _curve_arrays(curve_rational)
     e2, my = _curve_arrays(curve_myopic)
     if e1.shape != e2.shape or not np.allclose(e1, e2, rtol=0.0, atol=1e-12):

@@ -5,7 +5,9 @@ retention policy.
 Periods are 1-based everywhere; the population in period t is the survivors
 of period t-1 plus the period-t arrivals, and the payment drawn in period t
 applies to that whole population. The rule for which distribution a policy
-pays in period t lives here only, in period_index; the simulator reads it too.
+pays in period t lives here only: _head says where a policy's repeating cycle
+starts, period_index reads it for one period (the simulator reads that too)
+and _schedule for a whole horizon.
 Mixture departure rates and expected rewards are built once per
 distribution (_rate_rows), never per period, from the instance's departure
 table when the distribution is on its grid; the simulator reads them too.
@@ -40,7 +42,10 @@ from .market import (
     RewardSet,
     Tabulated,
     WorkerType,
+    _MAX_TABLE,
+    _check_table,
     _mixture_rates,
+    _require_number,
     expected_reward,
     fluid_profit,
 )
@@ -66,21 +71,6 @@ __all__ = [
     "belief_based_policy",
     "turnover_profit",
 ]
-
-
-# Cap on the entries of one per-period or per-replication table: horizon x
-# types x reward cells here, replications x types or paid cells in the
-# simulator. 10^7 float64 or int64 entries take 80 MB and a run holds a few
-# such tables at once, so a run at the cap still fits a small machine, while
-# the largest table a shipped study builds (1000 replications x 46 cells) is
-# two hundred times smaller.
-_MAX_TABLE = 10**7
-
-
-def _check_table(field: str, n: int, width: int) -> None:
-    """Raise ValueError, naming field, unless an n x width table fits under _MAX_TABLE."""
-    if int(n) * int(width) > _MAX_TABLE:
-        raise ValueError(f"{field} {n} needs {n} x {width} table entries, more than the cap of {_MAX_TABLE}")
 
 
 class NonMixing(ValueError):
@@ -162,20 +152,32 @@ class BeliefBased:
 Policy = Union[Static, Cyclic, Trajectory, BeliefBased]
 
 
-def period_index(policy: Policy, t: int) -> int:
-    """Position in policy.distributions of the distribution paid in period t."""
-    if t < 1:
-        raise ValueError("periods are 1-based")
-    if isinstance(policy, Static):
-        return 0
-    if isinstance(policy, Cyclic):
-        return (t - 1) % policy.tau
+def _head(policy: Policy) -> int:
+    """Periods before policy.distributions start repeating: a Trajectory's
+    head, else 0. The distributions after the head are the repeating cycle."""
     if isinstance(policy, Trajectory):
-        h = len(policy.head)
-        return t - 1 if t <= h else h + (t - 1 - h) % len(policy.tail)
+        return len(policy.head)
+    if isinstance(policy, (Static, Cyclic)):
+        return 0
     if isinstance(policy, BeliefBased):
         raise TypeError("belief-based policies pay per worker state, not from one distribution")
     raise TypeError(f"unknown policy type {type(policy).__name__}")
+
+
+def period_index(policy: Policy, t: int) -> int:
+    """Position in policy.distributions of the distribution paid in period t:
+    the head's distributions in turn, then the cycle's, round and round."""
+    if t < 1:
+        raise ValueError("periods are 1-based")
+    h = _head(policy)
+    return t - 1 if t <= h else h + (t - 1 - h) % (len(policy.distributions) - h)
+
+
+def _schedule(policy: Policy, horizon: int) -> np.ndarray:
+    """period_index of periods 1 ... horizon, as one array."""
+    h = _head(policy)
+    s = np.arange(horizon)
+    return np.where(s < h, s, h + (s - h) % (len(policy.distributions) - h))
 
 
 @dataclass(frozen=True)
@@ -208,22 +210,30 @@ def fluid_trajectory(
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    K = inst.K
-    _check_table("horizon", horizon, K)
-    n = np.zeros(K) if n0 is None else np.asarray(n0, dtype=float).copy()
+    _check_table("horizon", horizon, inst.K)
+    return _trajectory(inst, policy, _schedule(policy, horizon), n0)
+
+
+def _trajectory(inst: MarketInstance, policy: Policy, idx: np.ndarray, n0) -> TrajectoryResult:
+    """fluid_trajectory over the periods whose distributions idx lists (its
+    _schedule). Only the recursion runs period by period, one type at a time
+    in float arithmetic, which rounds as numpy's elementwise steps do; the
+    totals and profits are one array pass after it."""
+    K, horizon = inst.K, len(idx)
+    n = np.zeros(K) if n0 is None else np.asarray(n0, dtype=float)
     if n.shape != (K,):
         raise ValueError(f"n0 must have {K} entries")
     if not (np.isfinite(n).all() and (n >= 0.0).all()):
         raise ValueError(f"n0 must be finite and non-negative, got {n.tolist()}")
     rates, rhats = _rate_rows(inst, policy)
-    supplies, profits = np.empty((horizon, K)), np.empty(horizon)
-    for t in range(1, horizon + 1):
-        n = n + inst.lambdas
-        k = period_index(policy, t)
-        total = float(n.sum())
-        profits[t - 1] = float(inst.revenue.value(total)) - rhats[k] * total
-        supplies[t - 1] = n
-        n = n * (1.0 - rates[k])
+    # survival factors of the periods that lead into periods 2 ... horizon
+    z = (1.0 - rates)[idx[:-1]]
+    supplies = np.empty((horizon, K))
+    for i, lam in enumerate(inst.lambdas.tolist()):
+        step = itertools.accumulate(z[:, i].tolist(), lambda a, zi: a * zi + lam, initial=float(n[i]) + lam)
+        supplies[:, i] = list(step)
+    totals = supplies.sum(axis=1)
+    profits = inst.revenue.value(totals) - rhats[idx] * totals
     window = horizon - horizon // 2
     return TrajectoryResult(
         supplies=supplies, profits=profits, tail_average=float(profits[-window:].mean())
@@ -236,7 +246,7 @@ def _cycle(inst: MarketInstance, policy: Policy) -> tuple[np.ndarray, ...]:
     distribution, a Cyclic policy's tau, a Trajectory's tail. Raises NonMixing
     when a type's mean rate is below 1e-9 (no turnover in 10^9 periods)."""
     rates, rhats = _rate_rows(inst, policy)
-    start = len(policy.head) if isinstance(policy, Trajectory) else 0
+    start = _head(policy)
     rates, rhats = rates[start:], rhats[start:]
     rate = rates.mean(axis=0)
     if np.any(rate < 1e-9):
@@ -383,10 +393,9 @@ def _payment_streams(
         _check_table("horizon", horizon, 2 * 3)
         return _belief_dynamics(policy, policy.D / 4.0, policy.D / 2.0, horizon)[1:]
     _check_table("horizon", horizon, inst.K * len(policy.distributions[0].rewards))
-    traj = fluid_trajectory(inst, policy, horizon, n0)
+    idx = _schedule(policy, horizon)
     rows = np.array([x.as_array() for x in policy.distributions])
-    idx = [period_index(policy, t) for t in range(1, horizon + 1)]
-    return traj.supplies, rows[idx][:, None, :]
+    return _trajectory(inst, policy, idx, n0).supplies, rows[idx][:, None, :]
 
 
 def fairness_audit(
@@ -409,8 +418,7 @@ def fairness_audit(
     """
     if tau < 1 or horizon < tau:
         raise ValueError("need 1 <= tau <= horizon")
-    if not (math.isfinite(delta) and delta >= 0.0):
-        raise ValueError(f"delta must be finite and non-negative, got {delta!r}")
+    _require_number("delta", delta, "non-negative")
     if n0 is None and isinstance(policy, Cyclic):
         with contextlib.suppress(NonMixing):
             n0 = cyclic_steady_state(inst, policy)[0] - inst.lambdas

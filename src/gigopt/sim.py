@@ -8,12 +8,12 @@ post-arrival population of every period; occupancy_samples reads its total
 in period burn_in + 1 under a static policy. Scales whose expected occupancy
 could overflow int64 are rejected.
 
-Expected pay and the occupancy bound read the policy engine's mixture rates
-and expected rewards (policies._rate_rows), the bits fluid_trajectory reads;
-only the draws read weights and cell rates. default_burn_in's fallback reads
-the policy engine's cycle rule (policies._cycle), which alone decides whether
-a policy mixes. Tables of replications x types or paid cells are capped like
-the policy engine's per-period tables (policies._check_table).
+Expected pay reads the policy engine's expected rewards (policies._rate_rows),
+the bits fluid_trajectory reads; only the draws read weights and cell rates.
+The occupancy bound and default_burn_in's fallback read the policy engine's
+cycle rule (policies._cycle), which alone decides whether a policy mixes.
+Tables of replications x types or paid cells are capped like every table
+whose size the input sets (market._check_table).
 
 Cells that no distribution of the policy pays are never drawn: numpy's
 binomial spends no randomness on a draw with n = 0 or p = 0, and its
@@ -37,8 +37,8 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from .fluid import solve_fluid
-from .market import MarketInstance, RewardDistribution
-from .policies import NonMixing, Policy, Static, Trajectory, _check_table, _cycle, _rate_rows, period_index
+from .market import MarketInstance, RewardDistribution, _check_table
+from .policies import NonMixing, Policy, Static, Trajectory, _cycle, _head, _rate_rows, period_index
 
 __all__ = [
     "ConfigError",
@@ -117,13 +117,18 @@ def _steps(inst: MarketInstance, policy: Policy, theta: int, R: int, periods: in
     departures, rhat, paid), with rhat the expected pay per worker and paid
     the drawn pay per replication (None unless realized); the draws read the
     distributions' weights and the types' rates on their shared domain."""
-    rates, rhats = _engine(_rate_rows, inst, policy)
+    _, rhats = _engine(_rate_rows, inst, policy)
     dom = policy.distributions[0].rewards
     rewards, rows = np.asarray(dom), np.array([x.weights for x in policy.distributions])
     on_grid = dom == inst.rewards.values
     mat = inst.departure_matrix if on_grid else np.array([t.departure.rate(rewards) for t in inst.types])
-    # a worker stays at most periods, and on average at most 1 / (slowest rate)
-    stay = 1.0 / np.maximum(rates.min(axis=0), 1.0 / periods)
+    # a worker stays at most periods, and on average at most the head plus
+    # tau periods for each cycle it enters, tau / (1 - its survival over one)
+    try:
+        cycle, _, _, survival = _cycle(inst, policy)
+        stay = np.minimum(_head(policy) + len(cycle) / (1.0 - survival), periods)
+    except NonMixing:
+        stay = np.full(inst.K, float(periods))
     if theta * float(inst.lambdas @ stay) > 2.0**62:
         raise ConfigError(f"theta {theta} lets the expected occupancy overflow int64")
     K, lam = inst.K, inst.lambdas * theta

@@ -385,6 +385,35 @@ def test_cli_oversized_tables_exit_2(tmp_path, argv, message):
     assert message in proc.stderr and "Traceback" not in proc.stderr
 
 
+def _linear_instance(rewards) -> dict:
+    return {"rewards": rewards,
+            "types": [{"lambda": 5.0, "departure": {"kind": "linear", "alpha": 2.5e-5, "beta": 1.0}}],
+            "revenue": {"kind": "newsvendor", "alpha": 100.0, "cap": 60.0}}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fluid-solve", {"min": 1, "max": 20000, "step": 1}], "reward pairs 199990000 needs 199990000 x 32 table"),
+    (["fluid-solve", {"min": 0, "max": 1e9, "step": 1e-6}], "rewards 1000000000000001.0 needs"),
+    (["fluid-solve", {"min": 0, "max": 10, "step": 1e-300}], "rewards 9.999999999999999e+300 needs"),
+    # 10^5 noise levels, within float_range's cap, solved as one group
+    (["noisy-analyze", "--eps", "0:0.00025:25"], "reward pairs 5499905 needs 5499905 x 32 table"),
+], ids=["wide_grid", "reward_range", "tiny_reward_step", "noise_levels"])
+def test_cli_oversized_solves_exit_2(tmp_path, argv, message):
+    # the solver's slice tables and a JSON reward range are refused before
+    # they are allocated; in a child process with a 2 GB address space and a
+    # timeout, so an unguarded table fails the test instead of filling the memory
+    if argv[0] == "fluid-solve":
+        argv = ["fluid-solve", "--instance", _write(tmp_path, "wide.json", _linear_instance(argv[1]))]
+    else:
+        argv = argv + ["--instance", _write(tmp_path, "dt.json", noisy_to_dict(double_threshold_instance(75.0)))]
+    env = {**os.environ, "PYTHONPATH": str(Path(gigopt.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "gigopt", *argv], capture_output=True, text=True,
+                          timeout=120, env=env, preexec_fn=_limit_memory)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert message in proc.stderr
+
+
 def test_cli_cyclic_eval_rejects_static(tmp_path, capsys):
     inst = _write(tmp_path, "p5.json", instance_to_dict(prop5_instance()))
     pol = _write(tmp_path, "static.json", {"kind": "static", "x": [1.0, 0.0]})

@@ -48,7 +48,7 @@ from gigopt import (
     solve_supply_opt,
     support_reduce,
 )
-from gigopt import fluid
+from gigopt import fluid, market
 from gigopt.experiments import canonical_instance, power_variant_instance
 from gigopt.fluid import (
     REFINE_TOL,
@@ -1018,6 +1018,32 @@ def test_supply_opt_loose_budget_pays_top():
 def test_budget_below_floor_cost_rejected():
     with pytest.raises(ValueError, match="cannot cover"):
         BudgetedInstance(_budget_instance(), 100.0)
+
+
+def _wide_instance(m: int) -> MarketInstance:
+    types = (WorkerType(5.0, Linear(0.5 / m, 1.0)), WorkerType(3.0, ExpFloor(0.01, 0.3 * m)))
+    return MarketInstance(RewardSet.from_range(1.0, float(m), 1.0), types, Newsvendor(2.0 * m, 40.0))
+
+
+def test_solver_slice_tables_are_capped_before_allocation(monkeypatch):
+    # each pair slice holds up to 32 piece bounds: 791 rewards (312 445
+    # slices) is the largest grid that solves, and 792 is refused before its
+    # pair indices exist
+    assert len(solve_fluid(_wide_instance(791)).x.support()) == 2
+    with pytest.raises(ValueError, match="reward pairs 313236 needs 313236 x 32 table entries"):
+        solve_fluid(_wide_instance(792))
+    # the cap counts a group's slices together; the budgeted solver's widest
+    # per-slice rows are its K rates
+    canon = canonical_instance()  # 1035 slices, K = 3
+    out = solve_fluid(canon)
+    budgeted = BudgetedInstance(canon, out.expected_reward * out.total_supply)
+    monkeypatch.setattr(market, "_MAX_TABLE", 1035 * 32)
+    assert solve_fluid(canon) == out
+    with pytest.raises(ValueError, match="reward pairs 2070 needs 2070 x 32 table entries"):
+        solve_fluid_many([canon, canon])
+    monkeypatch.setattr(market, "_MAX_TABLE", 1035 * 3 - 1)
+    with pytest.raises(ValueError, match="reward pairs 1035 needs 1035 x 3 table entries"):
+        solve_supply_opt(budgeted)
 
 
 def test_supply_opt_monotone_in_budget():

@@ -32,6 +32,7 @@ from gigopt import (
     load_instance,
 )
 from gigopt.experiments import prop5_instance, canonical_instance, prop5_policy
+from gigopt import market
 from gigopt.market import MIN_DEPARTURE_FLOOR, _mixture_rate
 from gigopt.policies import Static, cyclic_steady_state, fluid_trajectory
 from gigopt.sim import SimConfig, simulate
@@ -58,6 +59,19 @@ def test_reward_set_from_range():
     assert rs.index_of(37.0) == 22
     with pytest.raises(ValueError, match="not on the grid"):
         rs.index_of(37.5)
+
+
+def test_reward_range_points_are_capped_before_the_grid_is_built(monkeypatch):
+    # a quotient that overflows is refused, or read as a reversed range, not
+    # turned into an int
+    with pytest.raises(ValueError, match="rewards inf needs inf x 1 table entries"):
+        RewardSet.from_range(0.0, 1e300, 1e-10)
+    with pytest.raises(ValueError, match="at least two rewards"):
+        RewardSet.from_range(1e308, -1e308, 1.0)
+    monkeypatch.setattr(market, "_MAX_TABLE", 45)
+    assert len(RewardSet.from_range(15.0, 59.0, 1.0)) == 45
+    with pytest.raises(ValueError, match="rewards 46.0 needs 46.0 x 1 table entries, more than the cap of 45"):
+        RewardSet.from_range(15.0, 60.0, 1.0)
 
 
 def test_index_of_tolerance_and_first_match():

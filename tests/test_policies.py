@@ -1,6 +1,7 @@
 """Policy engine: trajectories, cyclic closed forms, fairness audits, and the
 belief-based discriminating policy."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,8 +12,10 @@ from gigopt import (
     BeliefBased,
     Cyclic,
     LinearRev,
+    Log,
     MarketInstance,
     NonMixing,
+    Power,
     PreconditionViolated,
     RewardDistribution,
     RewardSet,
@@ -129,11 +132,14 @@ def test_trajectory_matches_per_period_reference(canon, kind, n0):
         "cyclic": Cyclic((a, b, c)),
         "trajectory": Trajectory(head=(c, a), tail=(b, a, a)),
     }[kind]
-    traj = fluid_trajectory(canon, policy, 23, n0)
-    supplies, profits = _per_period_trajectory(canon, policy, 23, n0)
-    assert np.array_equal(traj.supplies, supplies)
-    assert np.array_equal(traj.profits, profits)
-    assert traj.tail_average == float(profits[-12:].mean())
+    # each revenue's array call must round as its per-period scalar calls do
+    for revenue in (canon.revenue, Power(300.0, 0.5), Log(2000.0)):
+        inst = dataclasses.replace(canon, revenue=revenue)
+        traj = fluid_trajectory(inst, policy, 123, n0)
+        supplies, profits = _per_period_trajectory(inst, policy, 123, n0)
+        assert np.array_equal(traj.supplies, supplies)
+        assert np.array_equal(traj.profits, profits)
+        assert traj.tail_average == float(profits[-62:].mean())
 
 
 def test_per_period_tables_are_capped_before_allocation(canon, prop5, prop5_cycle):

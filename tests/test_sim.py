@@ -368,6 +368,18 @@ def test_scale_that_would_overflow_int64_is_rejected(canon):
         occupancy_samples(canon, x.x, theta=10**17, n_samples=2, burn_in=200, seed=1)
 
 
+def test_a_mixing_cycle_is_charged_its_mean_stay_not_every_period():
+    # type 0 of the Prop-5 cycle never leaves in its first period, but its
+    # survival over the two-period cycle is 0.9, so it stays 20 periods on
+    # average: 10^17 fits int64, as its occupancy of about 3.2e17 does
+    inst, cyc = prop5_instance(), prop5_policy()
+    burn = default_burn_in(inst, cyc)
+    cfg = SimConfig(theta=10**17, periods=1000, burn_in=burn, replications=2, seed=3)
+    res = simulate(inst, cyc, cfg)
+    want = cfg.theta * cyclic_steady_state(inst, cyc).mean(axis=0)
+    np.testing.assert_allclose(res.mean_supply, want, rtol=1e-6)
+
+
 def test_replication_tables_are_capped_before_allocation(canon):
     # 10^10 replications would need hundreds of gigabytes: the cap refuses
     # them before any array exists, so the test needs no memory
