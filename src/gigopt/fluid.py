@@ -13,22 +13,30 @@ with array operations, never a Python loop per slice or per point. The
 solver spans instances too. solve_fluid_many lays the instances that share
 the revenue and the number of types side by side as one column table (each
 grid reward a column, with its own departure and arrival rates), and every
-phase runs once over the whole group: the live slices, the singleton
-scores, each instance's best singleton, the piece bounds, the kernel, the
-scores of all candidates and the winner pick. So a sweep of small solves
-pays each phase's per-step overhead once, not once per solve; only the
-winners' FluidOutcomes are built instance by instance. The table's rates
-and the winners' outcomes both read each instance's departure table
+phase runs once over the whole group: the live slices, the singleton scores,
+each instance's best singleton, the piece bounds, the kernel, the scores of
+all candidates and the winner pick. So a sweep of small solves pays each
+phase's per-step overhead once, not once per solve; only the winners'
+FluidOutcomes are built instance by instance. The table's rates and the
+winners' outcomes both read each instance's departure table
 (MarketInstance.departure_matrix), evaluated once when the instance was
-built, so no phase calls a departure rate again. Local maxima of the
-scan are found with a mask, and every bracket around one is golden-section
-refined at the same time, each with its own stopping rule; the newsvendor
-kinks are bisected together the same way. Each step keeps the per-slice
-arithmetic and its order (supply summed type by type from 0.0, the scan
-grid exactly as np.linspace builds it), so every slice gets the
-bit-identical result a scalar scan would. Each instance's winner is then
-picked from its candidates with fluid_profit's arithmetic, by one stable
-sort over the group with the instance as the leading key.
+built, so no phase calls a departure rate again. Each slice's best scanned
+point is golden-section refined one scan step either side, all slices at
+once, each with its own stopping rule; the newsvendor kinks are bisected
+together the same way. Each step keeps the per-slice arithmetic and its
+order (supply summed type by type from 0.0, the scan grid exactly as
+np.linspace builds it), so every slice gets the bit-identical result a
+scalar scan would. Each instance's winner is then picked from its candidates
+with fluid_profit's arithmetic, by one stable sort over the group with the
+instance as the leading key.
+
+One bracket per slice is exact for one worker type: supply S is monotone in
+the weight and the expected reward affine in 1/S, so a slice's profit is
+R(S) - cS - const, concave in S, and its scan has one peak or a plateau flat
+up to rounding. With more types a slice could have a second peak, whose
+refinement the kernel would miss; no slice of a shipped instance or of
+1 800 random ones (m <= 60, K <= 3) has had one. So the kernel's time and
+memory follow the grid, not the profit's shape.
 
 A slice's profit is bounded piece by piece. Its _BOUND_PIECES pieces have
 scan-grid points as edges: piece j spans scan indices _PIECE * j to
@@ -47,23 +55,22 @@ largest piece bound is below their instance's best non-degenerate
 singleton's profit by more than 1e-9 relative, which covers the rounding
 between the kernel's arithmetic and the winner's. Such a slice's candidate
 would score strictly below a singleton that is itself a candidate, so it
-could neither win nor tie the winner. Second, the kernel scores each slice's known candidates
-first (both ends and the newsvendor kink) and scans only the pieces whose
-bound is not below the best of them; a NaN bound keeps its piece. A kept
-piece is evaluated at its own scan points and one neighbour on each side,
-and tested for a local maximum at its own points; an edge two kept pieces
-share is tested by the left one only. A scanned local maximum that no kept
-piece tests lies in skipped pieces, and so does its bracket of one scan
-step either side, so every profit refinement can reach from it is at most
-a skipped bound, below the slice's best known candidate: it could neither
-win nor tie. The known candidates come from the slice alone, never from the
-scan or from another slice, so each slice still gets the bits of a full
-scalar scan. Slices are bounded _BOUND_BLOCK at a time and kept pieces
-scanned _TEMP_FLOATS points at a time, so those temporaries stay within
-66 KB whatever the grid size. The first pruning hands the kernel the piece
-bounds of the slices it keeps, kept x _BOUND_PIECES floats: 144 KB on the
-power variant, about 255 KB for the 50 noise levels of a 3-type
-noisy-entry curve.
+could neither win nor tie the winner. Second, the kernel scores each slice's
+known candidates first (both ends and the newsvendor kink) and scans only
+the pieces whose bound is not below the best of them; a NaN bound keeps its
+piece. A kept piece is scanned at its own _PIECE + 1 points. A skipped
+piece's points score below the best known candidate, so the kept pieces hold
+the full scan's best point whenever it reaches that candidate; when it does
+not, it lies in skipped pieces with its one-step bracket, and on a one-peak
+slice so does any peak the kernel's bracket holds, so neither refinement
+could win or tie. The known candidates come from the slice alone, never from
+the scan or from another slice, so each slice gets the bits of a scalar scan
+that refines its first maximum. Slices are bounded _BOUND_BLOCK at a time
+and kept pieces scanned _TEMP_FLOATS points at a time, so those temporaries
+stay within 66 KB whatever the grid size, and the kernel keeps one best
+scanned point per slice. The first pruning hands the kernel the piece bounds
+of the slices it keeps, kept x _BOUND_PIECES floats: 144 KB on the power
+variant, about 255 KB for the 50 noise levels of a 3-type noisy-entry curve.
 
 The brute-force oracle, the independent check of the two-support theorem,
 scores every weight vector with denominator G on instances of at most 5
@@ -349,73 +356,64 @@ def _solve_slices(pairs: _PairBatch, top: np.ndarray, tol: float,
     Returns the weight on the higher reward and the profit there. Per slice:
     score the known candidates, the endpoints and (newsvendor revenue) the
     kink where supply crosses the cap; scan the SCAN_POINTS weights of every
-    piece whose profit bound is not below the best of them, golden-refine
-    around every scanned local maximum, and keep the best candidate, the
-    smallest weight among ties. Each slice gets the bits a scalar scan of
-    all SCAN_POINTS weights gives (see the module docstring).
+    piece whose profit bound is not below the best of them; golden-refine
+    one bracket, around the best scanned point (the highest profit, NaN read
+    as -inf, the smallest weight among ties) when it is interior; and keep
+    the best candidate, the smallest weight among ties. Each slice gets the
+    bits a scalar scan of all SCAN_POINTS weights that refines its first
+    maximum gives (see the module docstring).
     """
     n = len(top)
-    if n == 0:
-        return np.zeros(0), np.zeros(0)
     step = top / (SCAN_POINTS - 1)  # np.linspace(0, top, SCAN_POINTS), row by row
-    zero = np.zeros(n)
-    rows = [np.arange(n), np.arange(n)]
-    ys = [zero, top]
-    profits = [pairs.profit(zero), pairs.profit(top)]
-    known = np.fmax(profits[0], profits[1])
+    # each slice's candidates, NaN where absent: both ends, the kink, the refinement
+    ys, profits = np.full((4, n), np.nan), np.full((4, n), np.nan)
+    ys[0], ys[1] = 0.0, top
+    profits[0], profits[1] = pairs.profit(ys[0]), pairs.profit(top)
     if isinstance(pairs.revenue, Newsvendor):
         # profit is kinked where total supply crosses the revenue cap
-        kink = _bisect_up(pairs.supply, pairs.revenue.cap, zero, top)
-        hit = np.flatnonzero(~np.isnan(kink))
-        rows.append(hit)
-        ys.append(kink[hit])
-        profits.append(pairs.take(hit).profit(kink[hit]))
-        known[hit] = np.fmax(known[hit], profits[-1])
+        ys[2] = _bisect_up(pairs.supply, pairs.revenue.cap, ys[0], top)
+        hit = np.flatnonzero(~np.isnan(ys[2]))
+        profits[2, hit] = pairs.take(hit).profit(ys[2, hit])
+    known = np.fmax.reduce(profits[:3])
 
     keep = ~(bounds < known[:, None])
     piece_rows, piece = np.nonzero(keep)
-    # an edge two kept pieces share is tested by the left one only
-    owns_left = (piece > 0) & ~keep[piece_rows, piece - 1]
-    # a kept piece is scanned at its own indices and one neighbour each side
-    offsets = np.arange(-1.0, _PIECE + 2)
-    chunk = _TEMP_FLOATS // len(offsets)
-    bracket_rows, bracket_k = [np.zeros(0, int)], [np.zeros(0, int)]
+    # each slice's best scanned point, NaN read as -inf; index 0 (an end)
+    # while no scanned profit is above -inf
+    best_p, best_k = np.full(n, -np.inf), np.zeros(n, int)
+    chunk = _TEMP_FLOATS // (_PIECE + 1)
     for at in range(0, len(piece), chunk):
-        part = slice(at, at + chunk)
-        r, j = piece_rows[part], piece[part]
-        y = np.add.outer(_PIECE * j, offsets)
-        np.clip(y, 0, SCAN_POINTS - 1, out=y)
+        r, j = piece_rows[at:at + chunk], piece[at:at + chunk]
+        y = np.add.outer(_PIECE * j, np.arange(_PIECE + 1.0))
         y *= step[r, None]
         last = j == _BOUND_PIECES - 1
-        y[last, -2:] = top[r[last], None]
+        y[last, -1] = top[r[last]]
         p = pairs.take(r).profit(y)
-        mid = p[:, 1:-1]
-        peak = (mid >= p[:, :-2]) & (mid >= p[:, 2:])
-        peak[:, 0] &= owns_left[part]
-        peak[:, -1] &= ~last
-        at_piece, k = np.nonzero(peak)
-        bracket_rows.append(r[at_piece])
-        bracket_k.append(_PIECE * j[at_piece] + k)
-    bracket_rows = np.concatenate(bracket_rows)
-    bracket_k = np.concatenate(bracket_k)
-    for start in range(0, len(bracket_rows), _TEMP_FLOATS):
-        r = bracket_rows[start:start + _TEMP_FLOATS]
-        k = bracket_k[start:start + _TEMP_FLOATS]
+        p[np.isnan(p)] = -np.inf
+        k = p.argmax(axis=1)
+        p = p[np.arange(len(k)), k]
+        k += _PIECE * j
+        # pieces come slice by slice in index order: a slice's first best
+        # point in the chunk replaces its best only with a higher profit
+        order = np.lexsort((k, -p, r))
+        first = order[np.diff(r[order], prepend=-1) != 0]
+        r, k, p = r[first], k[first], p[first]
+        up = p > best_p[r]
+        best_p[r[up]] = p[up]
+        best_k[r[up]] = k[up]
+    inner = np.flatnonzero((best_k > 0) & (best_k < SCAN_POINTS - 1))
+    for start in range(0, len(inner), _TEMP_FLOATS):
+        r = inner[start:start + _TEMP_FLOATS]
+        k = best_k[r]
         a = (k - 1) * step[r]
         b = np.where(k + 1 == SCAN_POINTS - 1, top[r], (k + 1) * step[r])
         brackets = pairs.take(r)
-        y = _golden_section(brackets.profit, a, b, tol)
-        rows.append(r)
-        ys.append(y)
-        profits.append(brackets.profit(y))
+        ys[3, r] = _golden_section(brackets.profit, a, b, tol)
+        profits[3, r] = brackets.profit(ys[3, r])
 
-    rows = np.concatenate(rows)
-    ys = np.concatenate(ys)
-    profits = np.concatenate(profits)
-    order = np.lexsort((ys, -profits, rows))
-    ranked = rows[order]
-    first = order[np.r_[True, ranked[1:] != ranked[:-1]]]
-    return ys[first], profits[first]
+    # the highest profit (NaN lowest), the smallest weight among ties
+    first = np.lexsort((ys, -profits), axis=0)[0]
+    return ys[first, np.arange(n)], profits[first, np.arange(n)]
 
 
 def _slice_bounds(pairs: _PairBatch, top: np.ndarray) -> np.ndarray:

@@ -161,8 +161,12 @@ def optimal_noisy(noisy: NoisyInstance, tol: float = 1e-12) -> NoisySolution:
     """Single-type optimal lottery over {r_min, v + eps}.
 
     Valid for smooth strictly concave revenue; the retained mass solves
-    R'(lambda / (1 - x)) = v + eps when that has a root, else x = 0.
+    R'(lambda / (1 - x)) = v + eps when that has a root, else x = 0, to
+    within tol. Raises ValueError unless tol is finite and positive.
     """
+    # the bisection below runs while the bracket is wider than tol: forever
+    # when tol <= 0, not at all when tol is NaN
+    _require_number("tol", tol, "positive")
     if noisy.K != 1:
         raise AssumptionViolated("closed form covers a single worker type")
     lam, v, eps = noisy.lambdas[0], noisy.values[0], noisy.epsilon
@@ -198,6 +202,8 @@ def optimal_noisy(noisy: NoisyInstance, tol: float = 1e-12) -> NoisySolution:
         lo, hi = hi, 1.0 - (1.0 - hi) / 2.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # one float step wide: a smaller tol cannot be met
+            break
         if g(mid) > 0.0:
             lo = mid
         else:
@@ -212,7 +218,10 @@ def optimal_noisy(noisy: NoisyInstance, tol: float = 1e-12) -> NoisySolution:
 
 def newsvendor_optimal(alpha: float, d: float, lam: float, v: float, eps: float) -> float:
     """Retained mass under capped linear revenue: 1 - lam/d while the noise
-    level stays at or below alpha - v, zero beyond."""
+    level stays at or below alpha - v, zero beyond. Raises ValueError
+    unless all five inputs are finite."""
+    for name, value in (("alpha", alpha), ("d", d), ("lam", lam), ("v", v), ("eps", eps)):
+        _require_number(name, value)  # a NaN fails no range check below
     if alpha <= 0.0 or lam <= 0.0 or d <= 0.0:
         raise ValueError("alpha, d and lam must be positive")
     if eps < 0.0:

@@ -414,6 +414,23 @@ def test_cli_oversized_solves_exit_2(tmp_path, argv, message):
     assert message in proc.stderr
 
 
+def test_cli_flat_grid_solves_within_memory_and_time(tmp_path):
+    # one linear type whose every pair slice is flat up to rounding, so nearly
+    # every scan point ties for its slice's maximum; the kernel refines one
+    # bracket per slice, in a child process with a 2 GB address space and a
+    # timeout (200 rewards; the 791 the table cap admits run in CI)
+    m = 200
+    doc = {"rewards": {"min": 1, "max": m, "step": 1},
+           "types": [{"lambda": 5.0, "departure": {"kind": "linear", "alpha": 0.5 / m, "beta": 1.0}}],
+           "revenue": {"kind": "newsvendor", "alpha": 2.0 * m, "cap": 40.0}}
+    env = {**os.environ, "PYTHONPATH": str(Path(gigopt.__file__).resolve().parents[1])}
+    argv = ["fluid-solve", "--instance", _write(tmp_path, "flat.json", doc)]
+    proc = subprocess.run([sys.executable, "-m", "gigopt", *argv], capture_output=True, text=True,
+                          timeout=20, env=env, preexec_fn=_limit_memory)
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["profit"] == pytest.approx(10.0 * m, rel=1e-12)
+
+
 def test_cli_cyclic_eval_rejects_static(tmp_path, capsys):
     inst = _write(tmp_path, "p5.json", instance_to_dict(prop5_instance()))
     pol = _write(tmp_path, "static.json", {"kind": "static", "x": [1.0, 0.0]})

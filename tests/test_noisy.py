@@ -1,8 +1,10 @@
 """Noisy-entry analytics: closed-form lotteries, the capped-revenue special
 case, surplus accounting, and crossover detection."""
 
+import contextlib
 import json
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -116,6 +118,46 @@ def test_optimal_noisy_assumptions():
     with pytest.raises(AssumptionViolated, match="non-triviality"):
         optimal_noisy(NoisyInstance(lambdas=(10.0,), values=(25.0,), epsilon=5.0,
                                     revenue=Power(c=10000.0, beta=0.5), r_min=0.0, r_max=100.0))
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the block after seconds, so a loop that never
+    ends fails the test instead of hanging the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_optimal_noisy_tolerance_must_be_finite_and_positive(tol):
+    # the bisection never stops at tol <= 0 and stops at once at NaN or inf,
+    # returning the unrefined bracket
+    with _deadline(10), pytest.raises(ValueError, match="tol must be finite and positive"):
+        optimal_noisy(noisy_sqrt_instance(), tol=tol)
+
+
+def test_optimal_noisy_tolerance_below_float_spacing_returns():
+    # a bracket one float step wide cannot shrink to 1e-300: it stops there
+    with _deadline(10):
+        got = optimal_noisy(noisy_sqrt_instance(), tol=1e-300).x_star
+    assert got == pytest.approx(optimal_noisy(noisy_sqrt_instance()).x_star, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ["alpha", "d", "lam", "v", "eps"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_newsvendor_optimal_rejects_non_finite_inputs(name, bad):
+    args = dict(alpha=40.0, d=300.0, lam=10.0, v=25.0, eps=1.0)
+    args[name] = bad
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {bad!r}$"):
+        newsvendor_optimal(**args)
 
 
 def test_newsvendor_optimal():
