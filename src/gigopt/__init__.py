@@ -56,7 +56,6 @@ from .policies import (
     NonMixing,
     PreconditionViolated,
     Static,
-    Trajectory,
     belief_based_policy,
     cyclic_profit,
     cyclic_steady_state,

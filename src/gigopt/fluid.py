@@ -194,6 +194,16 @@ class Dispersion(str, Enum):
 # Pair slices
 
 
+def _check_pairs(sizes: np.ndarray, width: int) -> None:
+    """market._check_table of width entries per reward pair of grids of these sizes."""
+    _check_table("reward pairs", int((sizes * (sizes - 1) // 2).sum()), width)
+
+
+def _kernel_width(K: int) -> int:
+    """The pair kernel's widest per-slice rows: K rates, or the kept piece bounds."""
+    return max(K, _BOUND_PIECES)
+
+
 class _Group:
     """Instances that share the revenue and K as one column table, one
     column per grid reward of each instance in turn: column c is reward
@@ -215,9 +225,8 @@ class _Group:
         """Column pairs (ii, jj) of every instance's rewards i < j, instance
         by instance, each in np.triu_indices order. Raises ValueError first
         unless a table of width entries per pair, the caller's widest
-        per-slice table (1 for these indices), fits under the cap
-        (market._check_table)."""
-        _check_table("reward pairs", int((self.sizes * (self.sizes - 1) // 2).sum()), width)
+        per-slice table (1 for these indices), fits (_check_pairs)."""
+        _check_pairs(self.sizes, width)
         sizes = self.sizes.tolist()
         tri = {m: np.triu_indices(m, 1) for m in set(sizes)}
         shift = np.repeat(self.start, self.sizes * (self.sizes - 1) // 2)
@@ -544,8 +553,7 @@ def solve_fluid_many(instances: Sequence[MarketInstance], tol: float = REFINE_TO
     outcomes: list[FluidOutcome] = [None] * len(instances)
     for members in groups.values():
         group = _Group([instances[n] for n in members])
-        # the kernel's widest per-slice rows: K rates, or the kept piece bounds
-        ii, jj = group.pairs(max(group.insts[0].K, _BOUND_PIECES))
+        ii, jj = group.pairs(_kernel_width(group.insts[0].K))
         live, pairs, top = _live_pairs(group, ii, jj)
         kept, bounds = _beatable(group, ii[live], pairs, top)
         y, _ = _solve_slices(pairs.take(kept), top[kept], tol, bounds)

@@ -100,6 +100,20 @@ def _require_finite(obj, *names: str) -> None:
             _require_number(label, v)
 
 
+def _match(values: Sequence[float], r: float) -> int | None:
+    """Index of the first of the increasing values within 1e-9 * max(1, |v|)
+    of r, or None: bisect to r's insertion point, then walk down the run of
+    matches around it."""
+
+    def hit(k: int) -> bool:
+        return abs(values[k] - r) <= 1e-9 * max(1.0, abs(values[k]))
+
+    k = bisect.bisect_left(values, r)
+    while k > 0 and hit(k - 1):
+        k -= 1
+    return k if k < len(values) and hit(k) else None
+
+
 @dataclass(frozen=True)
 class RewardSet:
     """Finite, strictly increasing grid of per-period money rewards."""
@@ -137,24 +151,12 @@ class RewardSet:
     def r_max(self) -> float:
         return self.values[-1]
 
-    def index_of(self, r: float, tol: float = 1e-9) -> int:
-        """Index of the first grid reward within tol * max(1, |v|) of r.
-
-        Rewards are non-negative and increasing, so (for tol < 1) the matches
-        form one run around r's insertion point: bisect to it, then walk down
-        to the first match.
-        """
-        vals = self.values
-
-        def hit(k: int) -> bool:
-            return abs(vals[k] - r) <= tol * max(1.0, abs(vals[k]))
-
-        k = bisect.bisect_left(vals, r)
-        while k > 0 and hit(k - 1):
-            k -= 1
-        if k < len(vals) and hit(k):
-            return k
-        raise ValueError(f"reward {r!r} is not on the grid")
+    def index_of(self, r: float) -> int:
+        """Index of the first grid reward within 1e-9 * max(1, |v|) of r."""
+        k = _match(self.values, r)
+        if k is None:
+            raise ValueError(f"reward {r!r} is not on the grid")
+        return k
 
     def __len__(self) -> int:
         return len(self.values)
@@ -494,20 +496,16 @@ class RewardDistribution:
 
     @classmethod
     def on(cls, rewards, weights) -> "RewardDistribution":
-        if isinstance(rewards, RewardSet):
-            rewards = rewards.values
-        return cls(tuple(rewards), tuple(weights))
+        return cls(tuple(rewards), tuple(weights))  # a RewardSet iterates over its values
 
     @classmethod
     def point_mass(cls, rewards, r: float) -> "RewardDistribution":
-        if isinstance(rewards, RewardSet):
-            rewards = rewards.values
-        rewards = tuple(rewards)
+        rewards = tuple(rewards)  # a RewardSet iterates over its values
         ws = [0.0] * len(rewards)
-        hit = [k for k, v in enumerate(rewards) if abs(v - r) <= 1e-9 * max(1.0, abs(v))]
-        if not hit:
+        k = _match(rewards, r)
+        if k is None:
             raise ValueError(f"reward {r!r} is not in the domain")
-        ws[hit[0]] = 1.0
+        ws[k] = 1.0
         return cls(rewards, tuple(ws))
 
     @classmethod
@@ -523,10 +521,8 @@ class RewardDistribution:
         return tuple(r for r, w in zip(self.rewards, self.weights) if w > 0.0)
 
     def weight_at(self, r: float) -> float:
-        for rv, w in zip(self.rewards, self.weights):
-            if abs(rv - r) <= 1e-9 * max(1.0, abs(rv)):
-                return w
-        return 0.0
+        k = _match(self.rewards, r)
+        return 0.0 if k is None else self.weights[k]
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.weights)

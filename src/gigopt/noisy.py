@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .fluid import solve_fluid_many
+from .fluid import _check_pairs, _kernel_width, solve_fluid_many
 from .market import (
     MIN_DEPARTURE_FLOOR,
     DegenerateSupply,
@@ -123,9 +123,23 @@ def market_instance(noisy: NoisyInstance) -> MarketInstance:
     """
     if noisy.epsilon <= 0.0:
         raise AssumptionViolated("grid construction needs a positive noise level")
+    types = tuple(
+        WorkerType(lam=l, departure=EpsNoisy(v=v, eps=noisy.epsilon))
+        for l, v in zip(noisy.lambdas, noisy.values)
+    )
+    return MarketInstance(
+        rewards=RewardSet(_grid(noisy, noisy.epsilon)),
+        types=types,
+        revenue=noisy.revenue,
+        eps_noisy_mode=True,
+    )
+
+
+def _grid(noisy: NoisyInstance, eps: float) -> tuple[float, ...]:
+    """market_instance's grid at noise level eps."""
     pts = [noisy.r_min, noisy.r_max]
     for v in noisy.values:
-        for p in (v - noisy.epsilon, v, v + noisy.epsilon):
+        for p in (v - eps, v, v + eps):
             if noisy.r_min < p < noisy.r_max:
                 pts.append(p)
     pts.sort()
@@ -133,16 +147,7 @@ def market_instance(noisy: NoisyInstance) -> MarketInstance:
     for p in pts[1:]:
         if p - grid[-1] > 1e-12:  # merge breakpoints that collide across types
             grid.append(p)
-    types = tuple(
-        WorkerType(lam=l, departure=EpsNoisy(v=v, eps=noisy.epsilon))
-        for l, v in zip(noisy.lambdas, noisy.values)
-    )
-    return MarketInstance(
-        rewards=RewardSet(tuple(grid)),
-        types=types,
-        revenue=noisy.revenue,
-        eps_noisy_mode=True,
-    )
+    return tuple(grid)
 
 
 @dataclass(frozen=True)
@@ -326,7 +331,7 @@ def surplus_curve(noisy: NoisyInstance, eps_grid: Sequence[float]) -> MetricCurv
     Single-type instances use the closed forms; multi-type instances solve
     the fluid problem on the augmented grid of every noise level in one
     batched solve_fluid_many call and score each level from its winner's
-    supply.
+    supply, after sizing its pair tables from the levels' grids alone.
     """
     eps = [float(e) for e in eps_grid]
     if len(eps) < 2:
@@ -335,6 +340,8 @@ def surplus_curve(noisy: NoisyInstance, eps_grid: Sequence[float]) -> MetricCurv
         raise ValueError("noise levels must be positive")
     if any(b <= a for a, b in zip(eps, eps[1:])):
         raise ValueError("noise grid must be strictly increasing")
+    if noisy.K > 1:
+        _check_pairs(np.array([len(_grid(noisy, e)) for e in eps]), _kernel_width(noisy.K))
     ats = [noisy.with_epsilon(e) for e in eps]
     if noisy.K == 1:
         solved = [_closed_form_at(at) for at in ats]

@@ -4,10 +4,10 @@ retention policy.
 
 Periods are 1-based everywhere; the population in period t is the survivors
 of period t-1 plus the period-t arrivals, and the payment drawn in period t
-applies to that whole population. The rule for which distribution a policy
-pays in period t lives here only: _head says where a policy's repeating cycle
-starts, period_index reads it for one period (the simulator reads that too)
-and _schedule for a whole horizon.
+applies to that whole population. Every policy that pays from
+distributions repeats policy.distributions from period 1, so period t pays
+entry (t - 1) mod tau. That rule lives here only: period_index reads it for
+one period (the simulator reads that too) and _schedule for a whole horizon.
 Mixture departure rates and expected rewards are built once per
 distribution (_rate_rows), never per period, from the instance's departure
 table when the distribution is on its grid; the simulator reads them too.
@@ -55,7 +55,6 @@ __all__ = [
     "PreconditionViolated",
     "Static",
     "Cyclic",
-    "Trajectory",
     "BeliefBased",
     "Policy",
     "TrajectoryResult",
@@ -117,27 +116,6 @@ class Cyclic:
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    """A finite head of distributions followed by a repeating tail."""
-
-    head: tuple[RewardDistribution, ...]
-    tail: tuple[RewardDistribution, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "head", tuple(self.head))
-        object.__setattr__(self, "tail", tuple(self.tail))
-        if not self.tail:
-            raise ValueError("the repeating tail must be non-empty")
-        dom = self.tail[0].rewards
-        if any(x.rewards != dom for x in self.head + self.tail):
-            raise ValueError("all distributions must share one reward domain")
-
-    @property
-    def distributions(self) -> tuple[RewardDistribution, ...]:
-        return self.head + self.tail
-
-
-@dataclass(frozen=True)
 class BeliefBased:
     """Pay v1 to everyone while learning who values v1-retention, then pay v1
     to exactly enough known retainers to fill demand D and nothing to anyone
@@ -149,35 +127,26 @@ class BeliefBased:
     D: float
 
 
-Policy = Union[Static, Cyclic, Trajectory, BeliefBased]
+Policy = Union[Static, Cyclic, BeliefBased]
 
 
-def _head(policy: Policy) -> int:
-    """Periods before policy.distributions start repeating: a Trajectory's
-    head, else 0. The distributions after the head are the repeating cycle."""
-    if isinstance(policy, Trajectory):
-        return len(policy.head)
+def period_index(policy: Policy, t: int) -> int:
+    """Position in policy.distributions of the distribution paid in period t:
+    the cycle's distributions in turn, round and round. Raises TypeError for
+    policies that pay no distribution."""
+    if t < 1:
+        raise ValueError("periods are 1-based")
     if isinstance(policy, (Static, Cyclic)):
-        return 0
+        return (t - 1) % len(policy.distributions)
     if isinstance(policy, BeliefBased):
         raise TypeError("belief-based policies pay per worker state, not from one distribution")
     raise TypeError(f"unknown policy type {type(policy).__name__}")
 
 
-def period_index(policy: Policy, t: int) -> int:
-    """Position in policy.distributions of the distribution paid in period t:
-    the head's distributions in turn, then the cycle's, round and round."""
-    if t < 1:
-        raise ValueError("periods are 1-based")
-    h = _head(policy)
-    return t - 1 if t <= h else h + (t - 1 - h) % (len(policy.distributions) - h)
-
-
 def _schedule(policy: Policy, horizon: int) -> np.ndarray:
     """period_index of periods 1 ... horizon, as one array."""
-    h = _head(policy)
-    s = np.arange(horizon)
-    return np.where(s < h, s, h + (s - h) % (len(policy.distributions) - h))
+    period_index(policy, 1)  # rejects policies without distributions
+    return np.arange(horizon) % len(policy.distributions)
 
 
 @dataclass(frozen=True)
@@ -242,12 +211,9 @@ def _trajectory(inst: MarketInstance, policy: Policy, idx: np.ndarray, n0) -> Tr
 
 def _cycle(inst: MarketInstance, policy: Policy) -> tuple[np.ndarray, ...]:
     """(tau, K) mixture rates, (tau,) expected rewards, and each type's mean
-    rate and survival over the policy's repeating cycle: a Static policy's
-    distribution, a Cyclic policy's tau, a Trajectory's tail. Raises NonMixing
-    when a type's mean rate is below 1e-9 (no turnover in 10^9 periods)."""
+    rate and survival over the policy's cycle. Raises NonMixing when a type's
+    mean rate is below 1e-9 (no turnover in 10^9 periods)."""
     rates, rhats = _rate_rows(inst, policy)
-    start = _head(policy)
-    rates, rhats = rates[start:], rhats[start:]
     rate = rates.mean(axis=0)
     if np.any(rate < 1e-9):
         raise NonMixing(f"type(s) {np.flatnonzero(rate < 1e-9).tolist()} never depart over the cycle")

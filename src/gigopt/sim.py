@@ -38,7 +38,7 @@ import numpy as np
 
 from .fluid import solve_fluid
 from .market import MarketInstance, RewardDistribution, _check_table
-from .policies import NonMixing, Policy, Static, Trajectory, _cycle, _head, _rate_rows, period_index
+from .policies import NonMixing, Policy, Static, _cycle, _rate_rows, period_index
 
 __all__ = [
     "ConfigError",
@@ -122,11 +122,11 @@ def _steps(inst: MarketInstance, policy: Policy, theta: int, R: int, periods: in
     rewards, rows = np.asarray(dom), np.array([x.weights for x in policy.distributions])
     on_grid = dom == inst.rewards.values
     mat = inst.departure_matrix if on_grid else np.array([t.departure.rate(rewards) for t in inst.types])
-    # a worker stays at most periods, and on average at most the head plus
-    # tau periods for each cycle it enters, tau / (1 - its survival over one)
+    # a worker stays at most periods, and on average at most tau periods for
+    # each cycle it enters, tau / (1 - its survival over one)
     try:
         cycle, _, _, survival = _cycle(inst, policy)
-        stay = np.minimum(_head(policy) + len(cycle) / (1.0 - survival), periods)
+        stay = np.minimum(len(cycle) / (1.0 - survival), periods)
     except NonMixing:
         stay = np.full(inst.K, float(periods))
     if theta * float(inst.lambdas @ stay) > 2.0**62:
@@ -155,7 +155,7 @@ def _steps(inst: MarketInstance, policy: Policy, theta: int, R: int, periods: in
 
 
 def default_burn_in(inst: MarketInstance, policy: Policy) -> int:
-    """Roughly ten mixing times, after a trajectory's head.
+    """Roughly ten mixing times.
 
     Uses the slowest departure rate at the top reward; when a departure
     function vanishes there (flagged instances) it falls back to the slowest
@@ -164,8 +164,7 @@ def default_burn_in(inst: MarketInstance, policy: Policy) -> int:
     rate = float(inst.departure_matrix[:, -1].min())
     if rate < 1e-9:
         rate = float(_engine(_cycle, inst, policy)[2].min())  # the mean rates
-    head = len(policy.head) if isinstance(policy, Trajectory) else 0
-    return head + math.ceil(10.0 / rate)
+    return math.ceil(10.0 / rate)
 
 
 def simulate(inst: MarketInstance, policy: Policy, cfg: SimConfig) -> SimResult:

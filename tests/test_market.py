@@ -6,7 +6,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from gigopt import (
     DegenerateSupply,
@@ -85,6 +85,40 @@ def test_index_of_tolerance_and_first_match():
     wide = RewardSet((1e12, 1e12 + 1.0, 1e12 + 1e4))
     assert wide.index_of(1e12 + 1.0) == 0
     assert wide.index_of(1e12 + 1e4) == 2
+
+
+def _first_match(values, r):
+    """The first of values within 1e-9 * max(1, |v|) of r, by a linear scan."""
+    return next((k for k, v in enumerate(values) if abs(v - r) <= 1e-9 * max(1.0, abs(v))), None)
+
+
+@st.composite
+def _grids_and_rewards(draw):
+    """A strictly increasing grid, negatives included, whose points may sit
+    within matching tolerance of each other, and a reward on, near or off it."""
+    offsets = st.sampled_from([0.0, 1e-10, -1e-10, 6e-10, -6e-10, 2e-9, -2e-9, 1e-6, 1.0])
+    centres = draw(st.lists(st.floats(-1e12, 1e12), min_size=1, max_size=6))
+    vals = sorted({c + draw(offsets) * max(1.0, abs(c)) for c in centres for _ in range(draw(st.integers(1, 3)))})
+    v = draw(st.sampled_from(vals))
+    r = draw(st.one_of(st.just(v), offsets.map(lambda o: v + o * max(1.0, abs(v))), st.floats(-1e12, 1e12)))
+    return tuple(vals), r
+
+
+@settings(max_examples=300)
+@given(_grids_and_rewards())
+# 1e12 + 1 is within tolerance of both 1e12 and itself: the first one wins
+@example(((1e12, 1e12 + 1.0, 1e12 + 1e4), 1e12 + 1.0))
+def test_grid_match_is_the_first_match_of_a_linear_scan(grid_and_reward):
+    vals, r = grid_and_reward
+    k = market._match(vals, r)
+    assert k == _first_match(vals, r)
+    if k is None:
+        with pytest.raises(ValueError, match="not in the domain"):
+            RewardDistribution.point_mass(vals, r)
+    else:
+        assert RewardDistribution.point_mass(vals, r).weights[k] == 1.0
+    x = RewardDistribution.on(vals, [1.0 / len(vals)] * len(vals))
+    assert x.weight_at(r) == (0.0 if k is None else x.weights[k])
 
 
 def test_distribution_validation():

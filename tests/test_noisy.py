@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from gigopt import noisy as noisy_layer
 from gigopt.fluid import solve_fluid_many
-from gigopt.experiments import double_threshold_instance, noisy_newsvendor_instance, noisy_sqrt_instance
+from gigopt.experiments import double_threshold_instance, float_range, noisy_newsvendor_instance, noisy_sqrt_instance
 from gigopt.market import (
     MIN_DEPARTURE_FLOOR,
     DegenerateSupply,
@@ -325,6 +326,18 @@ def test_surplus_curve_evaluates_each_rate_once_per_level(monkeypatch):
     surplus_curve(noisy, EPS_GRID[:10])
     # one call per type and level, when the level's instance builds its table
     assert len(calls) == noisy.K * 10
+
+
+def test_an_oversized_curve_is_refused_before_any_level_is_built(monkeypatch):
+    # 10^5 noise levels solved as one group need more pair-table entries than
+    # the cap: refused from the levels' grid sizes, before any level's
+    # MarketInstance exists
+    built = []
+    monkeypatch.setattr(noisy_layer, "MarketInstance", lambda *args, **kw: built.append(args))
+    eps = [e for e in float_range(0.0, 0.00025, 25.0, ("start", "step", "stop")) if e > 0.0]
+    with pytest.raises(ValueError, match="reward pairs 5499905 needs 5499905 x 32 table entries"):
+        surplus_curve(double_threshold_instance(75.0), eps)
+    assert built == []
 
 
 # --------------------------------------------------------------------------

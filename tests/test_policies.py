@@ -21,7 +21,6 @@ from gigopt import (
     RewardSet,
     Static,
     Tabulated,
-    Trajectory,
     WorkerType,
     belief_based_policy,
     cyclic_profit,
@@ -57,13 +56,10 @@ def test_period_index():
     assert _paid(Static(a), 17) is a
     cyc = Cyclic((a, b))
     assert [_paid(cyc, t) for t in (1, 2, 3, 4)] == [a, b, a, b]
-    tr = Trajectory(head=(b,), tail=(a, a, b))
-    assert [_paid(tr, t) for t in (1, 2, 3, 4, 5)] == [b, a, a, b, a]
     with pytest.raises(ValueError, match="1-based"):
         period_index(Static(a), 0)
     assert Static(a).distributions == (a,)
     assert cyc.distributions == (a, b)
-    assert tr.distributions == (b, a, a, b)
 
 
 def test_period_index_names_policies_without_one_distribution():
@@ -121,7 +117,7 @@ def _per_period_trajectory(inst, policy, horizon, n0):
 
 
 @pytest.mark.parametrize("n0", [None, (40.0, 3.5, 12.25)])
-@pytest.mark.parametrize("kind", ["static", "cyclic", "trajectory"])
+@pytest.mark.parametrize("kind", ["static", "cyclic"])
 def test_trajectory_matches_per_period_reference(canon, kind, n0):
     rs = canon.rewards
     a = RewardDistribution.point_mass(rs, 35.0)
@@ -130,7 +126,6 @@ def test_trajectory_matches_per_period_reference(canon, kind, n0):
     policy = {
         "static": Static(b),
         "cyclic": Cyclic((a, b, c)),
-        "trajectory": Trajectory(head=(c, a), tail=(b, a, a)),
     }[kind]
     # each revenue's array call must round as its per-period scalar calls do
     for revenue in (canon.revenue, Power(300.0, 0.5), Log(2000.0)):

@@ -19,6 +19,7 @@ REMOVED = [
     ("fluid", "InterlacingNotFound"),
     ("policies", "distribution_at"),
     ("policies", "static_from_cyclic"),
+    ("policies", "Trajectory"),
     ("noisy", "mhr_like_check"),
     ("noisy", "DerivativeVanishes"),
 ]

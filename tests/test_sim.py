@@ -20,7 +20,6 @@ from gigopt import (
     RewardSet,
     Static,
     Tabulated,
-    Trajectory,
     WorkerType,
     cyclic_profit,
     cyclic_steady_state,
@@ -241,15 +240,6 @@ def test_default_burn_in_of_a_cycle_reads_its_mean_rates(canon):
     assert default_burn_in(canon, cyc) == math.ceil(10 / min((rates[0] + rates[1]) / 2))
 
 
-def test_default_burn_in_of_a_trajectory_starts_after_its_head(canon):
-    # the head pays the top reward, where two canonical types never leave;
-    # the burn-in counts ten mixing times of the tail from its first period
-    top = RewardDistribution.point_mass(canon.rewards, 60.0)
-    fluid = solve_fluid(canon).x
-    assert default_burn_in(canon, Trajectory(head=(top,) * 500, tail=(fluid,))) == 500 + 194
-    assert default_burn_in(example1_instance(), Trajectory(head=(top,) * 3, tail=(fluid,))) == 3 + 234
-
-
 def test_a_cycle_that_never_mixes_is_refused_by_both_engines():
     inst = prop5_instance()
     pay_r = RewardDistribution.point_mass(inst.rewards, 1.0)
@@ -319,7 +309,6 @@ def _recorded_policy(name):
     b = RewardDistribution.point_mass(rs, 45.0)
     return {
         "cyclic": Cyclic((a, b, a)),
-        "trajectory": Trajectory(head=(b,), tail=(a, _canon_lottery())),
         "realized": Static(_canon_lottery()),
     }[name]
 
@@ -328,13 +317,10 @@ def _recorded_policy(name):
     ("cyclic", dict(theta=3, periods=40, burn_in=10, replications=4, seed=17),
      1709.6527777777778, 43.54788631814159, (48.175, 21.275, 13.458333333333334),
      [43, 23, 14], [379, 384, 414]),
-    ("trajectory", dict(theta=2, periods=30, burn_in=5, replications=3, seed=23),
-     1349.8333333333333, 18.873644174998184, (19.88, 12.653333333333332, 9.0),
-     [19, 16, 11], [185, 188, 197]),
     ("realized", dict(theta=5, periods=30, burn_in=10, replications=4, seed=29, realized_cost=True),
      1221.5749999999998, 19.822309611479, (41.1375, 28.65, 24.275),
      [43, 24, 27], [488, 463, 480]),
-], ids=["cyclic", "trajectory", "realized"])
+], ids=["cyclic", "realized"])
 def test_simulate_matches_recorded_outputs(canon, name, kw, profit, se, supply, last, departed):
     res = simulate(canon, _recorded_policy(name), SimConfig(record_trace=True, **kw))
     assert res.mean_profit == pytest.approx(profit, rel=1e-12)
@@ -452,14 +438,11 @@ def _distributions(draw, rewards):
 
 @st.composite
 def _policies(draw, rewards):
-    kind = draw(st.sampled_from(["static", "cyclic", "trajectory"]))
+    kind = draw(st.sampled_from(["static", "cyclic"]))
     xs = tuple(draw(st.lists(_distributions(rewards), min_size=1, max_size=4)))
     if kind == "static":
         return Static(xs[0])
-    if kind == "cyclic":
-        return Cyclic(xs)
-    cut = draw(st.integers(0, len(xs) - 1))
-    return Trajectory(head=xs[:cut], tail=xs[cut:])
+    return Cyclic(xs)
 
 
 def _both_ways(inst, policy, cfg):
