@@ -24,10 +24,10 @@ built, so no phase calls a departure rate again. Each slice's best scanned
 point is golden-section refined one scan step either side, all slices at
 once, each with its own stopping rule; the newsvendor kinks are bisected
 together the same way. Each step keeps the per-slice arithmetic and its
-order (supply summed type by type from 0.0, the scan grid exactly as
-np.linspace builds it), so every slice gets the bit-identical result a
-scalar scan would. Each instance's winner is then picked from its candidates
-with fluid_profit's arithmetic, by one stable sort over the group with the
+order (supply summed type by type, the scan grid exactly as np.linspace
+builds it), so every slice gets the bit-identical result a scalar scan
+would. Each instance's winner is then picked from its candidates with
+fluid_profit's arithmetic, by one stable sort over the group with the
 instance as the leading key.
 
 One bracket per slice is exact for one worker type: supply S is monotone in
@@ -48,29 +48,43 @@ rewards being non-negative, so the piece earns at most the revenue of the
 largest supply less the left end's expected reward times the smallest
 supply. The bound is computed with the kernel's own arithmetic, whose
 rounding is monotone in the weight, so it is at least every profit the
-kernel can return from that piece.
+kernel can return from that piece; and the bound of [0, top] as one piece,
+whose end rates bound every piece's, is at least every piece's bound.
 
 The bound prunes twice. First, solve_fluid_many drops the slices whose
 largest piece bound is below their instance's best non-degenerate
 singleton's profit by more than 1e-9 relative, which covers the rounding
 between the kernel's arithmetic and the winner's. Such a slice's candidate
 would score strictly below a singleton that is itself a candidate, so it
-could neither win nor tie the winner. Second, the kernel scores each slice's
-known candidates first (both ends and the newsvendor kink) and scans only
-the pieces whose bound is not below the best of them; a NaN bound keeps its
-piece. A kept piece is scanned at its own _PIECE + 1 points. A skipped
-piece's points score below the best known candidate, so the kept pieces hold
-the full scan's best point whenever it reaches that candidate; when it does
-not, it lies in skipped pieces with its one-step bracket, and on a one-peak
-slice so does any peak the kernel's bracket holds, so neither refinement
-could win or tie. The known candidates come from the slice alone, never from
-the scan or from another slice, so each slice gets the bits of a scalar scan
-that refines its first maximum. Slices are bounded _BOUND_BLOCK at a time
-and kept pieces scanned _TEMP_FLOATS points at a time, so those temporaries
-stay within 66 KB whatever the grid size, and the kernel keeps one best
-scanned point per slice. The first pruning hands the kernel the piece bounds
-of the slices it keeps, kept x _BOUND_PIECES floats: 144 KB on the power
-variant, about 255 KB for the 50 noise levels of a 3-type noisy-entry curve.
+could neither win nor tie the winner; only the slices that the one-piece
+bound keeps get piece bounds, so the same slices are kept. Second, the
+kernel scores each slice's known candidates first (both ends and the
+newsvendor kink) and scans only the pieces whose bound is not below the best
+of them; a NaN bound keeps its piece. A kept piece is scanned at its own
+_PIECE + 1 points. A skipped piece's points score below the best known
+candidate, so the kept pieces hold the full scan's best point whenever it
+reaches that candidate; when it does not, it lies in skipped pieces with its
+one-step bracket, and on a one-peak slice so does any peak the kernel's
+bracket holds, so neither refinement could win or tie. The known candidates
+come from the slice alone, never from the scan or from another slice, so
+each slice gets the bits of a scalar scan that refines its first maximum.
+Slices are bounded _BOUND_BLOCK at a time and kept pieces scanned
+_TEMP_FLOATS points at a time, so those temporaries stay within 66 KB
+whatever the grid size, and the kernel keeps one best scanned point per
+slice; the one-piece bounds and the Newton steps below hold arrays the size
+of the batch's own rates, (K, live slices). The first pruning hands the
+kernel the piece bounds of the slices it keeps, kept x _BOUND_PIECES floats:
+144 KB on the power variant, about 255 KB for the 50 noise levels of a
+3-type noisy-entry curve.
+
+A newsvendor kink halves a bracket S(lo) < cap <= S(hi) of supply S until its
+ends are adjacent floats, from [0, top] when S(0) < cap < S(top). Where every
+rate falls along the slice, each step of S (dl * y, + lo, lambda / rate, the
+sum over types) is monotone, so every such bracket ends on the same floats:
+the first where S reaches the cap, and the one below. Such a slice starts
+instead 64 ulps either side of eight Newton steps on 1 / S, once S confirms
+that bracket and its low end is above top * 2^-140, where 200 halvings from
+[0, top] surely end on adjacent floats too.
 
 The brute-force oracle, the independent check of the two-support theorem,
 scores every weight vector with denominator G on instances of at most 5
@@ -249,6 +263,8 @@ class _PairBatch:
         self.hi = hi
         self.r_low = r_low
         self.r_high = r_high
+        self.dl = hi - lo
+        self.dr = r_high - r_low
 
     @classmethod
     def of(cls, group: _Group, ii: np.ndarray, jj: np.ndarray) -> "_PairBatch":
@@ -272,19 +288,20 @@ class _PairBatch:
         return y
 
     def supply(self, y: np.ndarray) -> np.ndarray:
-        # summed type by type from 0.0, the order of a scalar loop over types;
-        # dividing by a per-row rate gives the bits a scalar rate would
-        col = (slice(None),) + (None,) * (y.ndim - 1)
-        total = np.zeros(np.shape(y))
-        for lam, lo, hi in zip(self.lam, self.lo, self.hi):
-            lhat = (hi - lo)[col] * y
-            lhat += lo[col]
-            total += np.divide(lam[col], lhat, out=lhat)
+        # summed type by type as a scalar loop would (a sum over axis 0 adds
+        # the rows in turn); dividing by a per-row rate gives its bits
+        if y.ndim == 1:
+            return (self.lam / (self.dl * y + self.lo)).sum(axis=0)
+        total = np.zeros(y.shape)
+        for lam, lo, dl in zip(self.lam, self.lo, self.dl):
+            lhat = dl[:, None] * y
+            lhat += lo[:, None]
+            total += np.divide(lam[:, None], lhat, out=lhat)
         return total
 
     def rhat(self, y: np.ndarray) -> np.ndarray:
         col = (slice(None),) + (None,) * (y.ndim - 1)
-        out = (self.r_high - self.r_low)[col] * y
+        out = self.dr[col] * y
         out += self.r_low[col]
         return out
 
@@ -306,46 +323,69 @@ def _golden_section(f, a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
     shrinks until its own width is at most tol and then stays put, so it
     takes the same steps as it would alone.
     """
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
+    a, b = a.copy(), b.copy()
+    width = b - a
+    c = b - _INV_PHI * width
+    d = a + _INV_PHI * width
     fc, fd = f(c), f(d)
-    active = b - a > tol
+    active = width > tol
     while active.any():
-        keep_left = fc >= fd
-        left = active & keep_left  # keep [a, d]; the old c becomes d
-        right = active & ~keep_left  # keep [c, b]; the old d becomes c
-        a, b = np.where(right, c, a), np.where(left, d, b)
-        probe = np.where(left, b - _INV_PHI * (b - a), a + _INV_PHI * (b - a))
+        left = fc >= fd  # keep [a, d], the old c becoming d; else keep [c, b]
+        np.copyto(a, c, where=active & ~left)
+        np.copyto(b, d, where=active & left)
+        width = b - a
+        active = width > tol  # a finished bracket's c and d are never read again
+        step = _INV_PHI * width
+        probe = np.where(left, b - step, a + step)
         f_probe = f(probe)
-        c, d, fc, fd = (
-            np.where(left, probe, np.where(right, d, c)),
-            np.where(right, probe, np.where(left, c, d)),
-            np.where(left, f_probe, np.where(right, fd, fc)),
-            np.where(right, f_probe, np.where(left, fc, fd)),
-        )
-        active = b - a > tol
+        kept, f_kept = np.where(left, c, d), np.where(left, fc, fd)
+        c, fc = np.where(left, probe, kept), np.where(left, f_probe, f_kept)
+        d, fd = np.where(left, kept, probe), np.where(left, f_kept, f_probe)
     return 0.5 * (a + b)
 
 
 def _bisect_up(f, target, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Root of f(y) = target in every bracket [lo[n], hi[n]] at once, for f
-    non-decreasing; NaN where the target is not strictly bracketed.
+    non-decreasing; NaN where the target is not strictly bracketed."""
+    return _halve(f, target, lo, hi, (f(lo) < target) & (target < f(hi)))
 
-    Each bracket halves at most 200 times and stops as soon as its midpoint
-    rounds onto an end.
-    """
-    flo, fhi = f(lo), f(hi)
-    found = (flo < target) & (target < fhi)
-    active = found.copy()
+
+def _halve(f, target, lo: np.ndarray, hi: np.ndarray, found: np.ndarray) -> np.ndarray:
+    """Root of f(y) = target in the brackets [lo[n], hi[n]] with found[n],
+    for f non-decreasing and f(lo) < target <= f(hi) there; NaN elsewhere.
+    Each halves at most 200 times, until its midpoint rounds onto an end."""
+    lo, hi, active = lo.copy(), hi.copy(), found.copy()
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         active &= (mid != lo) & (mid != hi)
         if not active.any():
             break
         below = f(mid) < target
-        lo = np.where(active & below, mid, lo)
-        hi = np.where(active & ~below, mid, hi)
+        below &= active
+        np.copyto(lo, mid, where=below)
+        np.copyto(hi, mid, where=below ^ active)
     return np.where(found, 0.5 * (lo + hi), np.nan)
+
+
+def _kink(pairs: _PairBatch, top: np.ndarray) -> np.ndarray:
+    """_bisect_up(pairs.supply, cap, 0, top) of a newsvendor batch, with
+    Newton-seeded brackets where supply is monotone (module docstring)."""
+    cap = pairs.revenue.cap
+    lo, hi = np.zeros(len(top)), top.copy()
+    found = (pairs.supply(lo) < cap) & (cap < pairs.supply(hi))
+    seed = np.flatnonzero(found & (pairs.dl <= 0.0).all(axis=0))
+    near, t, y = pairs.take(seed), top[seed], np.zeros(len(seed))
+    with np.errstate(all="ignore"):  # a step that fails yields a bracket the check refuses
+        for _ in range(8):
+            rate = near.dl * y + near.lo
+            n = near.lam / rate
+            s = n.sum(axis=0)  # S, and below -dS/dy
+            y = np.clip(y - s * (cap - s) / (cap * (n / rate * near.dl).sum(axis=0)), 0.0, t)
+        ulps = 64.0 * np.spacing(y)
+        a, b = y - ulps, np.minimum(y + ulps, t)
+        ok = (a >= t * 2.0**-140) & (near.supply(a) < cap) & (cap <= near.supply(b))
+    lo[seed[ok]], hi[seed[ok]] = a[ok], b[ok]
+    return _halve(pairs.supply, cap, lo, hi, found)
 
 
 def _live_pairs(group: _Group, ii: np.ndarray, jj: np.ndarray):
@@ -380,7 +420,7 @@ def _solve_slices(pairs: _PairBatch, top: np.ndarray, tol: float,
     profits[0], profits[1] = pairs.profit(ys[0]), pairs.profit(top)
     if isinstance(pairs.revenue, Newsvendor):
         # profit is kinked where total supply crosses the revenue cap
-        ys[2] = _bisect_up(pairs.supply, pairs.revenue.cap, ys[0], top)
+        ys[2] = _kink(pairs, top)
         hit = np.flatnonzero(~np.isnan(ys[2]))
         profits[2, hit] = pairs.take(hit).profit(ys[2, hit])
     known = np.fmax.reduce(profits[:3])
@@ -425,19 +465,18 @@ def _solve_slices(pairs: _PairBatch, top: np.ndarray, tol: float,
     return ys[first, np.arange(n)], profits[first, np.arange(n)]
 
 
-def _slice_bounds(pairs: _PairBatch, top: np.ndarray) -> np.ndarray:
-    """Upper bound on every live slice's profit over each of its
-    _BOUND_PIECES pieces, as a (slices, pieces) array. Piece j spans the
-    scan weights _PIECE * j ... _PIECE * (j + 1), and its bound is
-    R(sum of lambda / min end rate) - (left end's expected reward) *
-    (sum of lambda / max end rate), in the kernel's arithmetic (see the
-    module docstring)."""
-    y = np.arange(0, SCAN_POINTS, _PIECE) * (top / (SCAN_POINTS - 1))[:, None]
+def _slice_bounds(pairs: _PairBatch, top: np.ndarray, pieces: int = _BOUND_PIECES) -> np.ndarray:
+    """Upper bound on every live slice's profit over each of its pieces (of
+    _BOUND_PIECES, piece j spanning the scan weights _PIECE * j ... _PIECE *
+    (j + 1); or 1 piece, [0, top]), as a (slices, pieces) array. A bound is
+    R(sum of lambda / min end rate) - (left end's expected reward) * (sum of
+    lambda / max end rate), in the kernel's arithmetic (module docstring)."""
+    y = np.arange(0, SCAN_POINTS, (SCAN_POINTS - 1) // pieces) * (top / (SCAN_POINTS - 1))[:, None]
     y[:, -1] = top
-    s_lo = np.zeros((len(top), _BOUND_PIECES))
-    s_up = np.zeros((len(top), _BOUND_PIECES))
-    for lam, lo, hi in zip(pairs.lam, pairs.lo, pairs.hi):
-        lhat = (hi - lo)[:, None] * y
+    s_lo = np.zeros((len(top), pieces))
+    s_up = np.zeros((len(top), pieces))
+    for lam, lo, dl in zip(pairs.lam, pairs.lo, pairs.dl):
+        lhat = dl[:, None] * y
         lhat += lo[:, None]
         left, right = lhat[:, :-1], lhat[:, 1:]
         rate = np.minimum(left, right)
@@ -454,18 +493,19 @@ def _beatable(group: _Group, ii: np.ndarray, pairs: _PairBatch, top: np.ndarray)
     reaches their instance's best non-degenerate singleton profit less a
     1e-9 relative margin; the others cannot hold the winner. A NaN bound
     keeps its slice, and an instance with no non-degenerate singleton keeps
-    all its slices. Slices are bounded _BOUND_BLOCK at a time and only the
-    kept ones' bounds stay."""
+    all its slices. Only the slices that their one-piece bound keeps get
+    piece bounds, _BOUND_BLOCK at a time, and only the kept ones' stay."""
     single = np.arange(len(group.vals))
     profit, _, _, ok = _score(group, single, single, np.zeros(len(single)))
     lb = np.maximum.reduceat(np.where(ok, profit, -np.inf), group.start)
     floor = (lb - 1e-9 * np.maximum(1.0, np.abs(lb)))[group.owner[ii]]
+    near = np.flatnonzero(~(_slice_bounds(pairs, top, 1)[:, 0] < floor))
     rows, bounds = [np.zeros(0, int)], [np.zeros((0, _BOUND_PIECES))]
-    for start in range(0, len(top), _BOUND_BLOCK):
-        block = slice(start, start + _BOUND_BLOCK)
+    for start in range(0, len(near), _BOUND_BLOCK):
+        block = near[start:start + _BOUND_BLOCK]
         b = _slice_bounds(pairs.take(block), top[block])
         keep = ~(b.max(axis=1) < floor[block])
-        rows.append(start + np.flatnonzero(keep))
+        rows.append(block[keep])
         bounds.append(b[keep])
     return np.concatenate(rows), np.concatenate(bounds)
 

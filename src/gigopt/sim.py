@@ -11,7 +11,8 @@ could overflow int64 are rejected.
 Expected pay reads the policy engine's expected rewards (policies._rate_rows),
 the bits fluid_trajectory reads; only the draws read weights and cell rates.
 The occupancy bound and default_burn_in's fallback read the policy engine's
-cycle rule (policies._cycle), which alone decides whether a policy mixes.
+cycle rule (policies._cycle), which alone decides whether a policy mixes;
+one simulate builds the policy's rate table once, for its pay and its bound.
 Tables of replications x types or paid cells are capped like every table
 whose size the input sets (market._check_table).
 
@@ -101,14 +102,26 @@ class SimResult:
     trace: SimTrace | None
 
 
-def _engine(read, inst: MarketInstance, policy: Policy):
-    """read(inst, policy) from the policy engine, its refusals as ConfigError."""
+def _engine(read, inst: MarketInstance, policy: Policy, *args):
+    """read(inst, policy, *args) from the policy engine, its refusals as ConfigError."""
     try:
-        return read(inst, policy)
+        return read(inst, policy, *args)
     except TypeError as exc:
         raise ConfigError(f"{exc}; evaluate it with the policy engine") from None
     except NonMixing:
         raise ConfigError("policy never mixes: some type would sit forever") from None
+
+
+def _pay_and_stay(inst: MarketInstance, policy: Policy, periods: int):
+    """(D,) expected rewards of the policy's distributions and each type's
+    occupancy bound in periods: a worker stays at most periods, and on
+    average at most tau periods for each cycle it enters, tau / (1 - its
+    survival over one). One rate table serves both."""
+    try:
+        rates, rhats, _, survival = _cycle(inst, policy)
+    except NonMixing:
+        return _rate_rows(inst, policy)[1], np.full(inst.K, float(periods))
+    return rhats, np.minimum(len(rates) / (1.0 - survival), periods)
 
 
 def _steps(inst: MarketInstance, policy: Policy, theta: int, R: int, periods: int, seed: int, realized: bool):
@@ -117,18 +130,11 @@ def _steps(inst: MarketInstance, policy: Policy, theta: int, R: int, periods: in
     departures, rhat, paid), with rhat the expected pay per worker and paid
     the drawn pay per replication (None unless realized); the draws read the
     distributions' weights and the types' rates on their shared domain."""
-    _, rhats = _engine(_rate_rows, inst, policy)
+    rhats, stay = _engine(_pay_and_stay, inst, policy, periods)
     dom = policy.distributions[0].rewards
     rewards, rows = np.asarray(dom), np.array([x.weights for x in policy.distributions])
     on_grid = dom == inst.rewards.values
     mat = inst.departure_matrix if on_grid else np.array([t.departure.rate(rewards) for t in inst.types])
-    # a worker stays at most periods, and on average at most tau periods for
-    # each cycle it enters, tau / (1 - its survival over one)
-    try:
-        cycle, _, _, survival = _cycle(inst, policy)
-        stay = np.minimum(len(cycle) / (1.0 - survival), periods)
-    except NonMixing:
-        stay = np.full(inst.K, float(periods))
     if theta * float(inst.lambdas @ stay) > 2.0**62:
         raise ConfigError(f"theta {theta} lets the expected occupancy overflow int64")
     K, lam = inst.K, inst.lambdas * theta

@@ -693,13 +693,19 @@ def test_piece_bounds_cover_every_scan_weight_of_their_piece(inst):
 
 def test_pruning_keeps_slices_within_the_margin(monkeypatch):
     # a slice is dropped only when its bound is below the best singleton by
-    # more than 1e-9 relative: rounding in the two profit arithmetics stays inside
+    # more than 1e-9 relative: rounding in the two profit arithmetics stays
+    # inside. The one-piece bound and the piece bounds are one function, so
+    # one patch sets both: gaps (one piece, pieces)
     inst = canonical_instance()
     best = optimal_fixed_wage(inst)[1].profit
     ii, _, live, pairs, top = _all_live_pairs(inst)
-    for gap, kept in ((0.5e-9, len(live)), (2e-9, 0)):
-        monkeypatch.setattr(fluid, "_slice_bounds",
-                            lambda p, t, gap=gap: np.full((len(t), fluid._BOUND_PIECES), best - gap * best))
+    # a NaN one-piece bound keeps its slice for the piece bounds
+    for gaps, kept in (((0.5e-9, 0.5e-9), len(live)), ((2e-9, 2e-9), 0), ((0.5e-9, 2e-9), 0),
+                       ((math.nan, 0.5e-9), len(live))):
+        def bounds(p, t, pieces=fluid._BOUND_PIECES, gaps=gaps):
+            return np.full((len(t), pieces), best - gaps[pieces > 1] * best)
+
+        monkeypatch.setattr(fluid, "_slice_bounds", bounds)
         assert len(fluid._beatable(fluid._Group([inst]), ii[live], pairs, top)[0]) == kept
 
 
@@ -707,6 +713,165 @@ def test_pruning_drops_most_canonical_slices():
     inst = canonical_instance()
     ii, _, live, pairs, top = _all_live_pairs(inst)
     assert len(fluid._beatable(fluid._Group([inst]), ii[live], pairs, top)[0]) <= 215
+
+
+def _beatable_by_blocks(group, ii, pairs, top):
+    """Reference: _beatable with no one-piece bound, every live slice's
+    piece bounds computed _BOUND_BLOCK slices at a time."""
+    single = np.arange(len(group.vals))
+    profit, _, _, ok = fluid._score(group, single, single, np.zeros(len(single)))
+    lb = np.maximum.reduceat(np.where(ok, profit, -np.inf), group.start)
+    floor = (lb - 1e-9 * np.maximum(1.0, np.abs(lb)))[group.owner[ii]]
+    rows, bounds = [np.zeros(0, int)], [np.zeros((0, fluid._BOUND_PIECES))]
+    for start in range(0, len(top), fluid._BOUND_BLOCK):
+        block = slice(start, start + fluid._BOUND_BLOCK)
+        b = _slice_bounds(pairs.take(block), top[block])
+        keep = ~(b.max(axis=1) < floor[block])
+        rows.append(start + np.flatnonzero(keep))
+        bounds.append(b[keep])
+    return np.concatenate(rows), np.concatenate(bounds)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(_random_instances(max_m=24), min_size=1, max_size=3))
+@example([canonical_instance(), power_variant_instance()])
+@example([_GROUP_MATE, _NO_SINGLETON, _GROUP_MATE])
+def test_one_piece_bound_keeps_the_rows_of_the_piece_bounds(insts):
+    # in the kernel's arithmetic, the bound of [0, top] as one piece is at
+    # least every piece's bound, so filtering by it first changes no kept
+    # row and no kept bound
+    groups = {}
+    for inst in insts:
+        groups.setdefault((inst.revenue, inst.K), []).append(inst)
+    for members in groups.values():
+        group = fluid._Group(members)
+        ii, jj = group.pairs()
+        live, pairs, top = _live_pairs(group, ii, jj)
+        one = _slice_bounds(pairs, top, 1)
+        assert one.shape == (len(top), 1)
+        assert np.all((one >= _slice_bounds(pairs, top)) | np.isnan(one))
+        rows, bounds = fluid._beatable(group, ii[live], pairs, top)
+        want_rows, want_bounds = _beatable_by_blocks(group, ii[live], pairs, top)
+        assert rows.tobytes() == want_rows.tobytes() and bounds.tobytes() == want_bounds.tobytes()
+
+
+# --------------------------------------------------------------------------
+# The newsvendor kink
+
+
+def _slices(inst):
+    """(live slices, admissible maxima) of every reward pair of inst."""
+    _, _, _, pairs, top = _all_live_pairs(inst)
+    return pairs, top
+
+
+@st.composite
+def _kink_slices(draw):
+    """Slices of a newsvendor instance with _random_instances' types and up
+    to two more (K <= 5), tabulated with one rate that rises by at most the
+    1e-12 that departures may."""
+    inst = draw(_random_instances())
+    grid, types = inst.rewards.values, list(inst.types)
+    m = len(grid)
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        rates = sorted(draw(st.lists(_unit, min_size=m, max_size=m)), reverse=True)
+        k = draw(st.integers(min_value=0, max_value=m - 2))
+        rates[k + 1] = min(1.0, rates[k] + draw(st.floats(0.0, 0.9e-12)))
+        types.append(WorkerType(draw(st.floats(min_value=0.5, max_value=5.0)), Tabulated(grid, tuple(rates))))
+    lam = sum(t.lam for t in types)
+    revenue = Newsvendor(draw(st.floats(grid[0] + 1.0, 2.0 * grid[-1] + 5.0)),
+                         lam * draw(st.floats(min_value=1.0, max_value=20.0)))
+    return _slices(dataclasses.replace(inst, types=tuple(types), revenue=revenue))
+
+
+def _one_type_kink(cap):
+    """One slice whose supply is 1 / (0.5 - 0.25 y) on [0, 1]."""
+    return _tab_instance((10.0, 20.0), (0.5, 0.25), revenue=Newsvendor(30.0, cap))
+
+
+# supply reaches the cap 6 ulps below the top weight
+_KINK_AT_TOP = _one_type_kink(1.0 / (-0.25 * (1.0 - 3 * 2.0**-53) + 0.5))
+# supply equals the cap at the top weight: no kink
+_CAP_AT_TOP = _one_type_kink(4.0)
+# supply so flat that Newton's iterate is off by far more than 64 ulps
+_FLAT_KINK = _tab_instance((10.0, 20.0), (0.5, 0.5 - 1e-10), revenue=Newsvendor(30.0, 2.0 + 2e-10))
+# the second type's rate rises within the 1e-12 that departures may, and
+# supply crosses the cap where its float steps are not monotone: a halving
+# seeded near the crossing would end on other floats than one from [0, 1]
+_RISING_KINK = MarketInstance(
+    RewardSet((10.0, 20.0)),
+    (WorkerType(1.283089333713287, Tabulated((10.0, 20.0), (0.8032266234264884, 0.5392772345386536))),
+     WorkerType(2.26367839841135e-13, Tabulated((10.0, 20.0), (1.314624034462404e-12, 1.9480653295188286e-12)))),
+    Newsvendor(30.0, 1.799528))
+# a second type whose rate falls from -2^-170 puts the kink at 2^-170, where
+# 200 halvings of [0, 1] do not reach adjacent floats; no instance has such
+# a slice, as its rates would have to leave [0, 1]
+_TINY_ROOT = (fluid._PairBatch(Newsvendor(30.0, 1.5), np.array([[1.0], [2.0**-170]]),
+                               np.array([[0.5], [-2.0**-170]]), np.array([[0.25], [-1.0]]),
+                               np.array([10.0]), np.array([20.0])),
+              np.array([1.0]))
+
+
+@settings(deadline=None, max_examples=100)
+@given(_kink_slices())
+@example(_slices(_KINK_AT_TOP))
+@example(_slices(_CAP_AT_TOP))
+@example(_slices(_FLAT_KINK))
+@example(_slices(_RISING_KINK))
+@example(_TINY_ROOT)
+@example(_slices(canonical_instance()))
+def test_seeded_kink_matches_halving_from_zero(batch):
+    pairs, top = batch
+    want = fluid._bisect_up(pairs.supply, pairs.revenue.cap, np.zeros(len(top)), top)
+    assert fluid._kink(pairs, top).tobytes() == want.tobytes()
+
+
+def _count_kink_evaluations(monkeypatch) -> list:
+    """A list that gets, for each fluid._kink call from now on, the number
+    of supply evaluations the call makes."""
+    counts, inside = [], [False]
+    supply, kink = fluid._PairBatch.supply, fluid._kink
+
+    def counted_supply(self, y):
+        if inside[0]:
+            counts[-1] += 1
+        return supply(self, y)
+
+    def counted_kink(pairs, top):
+        counts.append(0)
+        inside[0] = True
+        try:
+            return kink(pairs, top)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(fluid._PairBatch, "supply", counted_supply)
+    monkeypatch.setattr(fluid, "_kink", counted_kink)
+    return counts
+
+
+def test_kink_examples_have_their_shape(monkeypatch):
+    # the examples above pin each path only while they keep these shapes:
+    # a seeded bracket takes 2 evaluations to find the kink, 2 to check it
+    # and a few halvings; one halved from [0, top] takes about 55, or 200
+    counts = _count_kink_evaluations(monkeypatch)
+    y = fluid._kink(*_slices(_KINK_AT_TOP))
+    assert 1.0 - y[0] == 6 * 2.0**-53 and counts[-1] <= 12
+    assert np.isnan(fluid._kink(*_slices(_CAP_AT_TOP))).all()
+    y = fluid._kink(*_slices(_FLAT_KINK))
+    assert 0.0 < y[0] < 1.0 and counts[-1] > 40
+    pairs, top = _slices(_RISING_KINK)
+    y = fluid._kink(pairs, top)
+    assert pairs.dl[1, 0] > 0.0 and 0.0 < y[0] < 1.0 and counts[-1] > 40
+    y = fluid._kink(*_TINY_ROOT)
+    assert 0.0 < y[0] < 2.0**-140 and counts[-1] > 200
+
+
+def test_canonical_kink_makes_at_most_12_supply_evaluations(monkeypatch):
+    # a seeding that stopped working would fall back to halving [0, top]
+    counts = _count_kink_evaluations(monkeypatch)
+    solve_fluid(canonical_instance())
+    assert len(counts) == 1 and 0 < counts[0] <= 12
 
 
 def _compositions_by_combinations(m, G):

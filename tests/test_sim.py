@@ -27,7 +27,7 @@ from gigopt import (
     fluid_supply,
     solve_fluid,
 )
-from gigopt import sim
+from gigopt import policies, sim
 from gigopt.experiments import canonical_instance, example1_instance, prop5_instance, prop5_policy
 from gigopt.policies import _rate_rows, period_index
 from gigopt.sim import (
@@ -364,6 +364,21 @@ def test_a_mixing_cycle_is_charged_its_mean_stay_not_every_period():
     res = simulate(inst, cyc, cfg)
     want = cfg.theta * cyclic_steady_state(inst, cyc).mean(axis=0)
     np.testing.assert_allclose(res.mean_supply, want, rtol=1e-6)
+
+
+def test_simulate_builds_the_rate_table_once(canon, monkeypatch):
+    # the expected pay and the occupancy bound read one _cycle call
+    calls = []
+    rate_rows = policies._rate_rows
+
+    def counted(inst, policy):
+        calls.append(policy)
+        return rate_rows(inst, policy)
+
+    monkeypatch.setattr(policies, "_rate_rows", counted)
+    monkeypatch.setattr(sim, "_rate_rows", counted)
+    simulate(canon, Static(solve_fluid(canon).x), SimConfig(theta=1, periods=20, burn_in=5, replications=2, seed=1))
+    assert len(calls) == 1
 
 
 def test_replication_tables_are_capped_before_allocation(canon):
