@@ -22,7 +22,8 @@ winners' outcomes both read each instance's departure table
 (MarketInstance.departure_matrix), evaluated once when the instance was
 built, so no phase calls a departure rate again. Each slice's best scanned
 point is golden-section refined one scan step either side, all slices at
-once, each with its own stopping rule; the newsvendor kinks are bisected
+once, each with its own stopping rule, unless a newsvendor kink already
+holds that bracket's maximum (below); the newsvendor kinks are bisected
 together the same way. Each step keeps the per-slice arithmetic and its
 order (supply summed type by type, the scan grid exactly as np.linspace
 builds it), so every slice gets the bit-identical result a scalar scan
@@ -37,6 +38,21 @@ up to rounding. With more types a slice could have a second peak, whose
 refinement the kernel would miss; no slice of a shipped instance or of
 1 800 random ones (m <= 60, K <= 3) has had one. So the kernel's time and
 memory follow the grid, not the profit's shape.
+
+On newsvendor revenue a slice whose every rate falls along it has its
+maximum at an end or at the kink. Above the kink the profit is
+alpha * cap - rhat * S, and rhat and S both rise, so it falls. Below, it is
+(alpha - rhat) * S, whose derivative is S * h, with g = S' / S and
+h = (alpha - rhat) * g - dr. Each type's own g_i = -dl_i / l_i has
+g_i' = g_i^2, so g' = 2 E[g_i^2] - g^2 >= g^2 (E weighting each type by its
+share of S), and wherever h = 0, h' = dr * (g' - g^2) / g >= 0: the profit
+below the kink may fall and then rise, never rise and then fall. So when the best scanned
+point's bracket holds the kink, the kink is that bracket's maximum, and as
+it is a candidate already the refinement could only tie it, up to rounding.
+The kernel skips such a bracket where the profit's left derivative at the
+kink (_PairBatch.slope_below_cap) is not negative, a check that exact
+arithmetic never fails there; every other bracket, and every bracket of
+power, log and linear revenue, is refined.
 
 A slice's profit is bounded piece by piece. Its _BOUND_PIECES pieces have
 scan-grid points as edges: piece j spans scan indices _PIECE * j to
@@ -276,17 +292,6 @@ class _PairBatch:
         return _PairBatch(self.revenue, self.lam[:, rows], self.lo[:, rows], self.hi[:, rows],
                           self.r_low[rows], self.r_high[rows])
 
-    def admissible_max(self) -> np.ndarray:
-        """Largest weight on r_high keeping every mixture rate above the
-        degeneracy floor; NaN where the whole slice is degenerate."""
-        y = np.ones(self.lo.shape[1])
-        for lo, hi in zip(self.lo, self.hi):
-            lost = hi < MIN_DEPARTURE_FLOOR
-            y[lost & (lo < MIN_DEPARTURE_FLOOR)] = np.nan
-            cut = lost & (lo >= MIN_DEPARTURE_FLOOR)
-            y[cut] = np.minimum(y[cut], (lo[cut] - MIN_DEPARTURE_FLOOR) / (lo[cut] - hi[cut]))
-        return y
-
     def supply(self, y: np.ndarray) -> np.ndarray:
         # summed type by type as a scalar loop would (a sum over axis 0 adds
         # the rows in turn); dividing by a per-row rate gives its bits
@@ -314,6 +319,15 @@ class _PairBatch:
 
     def cost(self, y: np.ndarray) -> np.ndarray:
         return self.rhat(y) * self.supply(y)
+
+    def slope_below_cap(self, y: np.ndarray) -> np.ndarray:
+        """Derivative in y of the newsvendor profit below the cap, (alpha -
+        rhat) * S' - (r_high - r_low) * S with S' = -sum lambda * dl / l^2: at
+        the kink, the profit's left derivative. y has shape (rows,)."""
+        rate = self.dl * y + self.lo
+        n = self.lam / rate
+        rise = -(n / rate * self.dl).sum(axis=0)  # S'
+        return (self.revenue.alpha - self.rhat(y)) * rise - self.dr * n.sum(axis=0)
 
 
 def _golden_section(f, a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
@@ -390,11 +404,19 @@ def _kink(pairs: _PairBatch, top: np.ndarray) -> np.ndarray:
 
 def _live_pairs(group: _Group, ii: np.ndarray, jj: np.ndarray):
     """(positions, slices, admissible maxima) of the column pairs
-    (ii[p], jj[p]) that are not degenerate throughout."""
-    pairs = _PairBatch.of(group, ii, jj)
-    y_hi = pairs.admissible_max()
+    (ii[p], jj[p]) that are not degenerate throughout. A slice's admissible
+    maximum is its largest weight on r_high keeping every mixture rate above
+    the degeneracy floor; read type by type from the column table, so only
+    the live slices are built."""
+    y_hi = np.ones(len(ii))
+    for rates in group.rates:
+        lo, hi = rates[ii], rates[jj]
+        lost = hi < MIN_DEPARTURE_FLOOR
+        y_hi[lost & (lo < MIN_DEPARTURE_FLOOR)] = np.nan
+        cut = lost & (lo >= MIN_DEPARTURE_FLOOR)
+        y_hi[cut] = np.minimum(y_hi[cut], (lo[cut] - MIN_DEPARTURE_FLOOR) / (lo[cut] - hi[cut]))
     live = np.flatnonzero(~np.isnan(y_hi))
-    return live, pairs.take(live), y_hi[live]
+    return live, _PairBatch.of(group, ii[live], jj[live]), y_hi[live]
 
 
 def _solve_slices(pairs: _PairBatch, top: np.ndarray, tol: float,
@@ -407,10 +429,12 @@ def _solve_slices(pairs: _PairBatch, top: np.ndarray, tol: float,
     kink where supply crosses the cap; scan the SCAN_POINTS weights of every
     piece whose profit bound is not below the best of them; golden-refine
     one bracket, around the best scanned point (the highest profit, NaN read
-    as -inf, the smallest weight among ties) when it is interior; and keep
-    the best candidate, the smallest weight among ties. Each slice gets the
-    bits a scalar scan of all SCAN_POINTS weights that refines its first
-    maximum gives (see the module docstring).
+    as -inf, the smallest weight among ties) when it is interior, unless the
+    bracket holds a kink that is its maximum (every rate falls along the
+    slice and the profit's left derivative at the kink is not negative); and
+    keep the best candidate, the smallest weight among ties. Each slice gets
+    the bits a scalar scan of all SCAN_POINTS weights that refines its first
+    maximum by the same rule gives (see the module docstring).
     """
     n = len(top)
     step = top / (SCAN_POINTS - 1)  # np.linspace(0, top, SCAN_POINTS), row by row
@@ -418,11 +442,15 @@ def _solve_slices(pairs: _PairBatch, top: np.ndarray, tol: float,
     ys, profits = np.full((4, n), np.nan), np.full((4, n), np.nan)
     ys[0], ys[1] = 0.0, top
     profits[0], profits[1] = pairs.profit(ys[0]), pairs.profit(top)
+    pinned = np.zeros(n, bool)  # the kink is the maximum of any bracket that holds it
     if isinstance(pairs.revenue, Newsvendor):
         # profit is kinked where total supply crosses the revenue cap
         ys[2] = _kink(pairs, top)
         hit = np.flatnonzero(~np.isnan(ys[2]))
         profits[2, hit] = pairs.take(hit).profit(ys[2, hit])
+        # every rate falls along the slice and the profit rises into the kink
+        # (a NaN kink fails the comparison)
+        pinned = (pairs.dl <= 0.0).all(axis=0) & (pairs.slope_below_cap(ys[2]) >= 0.0)
     known = np.fmax.reduce(profits[:3])
 
     keep = ~(bounds < known[:, None])
@@ -451,13 +479,16 @@ def _solve_slices(pairs: _PairBatch, top: np.ndarray, tol: float,
         best_p[r[up]] = p[up]
         best_k[r[up]] = k[up]
     inner = np.flatnonzero((best_k > 0) & (best_k < SCAN_POINTS - 1))
+    k = best_k[inner]
+    a = (k - 1) * step[inner]
+    b = np.where(k + 1 == SCAN_POINTS - 1, top[inner], (k + 1) * step[inner])
+    refine = ~(pinned[inner] & (a <= ys[2, inner]) & (ys[2, inner] <= b))
+    inner, a, b = inner[refine], a[refine], b[refine]
     for start in range(0, len(inner), _TEMP_FLOATS):
-        r = inner[start:start + _TEMP_FLOATS]
-        k = best_k[r]
-        a = (k - 1) * step[r]
-        b = np.where(k + 1 == SCAN_POINTS - 1, top[r], (k + 1) * step[r])
+        part = slice(start, start + _TEMP_FLOATS)
+        r = inner[part]
         brackets = pairs.take(r)
-        ys[3, r] = _golden_section(brackets.profit, a, b, tol)
+        ys[3, r] = _golden_section(brackets.profit, a[part], b[part], tol)
         profits[3, r] = brackets.profit(ys[3, r])
 
     # the highest profit (NaN lowest), the smallest weight among ties

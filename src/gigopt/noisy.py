@@ -121,18 +121,16 @@ def market_instance(noisy: NoisyInstance) -> MarketInstance:
     v + eps (clipped to the bounds); the two-support theorem then makes the
     pair search over this grid exact up to the breakpoints.
     """
+    return _market_instance(noisy, _grid(noisy, noisy.epsilon))
+
+
+def _market_instance(noisy: NoisyInstance, grid: tuple[float, ...]) -> MarketInstance:
+    """market_instance of noisy on its grid, _grid(noisy, noisy.epsilon)."""
     if noisy.epsilon <= 0.0:
         raise AssumptionViolated("grid construction needs a positive noise level")
-    types = tuple(
-        WorkerType(lam=l, departure=EpsNoisy(v=v, eps=noisy.epsilon))
-        for l, v in zip(noisy.lambdas, noisy.values)
-    )
-    return MarketInstance(
-        rewards=RewardSet(_grid(noisy, noisy.epsilon)),
-        types=types,
-        revenue=noisy.revenue,
-        eps_noisy_mode=True,
-    )
+    types = tuple(WorkerType(lam=l, departure=EpsNoisy(v=v, eps=noisy.epsilon))
+                  for l, v in zip(noisy.lambdas, noisy.values))
+    return MarketInstance(rewards=RewardSet(grid), types=types, revenue=noisy.revenue, eps_noisy_mode=True)
 
 
 def _grid(noisy: NoisyInstance, eps: float) -> tuple[float, ...]:
@@ -341,13 +339,14 @@ def surplus_curve(noisy: NoisyInstance, eps_grid: Sequence[float]) -> MetricCurv
     if any(b <= a for a, b in zip(eps, eps[1:])):
         raise ValueError("noise grid must be strictly increasing")
     if noisy.K > 1:
-        _check_pairs(np.array([len(_grid(noisy, e)) for e in eps]), _kernel_width(noisy.K))
+        grids = [_grid(noisy, e) for e in eps]
+        _check_pairs(np.array([len(grid) for grid in grids]), _kernel_width(noisy.K))
     ats = [noisy.with_epsilon(e) for e in eps]
     if noisy.K == 1:
         solved = [_closed_form_at(at) for at in ats]
         metrics = [noisy_metrics(at, dist) for at, (_, dist) in zip(ats, solved)]
     else:
-        outs = solve_fluid_many([market_instance(at) for at in ats])
+        outs = solve_fluid_many([_market_instance(at, grid) for at, grid in zip(ats, grids)])
         solved = [(min(1.0, max(0.0, 1.0 - out.x.weight_at(at.r_min))), out.x) for at, out in zip(ats, outs)]
         # each winner's supply is lambda / l_hat on the level's own ramps,
         # the vector _noisy_supplies would compute again

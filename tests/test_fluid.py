@@ -49,7 +49,13 @@ from gigopt import (
     support_reduce,
 )
 from gigopt import fluid, market
-from gigopt.experiments import canonical_instance, power_variant_instance
+from gigopt.experiments import (
+    canonical_instance,
+    experiment_defaults,
+    mixture_instance,
+    noisy_sqrt_instance,
+    power_variant_instance,
+)
 from gigopt.fluid import (
     REFINE_TOL,
     SCAN_POINTS,
@@ -153,11 +159,14 @@ def test_pair_never_below_endpoints(lo_rate, hi_frac, y):
 # Batched pair kernel against a scalar reference
 
 
-def _scalar_pair(inst, r_low, r_high, tol=REFINE_TOL, every_peak=False):
+def _scalar_pair(inst, r_low, r_high, tol=REFINE_TOL, every_peak=False, always_refine=False):
     """Reference: one pair slice scanned and refined in plain Python, point by
     point. Refines around the scan's first maximum (NaN read as -inf), or
-    around every scanned local maximum when every_peak is set. Returns
-    (weight_high, profit), or None for a degenerate slice."""
+    around every scanned local maximum when every_peak is set. Like the
+    kernel, the first maximum's bracket is left unrefined where it holds a
+    newsvendor kink on a slice whose every rate falls and whose profit's
+    left derivative at the kink is not negative, unless always_refine is
+    set. Returns (weight_high, profit), or None for a degenerate slice."""
     i, j = inst.rewards.index_of(r_low), inst.rewards.index_of(r_high)
     lo = [float(v) for v in inst.departure_matrix[:, i]]
     hi = [float(v) for v in inst.departure_matrix[:, j]]
@@ -188,6 +197,16 @@ def _scalar_pair(inst, r_low, r_high, tol=REFINE_TOL, every_peak=False):
                 fd = profit(d)
         return 0.5 * (a + b)
 
+    def slope(y):
+        # the profit's derivative below the cap, in the kernel's arithmetic
+        rise, total = 0.0, 0.0
+        for lm, a, b in zip(lam, lo, hi):
+            rate = (b - a) * y + a
+            n = lm / rate
+            rise += n / rate * (b - a)
+            total += n
+        return (inst.revenue.alpha - ((r_high - r_low) * y + r_low)) * -rise - (r_high - r_low) * total
+
     def bisect(f, target, a, b):
         if not f(a) < target < f(b):
             return None
@@ -210,6 +229,10 @@ def _scalar_pair(inst, r_low, r_high, tol=REFINE_TOL, every_peak=False):
     ys = np.linspace(0.0, y_hi, SCAN_POINTS)
     ps = [profit(float(y)) for y in ys]
     candidates = {0.0, y_hi}
+    kink = bisect(supply, inst.revenue.cap, 0.0, y_hi) if isinstance(inst.revenue, Newsvendor) else None
+    if kink is not None:
+        candidates.add(kink)
+    pinned = kink is not None and all(b - a <= 0.0 for a, b in zip(lo, hi)) and slope(kink) >= 0.0
     if every_peak:
         peaks = [k for k in range(1, len(ys) - 1) if ps[k] >= ps[k - 1] and ps[k] >= ps[k + 1]]
     else:
@@ -217,11 +240,9 @@ def _scalar_pair(inst, r_low, r_high, tol=REFINE_TOL, every_peak=False):
         first = scanned.index(max(scanned))
         peaks = [first] if 0 < first < len(ys) - 1 else []
     for k in peaks:
-        candidates.add(golden(float(ys[k - 1]), float(ys[k + 1])))
-    if isinstance(inst.revenue, Newsvendor):
-        kink = bisect(supply, inst.revenue.cap, 0.0, y_hi)
-        if kink is not None:
-            candidates.add(kink)
+        a, b = float(ys[k - 1]), float(ys[k + 1])
+        if every_peak or always_refine or not (pinned and a <= kink <= b):
+            candidates.add(golden(a, b))
     best_y, best_p = None, -math.inf
     for y in sorted(candidates):
         p = profit(y)
@@ -234,14 +255,15 @@ _unit = st.floats(min_value=0.0, max_value=1.0)
 
 
 @st.composite
-def _random_instances(draw, max_m=9):
-    """Small instances over every departure and revenue family. Tabulated
-    and eps-noisy departures reach zero, so some slices are degenerate."""
+def _random_instances(draw, max_m=9, max_types=3, revenues=("newsvendor", "power", "log", "linear")):
+    """Small instances over every departure family and the given revenue
+    families. Tabulated and eps-noisy departures reach zero, so some slices
+    are degenerate."""
     m = draw(st.integers(min_value=2, max_value=max_m))
     steps = draw(st.lists(st.floats(min_value=0.25, max_value=5.0), min_size=m - 1, max_size=m - 1))
     grid = tuple(float(v) for v in np.cumsum([draw(st.floats(min_value=0.0, max_value=20.0))] + steps))
     types = []
-    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+    for _ in range(draw(st.integers(min_value=1, max_value=max_types))):
         kind = draw(st.sampled_from(["tabulated", "exp_floor", "linear", "quadratic", "eps_noisy"]))
         if kind == "tabulated":
             dep = Tabulated(grid, tuple(sorted(draw(st.lists(_unit, min_size=m, max_size=m)), reverse=True)))
@@ -255,7 +277,7 @@ def _random_instances(draw, max_m=9):
             dep = EpsNoisy(draw(st.floats(grid[0], grid[-1])), draw(st.floats(0.5, 10.0)))
         types.append(WorkerType(draw(st.floats(min_value=0.5, max_value=5.0)), dep))
     lam = sum(t.lam for t in types)
-    kind = draw(st.sampled_from(["newsvendor", "power", "log", "linear"]))
+    kind = draw(st.sampled_from(revenues))
     if kind == "newsvendor":
         # caps between the bottom and several times the typical supply put kinks inside slices
         revenue = Newsvendor(draw(st.floats(grid[0] + 1.0, 2.0 * grid[-1] + 5.0)),
@@ -338,6 +360,86 @@ def test_pair_kernel_never_below_every_peak_reference(inst):
         assert (n in got) == (want is not None)
         if want is not None:
             assert got[n] >= want[1] - 1e-9 * max(1.0, abs(want[1]))
+
+
+# an instance admits rates that rise by up to 1e-12 along its grid; here the
+# second type's rises by 5e-13, so the kink does not pin the bracket of the
+# best scanned point, which holds it: that bracket is refined
+_RISING_RATE = MarketInstance(
+    RewardSet((10.0, 20.0)),
+    (WorkerType(1.0, Tabulated((10.0, 20.0), (0.5, 0.2))), WorkerType(1.0, Quadratic(0.0, 5e-14, 0.3))),
+    Newsvendor(100.0, 6.5),
+)
+
+
+@settings(deadline=None, max_examples=40)
+@given(_random_instances(max_types=4, revenues=("newsvendor",)))
+@example(_SATURATED)
+@example(_RISING_RATE)
+def test_kink_skip_never_loses_to_always_refine(inst):
+    # a bracket left unrefined holds its kink, which is the bracket's maximum
+    # and a candidate already, so no slice loses more than rounding to a
+    # reference that refines every interior best scanned point
+    vals = inst.rewards.values
+    ii, jj = (np.array(v) for v in zip(*itertools.combinations(range(len(vals)), 2)))
+    live, pairs, top = _live_pairs(fluid._Group([inst]), ii, jj)
+    _, ps = _solve_slices(pairs, top, REFINE_TOL, _slice_bounds(pairs, top))
+    got = dict(zip(live.tolist(), ps.tolist()))
+    for n, (i, j) in enumerate(zip(ii, jj)):
+        want = _scalar_pair(inst, vals[i], vals[j], always_refine=True)
+        assert (n in got) == (want is not None)
+        if want is not None:
+            assert got[n] >= want[1] - 1e-12 * max(1.0, abs(want[1]))
+
+
+def _refined_brackets(inst) -> int:
+    """Brackets that solve_fluid(inst) golden-refines."""
+    brackets = [0]
+    golden = fluid._golden_section
+
+    def counted_golden(f, a, b, tol):
+        brackets[0] += len(a)
+        return golden(f, a, b, tol)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fluid, "_golden_section", counted_golden)
+        solve_fluid(inst)
+    return brackets[0]
+
+
+def _shipped_markets():
+    canon = canonical_instance()
+    insts = {"canonical": canon, "power_variant": power_variant_instance(),
+             "dense_61": dataclasses.replace(canon, rewards=RewardSet.from_range(15.0, 60.0, 0.75)),
+             "noisy_sqrt": market_instance(noisy_sqrt_instance())}
+    for comp in experiment_defaults("fig_risk")["compositions"]:
+        insts["risk_" + "_".join(f"{v:g}" for v in comp)] = mixture_instance(comp)
+    return insts
+
+
+@pytest.mark.parametrize("name, want", [
+    ("canonical", 0), ("risk_10_0_0", 0), ("risk_8_1_1", 0), ("risk_1_8_1", 0), ("dense_61", 0),
+    # power revenue refines as it did before the kink rule
+    ("power_variant", 0), ("noisy_sqrt", 2),
+])
+def test_refined_brackets_of_the_shipped_markets(name, want):
+    assert _refined_brackets(_shipped_markets()[name]) == want
+
+
+def test_rising_rate_slice_is_still_refined():
+    # the best scanned point's bracket holds the kink and the profit rises
+    # into it, but one rate rises along the slice, so the bracket is refined.
+    # No falling-rate slice can need it: below the kink such a profit never
+    # rises and then falls (module docstring), so its left derivative at the
+    # kink is negative only where the best scanned point is the low end.
+    _, pairs, top = _live_pairs(fluid._Group([_RISING_RATE]), np.array([0]), np.array([1]))
+    kink = fluid._kink(pairs, top)
+    assert (pairs.dl[:, 0] > 0.0).tolist() == [False, True] and pairs.slope_below_cap(kink)[0] > 0.0
+    p, _ = _scan(_RISING_RATE)
+    k = int(p.argmax())
+    assert (k - 1) / (SCAN_POINTS - 1) <= kink[0] <= (k + 1) / (SCAN_POINTS - 1)
+    assert _refined_brackets(_RISING_RATE) == 1
+    assert _pair(_RISING_RATE, 10.0, 20.0) == _scalar_pair(_RISING_RATE, 10.0, 20.0)
 
 
 def _scan(inst):

@@ -328,6 +328,15 @@ def test_surplus_curve_evaluates_each_rate_once_per_level(monkeypatch):
     assert len(calls) == noisy.K * 10
 
 
+def test_surplus_curve_builds_each_level_grid_once(monkeypatch):
+    # the grids that size the pair tables are the ones the levels' instances use
+    built = []
+    grid = noisy_layer._grid
+    monkeypatch.setattr(noisy_layer, "_grid", lambda noisy, eps: built.append(eps) or grid(noisy, eps))
+    surplus_curve(double_threshold_instance(75.0), EPS_GRID[:10])
+    assert built == [float(e) for e in EPS_GRID[:10]]
+
+
 def test_an_oversized_curve_is_refused_before_any_level_is_built(monkeypatch):
     # 10^5 noise levels solved as one group need more pair-table entries than
     # the cap: refused from the levels' grid sizes, before any level's
