@@ -22,8 +22,8 @@ winners' outcomes both read each instance's departure table
 (MarketInstance.departure_matrix), evaluated once when the instance was
 built, so no phase calls a departure rate again. Each slice's best scanned
 point is golden-section refined one scan step either side, all slices at
-once, each with its own stopping rule, unless a newsvendor kink already
-holds that bracket's maximum (below); the newsvendor kinks are bisected
+once, each with its own stopping rule, except on the newsvendor slices
+settled from their ends and kink (below); the newsvendor kinks are bisected
 together the same way. Each step keeps the per-slice arithmetic and its
 order (supply summed type by type, the scan grid exactly as np.linspace
 builds it), so every slice gets the bit-identical result a scalar scan
@@ -39,20 +39,23 @@ refinement the kernel would miss; no slice of a shipped instance or of
 1 800 random ones (m <= 60, K <= 3) has had one. So the kernel's time and
 memory follow the grid, not the profit's shape.
 
-On newsvendor revenue a slice whose every rate falls along it has its
-maximum at an end or at the kink. Above the kink the profit is
-alpha * cap - rhat * S, and rhat and S both rise, so it falls. Below, it is
+On newsvendor revenue a slice whose every rate falls along it is settled by
+its ends and its kink: S rises with the weight, and the profit is
+alpha * min(S, cap) - rhat * S. Where S >= cap it is alpha * cap - rhat * S,
+and rhat and S both rise, so it falls. Where S <= cap it is
 (alpha - rhat) * S, whose derivative is S * h, with g = S' / S and
 h = (alpha - rhat) * g - dr. Each type's own g_i = -dl_i / l_i has
 g_i' = g_i^2, so g' = 2 E[g_i^2] - g^2 >= g^2 (E weighting each type by its
-share of S), and wherever h = 0, h' = dr * (g' - g^2) / g >= 0: the profit
-below the kink may fall and then rise, never rise and then fall. So when the best scanned
-point's bracket holds the kink, the kink is that bracket's maximum, and as
-it is a candidate already the refinement could only tie it, up to rounding.
-The kernel skips such a bracket where the profit's left derivative at the
-kink (_PairBatch.slope_below_cap) is not negative, a check that exact
-arithmetic never fails there; every other bracket, and every bracket of
-power, log and linear revenue, is refined.
+share of S); where g > 0 and h = 0, h' = dr * (g' - g^2) / g >= 0, and
+where g = 0 (no rate moves) h = -dr <= 0. So below the cap the profit may
+fall and then rise, never rise and then fall, and its maximum there is at
+an end of that stretch. When S crosses the cap inside the slice, the kink
+splits it into those two stretches; when S starts at or above the cap the
+whole slice is above it; when S stays at or below the cap the whole slice
+is below it. Either way the maximum is at 0, the kink or top, all three
+candidates already, so such a slice has no piece scanned and no bracket
+refined. Every other slice, and every slice of power, log and linear
+revenue, is scanned and refined.
 
 A slice's profit is bounded piece by piece. Its _BOUND_PIECES pieces have
 scan-grid points as edges: piece j spans scan indices _PIECE * j to
@@ -75,15 +78,16 @@ would score strictly below a singleton that is itself a candidate, so it
 could neither win nor tie the winner; only the slices that the one-piece
 bound keeps get piece bounds, so the same slices are kept. Second, the
 kernel scores each slice's known candidates first (both ends and the
-newsvendor kink) and scans only the pieces whose bound is not below the best
-of them; a NaN bound keeps its piece. A kept piece is scanned at its own
-_PIECE + 1 points. A skipped piece's points score below the best known
-candidate, so the kept pieces hold the full scan's best point whenever it
-reaches that candidate; when it does not, it lies in skipped pieces with its
-one-step bracket, and on a one-peak slice so does any peak the kernel's
-bracket holds, so neither refinement could win or tie. The known candidates
-come from the slice alone, never from the scan or from another slice, so
-each slice gets the bits of a scalar scan that refines its first maximum.
+newsvendor kink) and, on a slice they do not settle, scans only the pieces
+whose bound is not below the best of them; a NaN bound keeps its piece. A
+kept piece is scanned at its own _PIECE + 1 points. A skipped piece's
+points score below the best known candidate, so the kept pieces hold the
+full scan's best point whenever it reaches that candidate; when it does
+not, it lies in skipped pieces with its one-step bracket, and on a one-peak
+slice so does any peak the kernel's bracket holds, so neither refinement
+could win or tie. The known candidates come from the slice alone, never
+from the scan or from another slice, so each slice gets the bits of a
+scalar scan that refines its first maximum.
 Slices are bounded _BOUND_BLOCK at a time and kept pieces scanned
 _TEMP_FLOATS points at a time, so those temporaries stay within 66 KB
 whatever the grid size, and the kernel keeps one best scanned point per
@@ -198,15 +202,16 @@ class InvalidMoments(ValueError):
 class BudgetedInstance:
     """Market instance plus a per-period expected-pay budget.
 
-    The budget must at least cover paying the bottom reward to the supply
-    that the bottom reward itself sustains, otherwise no distribution is
-    feasible.
+    The budget must be finite and at least cover paying the bottom reward to
+    the supply that the bottom reward itself sustains, otherwise no
+    distribution is feasible.
     """
 
     inst: MarketInstance
     budget: float
 
     def __post_init__(self) -> None:
+        _require_number("budget", self.budget)
         rates = self.inst.departure_matrix[:, 0]  # r_min is the grid's first column
         if np.all(rates >= MIN_DEPARTURE_FLOOR):  # else r_min alone is degenerate
             floor_cost = float(self.inst.rewards.r_min * (self.inst.lambdas / rates).sum())
@@ -320,15 +325,6 @@ class _PairBatch:
     def cost(self, y: np.ndarray) -> np.ndarray:
         return self.rhat(y) * self.supply(y)
 
-    def slope_below_cap(self, y: np.ndarray) -> np.ndarray:
-        """Derivative in y of the newsvendor profit below the cap, (alpha -
-        rhat) * S' - (r_high - r_low) * S with S' = -sum lambda * dl / l^2: at
-        the kink, the profit's left derivative. y has shape (rows,)."""
-        rate = self.dl * y + self.lo
-        n = self.lam / rate
-        rise = -(n / rate * self.dl).sum(axis=0)  # S'
-        return (self.revenue.alpha - self.rhat(y)) * rise - self.dr * n.sum(axis=0)
-
 
 def _golden_section(f, a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
     """Golden-section maximum of f in every bracket [a[n], b[n]] at once.
@@ -426,15 +422,15 @@ def _solve_slices(pairs: _PairBatch, top: np.ndarray, tol: float,
 
     Returns the weight on the higher reward and the profit there. Per slice:
     score the known candidates, the endpoints and (newsvendor revenue) the
-    kink where supply crosses the cap; scan the SCAN_POINTS weights of every
-    piece whose profit bound is not below the best of them; golden-refine
-    one bracket, around the best scanned point (the highest profit, NaN read
-    as -inf, the smallest weight among ties) when it is interior, unless the
-    bracket holds a kink that is its maximum (every rate falls along the
-    slice and the profit's left derivative at the kink is not negative); and
-    keep the best candidate, the smallest weight among ties. Each slice gets
-    the bits a scalar scan of all SCAN_POINTS weights that refines its first
-    maximum by the same rule gives (see the module docstring).
+    kink where supply crosses the cap; unless they settle the slice
+    (newsvendor revenue, every rate falling along the slice), scan the
+    SCAN_POINTS weights of every piece whose profit bound is not below the
+    best of them and golden-refine one bracket, around the best scanned
+    point (the highest profit, NaN read as -inf, the smallest weight among
+    ties) when it is interior; and keep the best candidate, the smallest
+    weight among ties. Each slice gets the bits a scalar scan of all
+    SCAN_POINTS weights that refines its first maximum by the same rule
+    gives (see the module docstring).
     """
     n = len(top)
     step = top / (SCAN_POINTS - 1)  # np.linspace(0, top, SCAN_POINTS), row by row
@@ -442,18 +438,16 @@ def _solve_slices(pairs: _PairBatch, top: np.ndarray, tol: float,
     ys, profits = np.full((4, n), np.nan), np.full((4, n), np.nan)
     ys[0], ys[1] = 0.0, top
     profits[0], profits[1] = pairs.profit(ys[0]), pairs.profit(top)
-    pinned = np.zeros(n, bool)  # the kink is the maximum of any bracket that holds it
+    settled = np.zeros(n, bool)  # the ends and kink hold the maximum (module docstring)
     if isinstance(pairs.revenue, Newsvendor):
         # profit is kinked where total supply crosses the revenue cap
         ys[2] = _kink(pairs, top)
         hit = np.flatnonzero(~np.isnan(ys[2]))
         profits[2, hit] = pairs.take(hit).profit(ys[2, hit])
-        # every rate falls along the slice and the profit rises into the kink
-        # (a NaN kink fails the comparison)
-        pinned = (pairs.dl <= 0.0).all(axis=0) & (pairs.slope_below_cap(ys[2]) >= 0.0)
+        settled = (pairs.dl <= 0.0).all(axis=0)
     known = np.fmax.reduce(profits[:3])
 
-    keep = ~(bounds < known[:, None])
+    keep = ~(settled[:, None] | (bounds < known[:, None]))
     piece_rows, piece = np.nonzero(keep)
     # each slice's best scanned point, NaN read as -inf; index 0 (an end)
     # while no scanned profit is above -inf
@@ -482,8 +476,6 @@ def _solve_slices(pairs: _PairBatch, top: np.ndarray, tol: float,
     k = best_k[inner]
     a = (k - 1) * step[inner]
     b = np.where(k + 1 == SCAN_POINTS - 1, top[inner], (k + 1) * step[inner])
-    refine = ~(pinned[inner] & (a <= ys[2, inner]) & (ys[2, inner] <= b))
-    inner, a, b = inner[refine], a[refine], b[refine]
     for start in range(0, len(inner), _TEMP_FLOATS):
         part = slice(start, start + _TEMP_FLOATS)
         r = inner[part]
@@ -850,8 +842,10 @@ def solve_supply_opt(b: BudgetedInstance, tol: float = 1e-9) -> FluidOutcome:
     On every pair slice both the expected reward and the supply are
     non-decreasing in the weight on the higher reward, so the slice optimum
     is the largest admissible weight whose cost stays within budget (found by
-    bisection when the budget binds).
+    bisection when the budget binds). Raises ValueError unless tol is finite
+    and non-negative.
     """
+    _require_number("tol", tol, "non-negative")
     B = b.budget
     slack = tol * max(1.0, abs(B))
     group = _Group([b.inst])
@@ -888,8 +882,10 @@ def support_reduce(
     of at most B means at most x's expected reward.
 
     Returns x itself when it has at most two support points. Raises
-    InfeasibleInput unless x's expected pay equals the budget within tol.
+    ValueError unless tol is finite and non-negative, and InfeasibleInput
+    unless x's expected pay equals the budget within tol.
     """
+    _require_number("tol", tol, "non-negative")
     inst, B = b.inst, b.budget
     slack = tol * max(1.0, abs(B))
     out = fluid_profit(inst, x)

@@ -159,14 +159,13 @@ def test_pair_never_below_endpoints(lo_rate, hi_frac, y):
 # Batched pair kernel against a scalar reference
 
 
-def _scalar_pair(inst, r_low, r_high, tol=REFINE_TOL, every_peak=False, always_refine=False):
+def _scalar_pair(inst, r_low, r_high, tol=REFINE_TOL, every_peak=False, full_search=False):
     """Reference: one pair slice scanned and refined in plain Python, point by
     point. Refines around the scan's first maximum (NaN read as -inf), or
     around every scanned local maximum when every_peak is set. Like the
-    kernel, the first maximum's bracket is left unrefined where it holds a
-    newsvendor kink on a slice whose every rate falls and whose profit's
-    left derivative at the kink is not negative, unless always_refine is
-    set. Returns (weight_high, profit), or None for a degenerate slice."""
+    kernel, a newsvendor slice whose every rate falls is settled by its ends
+    and kink, neither scanned nor refined, unless every_peak or full_search
+    is set. Returns (weight_high, profit), or None for a degenerate slice."""
     i, j = inst.rewards.index_of(r_low), inst.rewards.index_of(r_high)
     lo = [float(v) for v in inst.departure_matrix[:, i]]
     hi = [float(v) for v in inst.departure_matrix[:, j]]
@@ -197,16 +196,6 @@ def _scalar_pair(inst, r_low, r_high, tol=REFINE_TOL, every_peak=False, always_r
                 fd = profit(d)
         return 0.5 * (a + b)
 
-    def slope(y):
-        # the profit's derivative below the cap, in the kernel's arithmetic
-        rise, total = 0.0, 0.0
-        for lm, a, b in zip(lam, lo, hi):
-            rate = (b - a) * y + a
-            n = lm / rate
-            rise += n / rate * (b - a)
-            total += n
-        return (inst.revenue.alpha - ((r_high - r_low) * y + r_low)) * -rise - (r_high - r_low) * total
-
     def bisect(f, target, a, b):
         if not f(a) < target < f(b):
             return None
@@ -226,23 +215,24 @@ def _scalar_pair(inst, r_low, r_high, tol=REFINE_TOL, every_peak=False, always_r
             if a < MIN_DEPARTURE_FLOOR:
                 return None
             y_hi = min(y_hi, (a - MIN_DEPARTURE_FLOOR) / (a - b))
-    ys = np.linspace(0.0, y_hi, SCAN_POINTS)
-    ps = [profit(float(y)) for y in ys]
     candidates = {0.0, y_hi}
-    kink = bisect(supply, inst.revenue.cap, 0.0, y_hi) if isinstance(inst.revenue, Newsvendor) else None
+    newsvendor = isinstance(inst.revenue, Newsvendor)
+    kink = bisect(supply, inst.revenue.cap, 0.0, y_hi) if newsvendor else None
     if kink is not None:
         candidates.add(kink)
-    pinned = kink is not None and all(b - a <= 0.0 for a, b in zip(lo, hi)) and slope(kink) >= 0.0
-    if every_peak:
-        peaks = [k for k in range(1, len(ys) - 1) if ps[k] >= ps[k - 1] and ps[k] >= ps[k + 1]]
+    if newsvendor and all(b - a <= 0.0 for a, b in zip(lo, hi)) and not (every_peak or full_search):
+        peaks = []  # settled by its ends and kink
     else:
-        scanned = [-math.inf if math.isnan(p) else p for p in ps]
-        first = scanned.index(max(scanned))
-        peaks = [first] if 0 < first < len(ys) - 1 else []
+        ys = np.linspace(0.0, y_hi, SCAN_POINTS)
+        ps = [profit(float(y)) for y in ys]
+        if every_peak:
+            peaks = [k for k in range(1, len(ys) - 1) if ps[k] >= ps[k - 1] and ps[k] >= ps[k + 1]]
+        else:
+            scanned = [-math.inf if math.isnan(p) else p for p in ps]
+            first = scanned.index(max(scanned))
+            peaks = [first] if 0 < first < len(ys) - 1 else []
     for k in peaks:
-        a, b = float(ys[k - 1]), float(ys[k + 1])
-        if every_peak or always_refine or not (pinned and a <= kink <= b):
-            candidates.add(golden(a, b))
+        candidates.add(golden(float(ys[k - 1]), float(ys[k + 1])))
     best_y, best_p = None, -math.inf
     for y in sorted(candidates):
         p = profit(y)
@@ -314,7 +304,8 @@ _FLOOR_CUT = MarketInstance(
 )
 # revenue so large that every cost rounds away past the cap: profit is flat
 # from the kink to the top end, whose profit equals the bound of every piece
-# there, and a refined point just past the kink wins the tie
+# there; the settled slice returns the top end, and a full search's refined
+# point just past the kink ties it
 _SATURATED = _tab_instance((10.0, 20.0), (0.5, 0.25), revenue=Newsvendor(1e20, 3.5))
 # a slice that reaches the best singleton's profit on some piece but peaks
 # on a piece bounded below it
@@ -363,8 +354,8 @@ def test_pair_kernel_never_below_every_peak_reference(inst):
 
 
 # an instance admits rates that rise by up to 1e-12 along its grid; here the
-# second type's rises by 5e-13, so the kink does not pin the bracket of the
-# best scanned point, which holds it: that bracket is refined
+# second type's rises by 5e-13, so the ends and kink do not settle the slice,
+# and the bracket of its best scanned point, which holds the kink, is refined
 _RISING_RATE = MarketInstance(
     RewardSet((10.0, 20.0)),
     (WorkerType(1.0, Tabulated((10.0, 20.0), (0.5, 0.2))), WorkerType(1.0, Quadratic(0.0, 5e-14, 0.3))),
@@ -376,20 +367,41 @@ _RISING_RATE = MarketInstance(
 @given(_random_instances(max_types=4, revenues=("newsvendor",)))
 @example(_SATURATED)
 @example(_RISING_RATE)
-def test_kink_skip_never_loses_to_always_refine(inst):
-    # a bracket left unrefined holds its kink, which is the bracket's maximum
-    # and a candidate already, so no slice loses more than rounding to a
-    # reference that refines every interior best scanned point
+def test_settled_slices_never_lose_to_full_search(inst):
+    # a falling-rate slice has its maximum at an end or the kink, candidates
+    # already, so no slice loses more than rounding to a reference that
+    # scans every slice and refines every interior best scanned point
     vals = inst.rewards.values
     ii, jj = (np.array(v) for v in zip(*itertools.combinations(range(len(vals)), 2)))
     live, pairs, top = _live_pairs(fluid._Group([inst]), ii, jj)
     _, ps = _solve_slices(pairs, top, REFINE_TOL, _slice_bounds(pairs, top))
     got = dict(zip(live.tolist(), ps.tolist()))
     for n, (i, j) in enumerate(zip(ii, jj)):
-        want = _scalar_pair(inst, vals[i], vals[j], always_refine=True)
+        want = _scalar_pair(inst, vals[i], vals[j], full_search=True)
         assert (n in got) == (want is not None)
         if want is not None:
             assert got[n] >= want[1] - 1e-12 * max(1.0, abs(want[1]))
+
+
+@settings(deadline=None, max_examples=40)
+@given(_random_instances(max_m=30, max_types=4, revenues=("newsvendor",)))
+@example(_SATURATED)
+@example(_PLATEAU)
+def test_falling_rate_newsvendor_slice_peaks_at_an_end_or_the_kink(inst):
+    # the module docstring's theorem, in the kernel's arithmetic: no point of
+    # a scan four times as dense as the kernel's beats the best of the ends
+    # and the kink by more than rounding, and the kernel returns that best
+    ii, jj = np.triu_indices(len(inst.rewards), 1)
+    _, pairs, top = _live_pairs(fluid._Group([inst]), ii, jj)
+    rows = np.flatnonzero((pairs.dl <= 0.0).all(axis=0))
+    assume(len(rows))
+    pairs, top = pairs.take(rows), top[rows]
+    kink = fluid._kink(pairs, top)
+    best = np.fmax.reduce([pairs.profit(np.zeros(len(top))), pairs.profit(top), pairs.profit(kink)])
+    scan = pairs.profit(np.linspace(0.0, top, 4 * SCAN_POINTS, axis=1)).max(axis=1)
+    assert (best >= scan - 1e-12 * np.maximum(1.0, np.abs(scan))).all()
+    _, p = _solve_slices(pairs, top, REFINE_TOL, _slice_bounds(pairs, top))
+    assert p.tobytes() == best.tobytes()
 
 
 def _refined_brackets(inst) -> int:
@@ -426,15 +438,21 @@ def test_refined_brackets_of_the_shipped_markets(name, want):
     assert _refined_brackets(_shipped_markets()[name]) == want
 
 
+@pytest.mark.parametrize("name", ["risk_10_0_0", "risk_8_1_1", "risk_1_8_1", "dense_61"])
+def test_shipped_newsvendor_markets_scan_no_piece(monkeypatch, name):
+    # every rate falls along every slice, so the ends and kinks settle them
+    # all (the canonical market's count is in the test below)
+    scanned, total = _scanned_pieces(monkeypatch, lambda: solve_fluid(_shipped_markets()[name]))
+    assert scanned == 0 < total
+
+
 def test_rising_rate_slice_is_still_refined():
-    # the best scanned point's bracket holds the kink and the profit rises
-    # into it, but one rate rises along the slice, so the bracket is refined.
-    # No falling-rate slice can need it: below the kink such a profit never
-    # rises and then falls (module docstring), so its left derivative at the
-    # kink is negative only where the best scanned point is the low end.
+    # the best scanned point's bracket holds the kink, but one rate rises
+    # along the slice, so the ends and kink do not settle it: it is scanned
+    # and that bracket is refined
     _, pairs, top = _live_pairs(fluid._Group([_RISING_RATE]), np.array([0]), np.array([1]))
     kink = fluid._kink(pairs, top)
-    assert (pairs.dl[:, 0] > 0.0).tolist() == [False, True] and pairs.slope_below_cap(kink)[0] > 0.0
+    assert (pairs.dl[:, 0] > 0.0).tolist() == [False, True]
     p, _ = _scan(_RISING_RATE)
     k = int(p.argmax())
     assert (k - 1) / (SCAN_POINTS - 1) <= kink[0] <= (k + 1) / (SCAN_POINTS - 1)
@@ -498,7 +516,8 @@ def _flat_instance(m: int) -> MarketInstance:
 
 def test_kernel_refines_at_most_one_bracket_per_slice(monkeypatch):
     # nearly every scan point of a flat slice ties for its maximum; only the
-    # slice's best scanned point is refined, so time and memory follow the grid
+    # slice's best scanned point is refined, so time and memory follow the
+    # grid. Linear revenue, as the newsvendor version's slices are settled.
     brackets, slices = [0], [0]
     golden, kernel = fluid._golden_section, fluid._solve_slices
 
@@ -512,12 +531,17 @@ def test_kernel_refines_at_most_one_bracket_per_slice(monkeypatch):
 
     monkeypatch.setattr(fluid, "_golden_section", counted_golden)
     monkeypatch.setattr(fluid, "_solve_slices", counted_kernel)
-    assert solve_fluid(_flat_instance(50)).profit == pytest.approx(500.0, rel=1e-12)
+    inst = dataclasses.replace(_flat_instance(50), revenue=LinearRev(100.0))
+    assert solve_fluid(inst).profit == pytest.approx(500.0, rel=1e-12)
     assert 0 < brackets[0] <= slices[0] <= 50 * 49 // 2
 
 
 def test_canonical_kernel_scans_under_half_of_its_pieces(monkeypatch):
+    # the canonical market's slices are all settled by their ends and kinks;
+    # the power variant's are scanned where their piece bounds reach those
     scanned, total = _scanned_pieces(monkeypatch, lambda: solve_fluid(canonical_instance()))
+    assert scanned == 0 < total
+    scanned, total = _scanned_pieces(monkeypatch, lambda: solve_fluid(power_variant_instance()))
     assert 0 < scanned < total / 2
 
 
@@ -1339,6 +1363,28 @@ def test_supply_opt_loose_budget_pays_top():
 def test_budget_below_floor_cost_rejected():
     with pytest.raises(ValueError, match="cannot cover"):
         BudgetedInstance(_budget_instance(), 100.0)
+
+
+@pytest.mark.parametrize("budget", [math.nan, math.inf, -math.inf])
+def test_budget_must_be_finite(budget):
+    # a NaN budget used to pass the floor check and end in a misleading
+    # DegenerateSupply from the solve
+    with pytest.raises(ValueError, match="budget must be finite"):
+        BudgetedInstance(canonical_instance(), budget)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_budget_tolerance_must_be_finite_and_non_negative(tol):
+    # tol = inf let solve_supply_opt pay 3.96e14 against a budget of 2000,
+    # and tol = -1 had support_reduce report "within -2000.0"
+    canon = canonical_instance()
+    b = BudgetedInstance(canon, 2000.0)
+    with pytest.raises(ValueError, match="tol must be finite and non-negative"):
+        solve_supply_opt(b, tol=tol)
+    with pytest.raises(ValueError, match="tol must be finite and non-negative"):
+        support_reduce(b, solve_fluid(canon).x, tol=tol)
+    out = solve_supply_opt(b, tol=0.0)
+    assert out.expected_reward * out.total_supply == pytest.approx(2000.0, rel=1e-12)
 
 
 def _wide_instance(m: int) -> MarketInstance:
