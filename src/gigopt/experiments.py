@@ -177,37 +177,21 @@ def prop5_policy(r: float = 1.0) -> Cyclic:
     return Cyclic((pay_r, pay_0))
 
 
+def _noisy(lambdas: tuple, values: tuple, eps: float, revenue) -> NoisyInstance:
+    """Noisy-entry instance on rewards [0, 100]."""
+    return NoisyInstance(lambdas=lambdas, values=values, epsilon=eps, revenue=revenue, r_min=0.0, r_max=100.0)
+
+
 def noisy_sqrt_instance(eps: float = 5.0) -> NoisyInstance:
-    return NoisyInstance(
-        lambdas=(10.0,),
-        values=(25.0,),
-        epsilon=eps,
-        revenue=Power(c=250.0, beta=0.5),
-        r_min=0.0,
-        r_max=100.0,
-    )
+    return _noisy((10.0,), (25.0,), eps, Power(c=250.0, beta=0.5))
 
 
 def noisy_newsvendor_instance(eps: float = 5.0, alpha: float = 40.0, cap: float = 300.0) -> NoisyInstance:
-    return NoisyInstance(
-        lambdas=(10.0,),
-        values=(25.0,),
-        epsilon=eps,
-        revenue=Newsvendor(alpha=alpha, cap=cap),
-        r_min=0.0,
-        r_max=100.0,
-    )
+    return _noisy((10.0,), (25.0,), eps, Newsvendor(alpha=alpha, cap=cap))
 
 
 def double_threshold_instance(cap: float, eps: float = 1.0, alpha: float = 40.0) -> NoisyInstance:
-    return NoisyInstance(
-        lambdas=(10.0 / 3.0,) * 3,
-        values=(25.0, 30.0, 40.0),
-        epsilon=eps,
-        revenue=Newsvendor(alpha=alpha, cap=cap),
-        r_min=0.0,
-        r_max=100.0,
-    )
+    return _noisy((10.0 / 3.0,) * 3, (25.0, 30.0, 40.0), eps, Newsvendor(alpha=alpha, cap=cap))
 
 
 def normal_policy(mu: float, sigma: float, rewards) -> RewardDistribution:
@@ -648,15 +632,31 @@ def experiment_defaults(experiment_id: str) -> dict:
     return dict(_lookup(experiment_id).defaults)
 
 
-def _coerce(default, value):
+def _shaped(default, value) -> bool:
+    """Whether value is shaped as default: a finite number, not a bool,
+    integral where default is an int; or a list of as many such numbers."""
+    if isinstance(default, tuple):
+        return isinstance(value, (list, tuple)) and len(value) == len(default) and all(map(_shaped, default, value))
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, int) or (value.is_integer() if isinstance(default, int) else math.isfinite(value))
+
+
+def _coerce(name: str, default, value):
+    """value for the parameter name of this default, a string parsed (a
+    tuple's as the JSON list of its elements). Raises ValueError naming the
+    parameter unless every element of a tuple is shaped as the default's."""
     if isinstance(value, str):
-        if isinstance(default, int):
-            return int(value)
-        if isinstance(default, float):
-            return float(value)
-        if isinstance(default, tuple):
-            return tuple(json.loads(f"[{value}]"))
-    if isinstance(default, tuple) and isinstance(value, (list, tuple)):
+        if not isinstance(default, tuple):
+            return type(default)(value)
+        try:
+            value = json.loads(f"[{value}]")
+        except ValueError:
+            pass  # left a string, which the shape check refuses
+    if isinstance(default, tuple):
+        if not (isinstance(value, (list, tuple)) and all(_shaped(default[0], v) for v in value)):
+            raise ValueError(f"each element of {name} must be shaped like {default[0]!r}: finite "
+                             f"numbers, integers where it has them; got {value!r}")
         return tuple(value)
     if isinstance(default, float) and isinstance(value, (int, float)):
         return float(value)
@@ -668,22 +668,16 @@ def _resolve_params(exp: _Experiment, overrides: Mapping[str, object]) -> dict:
     for key, value in overrides.items():
         if key not in params:
             raise ValueError(f"unknown parameter {key!r}; known: {sorted(params)}")
-        params[key] = _coerce(params[key], value)
+        params[key] = _coerce(key, params[key], value)
     return params
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+    # csv writes a float as str(), its shortest repr, like every other value
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#e377c2")

@@ -14,8 +14,8 @@ solver spans instances too. solve_fluid_many lays the instances that share
 the revenue and the number of types side by side as one column table (each
 grid reward a column, with its own departure and arrival rates), and every
 phase runs once over the whole group: the live slices, the singleton scores,
-each instance's best singleton, the piece bounds, the kernel, the scores of
-all candidates and the winner pick. So a sweep of small solves pays each
+each instance's best singleton, the one-piece screen, the kernel, the scores
+of all candidates and the winner pick. So a sweep of small solves pays each
 phase's per-step overhead once, not once per solve; only the winners'
 FluidOutcomes are built instance by instance. The table's rates and the
 winners' outcomes both read each instance's departure table
@@ -70,32 +70,30 @@ rounding is monotone in the weight, so it is at least every profit the
 kernel can return from that piece; and the bound of [0, top] as one piece,
 whose end rates bound every piece's, is at least every piece's bound.
 
-The bound prunes twice. First, solve_fluid_many drops the slices whose
-largest piece bound is below their instance's best non-degenerate
-singleton's profit by more than 1e-9 relative, which covers the rounding
-between the kernel's arithmetic and the winner's. Such a slice's candidate
-would score strictly below a singleton that is itself a candidate, so it
-could neither win nor tie the winner; only the slices that the one-piece
-bound keeps get piece bounds, so the same slices are kept. Second, the
-kernel scores each slice's known candidates first (both ends and the
-newsvendor kink) and, on a slice they do not settle, scans only the pieces
-whose bound is not below the best of them; a NaN bound keeps its piece. A
-kept piece is scanned at its own _PIECE + 1 points. A skipped piece's
-points score below the best known candidate, so the kept pieces hold the
-full scan's best point whenever it reaches that candidate; when it does
-not, it lies in skipped pieces with its one-step bracket, and on a one-peak
-slice so does any peak the kernel's bracket holds, so neither refinement
-could win or tie. The known candidates come from the slice alone, never
-from the scan or from another slice, so each slice gets the bits of a
-scalar scan that refines its first maximum.
+The bound screens once, then bounds the pieces the kernel scans. A slice's
+floor is its instance's best non-degenerate singleton's profit less 1e-9
+relative, which covers the rounding between the kernel's arithmetic and the
+winner's; a candidate below it scores strictly below a singleton that is
+itself a candidate, so it can neither win nor tie. solve_fluid_many drops the
+slices whose one-piece bound is below their floor. The kernel scores each
+slice's known candidates (both ends and the newsvendor kink) and, on a slice
+they do not settle, bounds its pieces and scans those whose bound is not
+below the best of them, none when every bound is below the floor (its ends
+and kink are then below it too); a NaN bound keeps its piece. A kept piece
+is scanned at its own _PIECE + 1 points. A skipped piece's points score
+below the best known candidate, so the kept pieces hold the full scan's best
+point whenever it reaches that candidate; when it does not, it lies in
+skipped pieces with its one-step bracket, and on a one-peak slice so does
+any peak the kernel's bracket holds, so neither refinement could win or tie.
+The known candidates come from the slice alone, never from the scan or from
+another slice, so each slice with a piece bound at its floor gets the bits
+of a scalar scan that refines its first maximum.
 Slices are bounded _BOUND_BLOCK at a time and kept pieces scanned
 _TEMP_FLOATS points at a time, so those temporaries stay within 66 KB
-whatever the grid size, and the kernel keeps one best scanned point per
-slice; the one-piece bounds and the Newton steps below hold arrays the size
-of the batch's own rates, (K, live slices). The first pruning hands the
-kernel the piece bounds of the slices it keeps, kept x _BOUND_PIECES floats:
-144 KB on the power variant, about 255 KB for the 50 noise levels of a
-3-type noisy-entry curve.
+whatever the grid size; the kernel keeps one best scanned point per slice
+and two indices per kept piece (90 KB on the power variant), and the
+one-piece bounds and the Newton steps below hold arrays the size of the
+batch's own rates, (K, live slices).
 
 A newsvendor kink halves a bracket S(lo) < cap <= S(hi) of supply S until its
 ends are adjacent floats, from [0, top] when S(0) < cap < S(top). Where every
@@ -235,7 +233,7 @@ def _check_pairs(sizes: np.ndarray, width: int) -> None:
 
 
 def _kernel_width(K: int) -> int:
-    """The pair kernel's widest per-slice rows: K rates, or the kept piece bounds."""
+    """The pair kernel's widest per-slice rows: K rates, or the kept piece indices."""
     return max(K, _BOUND_PIECES)
 
 
@@ -330,8 +328,8 @@ def _golden_section(f, a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
     """Golden-section maximum of f in every bracket [a[n], b[n]] at once.
 
     f maps one point per bracket to one value per bracket. Each bracket
-    shrinks until its own width is at most tol and then stays put, so it
-    takes the same steps as it would alone.
+    shrinks until its own width is at most tol, or a step leaves it no
+    narrower, and then stays put, so it takes the same steps as it would alone.
     """
     a, b = a.copy(), b.copy()
     width = b - a
@@ -343,8 +341,8 @@ def _golden_section(f, a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
         left = fc >= fd  # keep [a, d], the old c becoming d; else keep [c, b]
         np.copyto(a, c, where=active & ~left)
         np.copyto(b, d, where=active & left)
+        active = (b - a > tol) & (b - a < width)  # a done bracket's c and d go unread
         width = b - a
-        active = width > tol  # a finished bracket's c and d are never read again
         step = _INV_PHI * width
         probe = np.where(left, b - step, a + step)
         f_probe = f(probe)
@@ -416,21 +414,22 @@ def _live_pairs(group: _Group, ii: np.ndarray, jj: np.ndarray):
 
 
 def _solve_slices(pairs: _PairBatch, top: np.ndarray, tol: float,
-                  bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                  floor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Slice optimum of every live slice of the batch, top being its
-    admissible maximum weight and bounds its _slice_bounds.
+    admissible maximum weight and floor the profit it must reach to matter.
 
     Returns the weight on the higher reward and the profit there. Per slice:
     score the known candidates, the endpoints and (newsvendor revenue) the
     kink where supply crosses the cap; unless they settle the slice
     (newsvendor revenue, every rate falling along the slice), scan the
-    SCAN_POINTS weights of every piece whose profit bound is not below the
-    best of them and golden-refine one bracket, around the best scanned
-    point (the highest profit, NaN read as -inf, the smallest weight among
-    ties) when it is interior; and keep the best candidate, the smallest
-    weight among ties. Each slice gets the bits a scalar scan of all
-    SCAN_POINTS weights that refines its first maximum by the same rule
-    gives (see the module docstring).
+    SCAN_POINTS weights of every piece whose _slice_bounds bound is not
+    below the best of them, none if all are below floor, and golden-refine
+    one bracket, around the best scanned point (the highest profit, NaN read
+    as -inf, the smallest weight among ties) when it is interior; and keep
+    the best candidate, the smallest weight among ties. A slice with a bound
+    at its floor gets the bits a scalar scan of all SCAN_POINTS weights that
+    refines its first maximum by the same rule gives; the others, a profit
+    below floor (module docstring).
     """
     n = len(top)
     step = top / (SCAN_POINTS - 1)  # np.linspace(0, top, SCAN_POINTS), row by row
@@ -447,8 +446,15 @@ def _solve_slices(pairs: _PairBatch, top: np.ndarray, tol: float,
         settled = (pairs.dl <= 0.0).all(axis=0)
     known = np.fmax.reduce(profits[:3])
 
-    keep = ~(settled[:, None] | (bounds < known[:, None]))
-    piece_rows, piece = np.nonzero(keep)
+    # (slice, piece) of the open slices' pieces that their bounds keep, in order
+    kept = [(np.zeros(0, int), np.zeros(0, int))]
+    open_rows = np.flatnonzero(~settled)
+    for start in range(0, len(open_rows), _BOUND_BLOCK):
+        block = open_rows[start:start + _BOUND_BLOCK]
+        b = _slice_bounds(pairs.take(block), top[block])
+        r, j = np.nonzero(~((b < known[block, None]) | (b.max(axis=1) < floor[block])[:, None]))
+        kept.append((block[r], j))
+    piece_rows, piece = map(np.concatenate, zip(*kept))
     # each slice's best scanned point, NaN read as -inf; index 0 (an end)
     # while no scanned profit is above -inf
     best_p, best_k = np.full(n, -np.inf), np.zeros(n, int)
@@ -511,26 +517,18 @@ def _slice_bounds(pairs: _PairBatch, top: np.ndarray, pieces: int = _BOUND_PIECE
 
 
 def _beatable(group: _Group, ii: np.ndarray, pairs: _PairBatch, top: np.ndarray):
-    """(rows, piece bounds) of the live slices of _live_pairs, ii[p] being
-    slice p's low column, whose profit bound, the largest over their pieces,
-    reaches their instance's best non-degenerate singleton profit less a
-    1e-9 relative margin; the others cannot hold the winner. A NaN bound
-    keeps its slice, and an instance with no non-degenerate singleton keeps
-    all its slices. Only the slices that their one-piece bound keeps get
-    piece bounds, _BOUND_BLOCK at a time, and only the kept ones' stay."""
+    """(rows, floors) of the live slices of _live_pairs, ii[p] being slice
+    p's low column, whose one-piece profit bound reaches their floor: their
+    instance's best non-degenerate singleton profit less a 1e-9 relative
+    margin. The others cannot hold the winner. A NaN bound keeps its slice,
+    and an instance with no non-degenerate singleton (floor -inf) keeps all
+    its slices."""
     single = np.arange(len(group.vals))
     profit, _, _, ok = _score(group, single, single, np.zeros(len(single)))
     lb = np.maximum.reduceat(np.where(ok, profit, -np.inf), group.start)
     floor = (lb - 1e-9 * np.maximum(1.0, np.abs(lb)))[group.owner[ii]]
-    near = np.flatnonzero(~(_slice_bounds(pairs, top, 1)[:, 0] < floor))
-    rows, bounds = [np.zeros(0, int)], [np.zeros((0, _BOUND_PIECES))]
-    for start in range(0, len(near), _BOUND_BLOCK):
-        block = near[start:start + _BOUND_BLOCK]
-        b = _slice_bounds(pairs.take(block), top[block])
-        keep = ~(b.max(axis=1) < floor[block])
-        rows.append(block[keep])
-        bounds.append(b[keep])
-    return np.concatenate(rows), np.concatenate(bounds)
+    rows = np.flatnonzero(~(_slice_bounds(pairs, top, 1)[:, 0] < floor))
+    return rows, floor[rows]
 
 
 def _score(group: _Group, ii: np.ndarray, jj: np.ndarray, w: np.ndarray):
@@ -618,8 +616,8 @@ def solve_fluid_many(instances: Sequence[MarketInstance], tol: float = REFINE_TO
         group = _Group([instances[n] for n in members])
         ii, jj = group.pairs(_kernel_width(group.insts[0].K))
         live, pairs, top = _live_pairs(group, ii, jj)
-        kept, bounds = _beatable(group, ii[live], pairs, top)
-        y, _ = _solve_slices(pairs.take(kept), top[kept], tol, bounds)
+        kept, floor = _beatable(group, ii[live], pairs, top)
+        y, _ = _solve_slices(pairs.take(kept), top[kept], tol, floor)
         inner = _interior(y)
         ii, jj = ii[live][kept][inner], jj[live][kept][inner]
         single = np.arange(len(group.vals))

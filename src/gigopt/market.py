@@ -66,8 +66,8 @@ def _clamp01(a):
 
 # Cap on the entries of one table whose size the input sets: a reward range's
 # points, a group of solver instances' pair slices times their widest per-slice
-# row (K rates or _BOUND_PIECES piece bounds), horizon x types x reward cells
-# in the policy engine, replications x types or paid cells in the simulator.
+# row (K rates or _BOUND_PIECES kept piece indices), horizon x types x reward
+# cells in the policy engine, replications x types or paid cells in the simulator.
 # 10^7 float64 or int64 entries take 80 MB and a run holds a few such tables
 # at once, so a run at the cap still fits a small machine, while the largest
 # table a shipped study builds (1000 replications x 46 cells) is two hundred

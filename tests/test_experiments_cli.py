@@ -31,8 +31,8 @@ from gigopt.experiments import (
 from gigopt import cli, experiments, fluid, policies
 from gigopt.cli import _build_parser, main
 from gigopt.market import Newsvendor, Power, instance_to_dict
-from gigopt.noisy import noisy_to_dict
-from gigopt.experiments import noisy_newsvendor_instance
+from gigopt.noisy import market_instance, noisy_to_dict
+from gigopt.experiments import noisy_newsvendor_instance, noisy_sqrt_instance
 
 
 # --------------------------------------------------------------------------
@@ -548,6 +548,50 @@ def test_cli_reproduce_rejects_non_finite_sigma(tmp_path, capsys):
     rc = main(["reproduce", "fig_additive_loss", "--set", "sigma=nan", "--out", str(tmp_path)])
     assert rc == 2
     assert "sigma must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment_id, setting", [
+    ("fig_additive_loss", "thetas=1e400"),  # inf, which int() overflows on
+    ("fig_additive_loss", "thetas=1.5"),  # not run as theta 1
+    ("fig_additive_loss", "thetas=true"),
+    ("fig_risk", "compositions=5"),
+    ("fig_risk", "compositions=[[1,2]]"),
+    ("fig_risk", "compositions=[1,2,3"),  # not JSON
+    ("fig_risk", "compositions=[NaN,1,0]"),  # not run as a dropped type
+])
+def test_cli_reproduce_rejects_misshapen_tuple_settings(tmp_path, capsys, experiment_id, setting):
+    # each element must be shaped like its default's: a finite number,
+    # integral for an integer default and never a bool, or a list of as many
+    # numbers
+    assert main(["reproduce", experiment_id, "--set", setting, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"each element of {setting.split('=')[0]} must be shaped like" in err
+    assert "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_tuple_settings_keep_their_values():
+    # well-shaped elements pass unchanged, lists of numbers as given
+    params = experiments._resolve_params(
+        experiments._lookup("fig_risk"), {"compositions": "[10,0,0],[1,8.5,1]"})
+    assert params["compositions"] == ([10, 0, 0], [1, 8.5, 1])
+    params = experiments._resolve_params(experiments._lookup("fig_additive_loss"), {"thetas": "1,4.0"})
+    assert params["thetas"] == (1, 4.0)
+
+
+def test_cli_fluid_solve_below_float_resolution_exits_promptly(tmp_path):
+    # a golden-section bracket a few ulps wide stops shrinking, so a tol
+    # below float resolution once never returned; in a child process with a
+    # timeout, so a refinement that never ends fails the test instead of
+    # hanging the suite
+    path = tmp_path / "noisy_sqrt.json"
+    path.write_text(json.dumps(instance_to_dict(market_instance(noisy_sqrt_instance()))), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(gigopt.__file__).resolve().parents[1])}
+    for tol in ("1e-17", "1e-300"):
+        proc = subprocess.run([sys.executable, "-m", "gigopt", "fluid-solve", "--instance", str(path), "--tol", tol],
+                              capture_output=True, text=True, timeout=20, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["profit"] == pytest.approx(820.8333333333, rel=1e-9)
 
 
 def test_cli_noisy_analyze_bad_grid(tmp_path, capsys):

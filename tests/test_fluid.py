@@ -89,7 +89,7 @@ def _pair(inst, r_low, r_high):
     live, pairs, top = _live_pairs(fluid._Group([inst]), ii, jj)
     if len(live) == 0:
         return None
-    y, p = _solve_slices(pairs, top, REFINE_TOL, _slice_bounds(pairs, top))
+    y, p = _solve_slices(pairs, top, REFINE_TOL, np.full(len(top), -np.inf))
     return float(y[0]), float(p[0])
 
 
@@ -324,7 +324,7 @@ def test_pair_kernel_matches_scalar_reference(inst):
     vals = inst.rewards.values
     ii, jj = (np.array(v) for v in zip(*itertools.combinations(range(len(vals)), 2)))
     live, pairs, top = _live_pairs(fluid._Group([inst]), ii, jj)
-    ys, ps = _solve_slices(pairs, top, REFINE_TOL, _slice_bounds(pairs, top))
+    ys, ps = _solve_slices(pairs, top, REFINE_TOL, np.full(len(top), -np.inf))
     got = dict(zip(live.tolist(), zip(ys.tolist(), ps.tolist())))
     for n, (i, j) in enumerate(zip(ii, jj)):
         # a slice missing from the live ones is degenerate throughout
@@ -344,7 +344,7 @@ def test_pair_kernel_never_below_every_peak_reference(inst):
     vals = inst.rewards.values
     ii, jj = (np.array(v) for v in zip(*itertools.combinations(range(len(vals)), 2)))
     live, pairs, top = _live_pairs(fluid._Group([inst]), ii, jj)
-    _, ps = _solve_slices(pairs, top, REFINE_TOL, _slice_bounds(pairs, top))
+    _, ps = _solve_slices(pairs, top, REFINE_TOL, np.full(len(top), -np.inf))
     got = dict(zip(live.tolist(), ps.tolist()))
     for n, (i, j) in enumerate(zip(ii, jj)):
         want = _scalar_pair(inst, vals[i], vals[j], every_peak=True)
@@ -374,7 +374,7 @@ def test_settled_slices_never_lose_to_full_search(inst):
     vals = inst.rewards.values
     ii, jj = (np.array(v) for v in zip(*itertools.combinations(range(len(vals)), 2)))
     live, pairs, top = _live_pairs(fluid._Group([inst]), ii, jj)
-    _, ps = _solve_slices(pairs, top, REFINE_TOL, _slice_bounds(pairs, top))
+    _, ps = _solve_slices(pairs, top, REFINE_TOL, np.full(len(top), -np.inf))
     got = dict(zip(live.tolist(), ps.tolist()))
     for n, (i, j) in enumerate(zip(ii, jj)):
         want = _scalar_pair(inst, vals[i], vals[j], full_search=True)
@@ -400,7 +400,7 @@ def test_falling_rate_newsvendor_slice_peaks_at_an_end_or_the_kink(inst):
     best = np.fmax.reduce([pairs.profit(np.zeros(len(top))), pairs.profit(top), pairs.profit(kink)])
     scan = pairs.profit(np.linspace(0.0, top, 4 * SCAN_POINTS, axis=1)).max(axis=1)
     assert (best >= scan - 1e-12 * np.maximum(1.0, np.abs(scan))).all()
-    _, p = _solve_slices(pairs, top, REFINE_TOL, _slice_bounds(pairs, top))
+    _, p = _solve_slices(pairs, top, REFINE_TOL, np.full(len(top), -np.inf))
     assert p.tobytes() == best.tobytes()
 
 
@@ -552,13 +552,15 @@ def test_canonical_kernel_scans_under_half_of_its_pieces(monkeypatch):
 def test_kernel_inside_solve_fluid_returns_full_scan_bits(insts):
     # the kernel's known candidates come from each slice alone, never from
     # the singletons or another slice, so the slices solve_fluid puts through
-    # it get the bits of a call on their own batch
+    # it get the bits of a call on their own batch with no floor; a slice
+    # whose piece bounds are all below its floor scans nothing, and then its
+    # profit is below that floor either way
     calls = []
     kernel = fluid._solve_slices
 
-    def recorded(pairs, top, tol, *args):
-        out = kernel(pairs, top, tol, *args)
-        calls.append((pairs, top, tol, out))
+    def recorded(pairs, top, tol, floor):
+        out = kernel(pairs, top, tol, floor)
+        calls.append((pairs, top, tol, floor, out))
         return out
 
     with pytest.MonkeyPatch.context() as mp:
@@ -567,9 +569,10 @@ def test_kernel_inside_solve_fluid_returns_full_scan_bits(insts):
             solve_fluid_many(insts)
         except DegenerateSupply:
             pass
-    for pairs, top, tol, (y, p) in calls:
-        y_alone, p_alone = kernel(pairs, top, tol, _slice_bounds(pairs, top))
-        assert y.tobytes() == y_alone.tobytes() and p.tobytes() == p_alone.tobytes()
+    for pairs, top, tol, floor, (y, p) in calls:
+        y_alone, p_alone = kernel(pairs, top, tol, np.full(len(top), -np.inf))
+        same = (y.view(np.int64) == y_alone.view(np.int64)) & (p.view(np.int64) == p_alone.view(np.int64))
+        assert np.all(same | ((p < floor) & (p_alone < floor)))
 
 
 def _tie_instance(grid, types, revenue):
@@ -706,11 +709,13 @@ def test_group_member_without_a_singleton_keeps_all_its_slices():
     group = fluid._Group(insts)
     ii, jj = group.pairs()
     live, pairs, top = _live_pairs(group, ii, jj)
-    kept, bounds = fluid._beatable(group, ii[live], pairs, top)
+    kept, floors = fluid._beatable(group, ii[live], pairs, top)
     # its incumbent is -inf, so no bound prunes its two live slices
     mine = np.flatnonzero(group.owner[ii[live]] == 1)
     assert len(mine) == 2 and np.isin(mine, kept).all()
-    assert bounds.shape == (len(kept), fluid._BOUND_PIECES)
+    assert floors.shape == kept.shape
+    assert (floors[np.isin(kept, mine)] == -np.inf).all()
+    assert np.isfinite(floors[~np.isin(kept, mine)]).all()
     many = solve_fluid_many(insts)
     assert many == [solve_fluid(inst) for inst in insts]
     assert len(many[1].x.support()) == 2
@@ -761,7 +766,7 @@ def _unpruned_solve(inst):
     degenerate."""
     m = len(inst.rewards)
     ii, jj, live, pairs, top = _all_live_pairs(inst)
-    y, _ = _solve_slices(pairs, top, REFINE_TOL, _slice_bounds(pairs, top))
+    y, _ = _solve_slices(pairs, top, REFINE_TOL, np.full(len(top), -np.inf))
     inner = (y > 1e-12) & (y < 1.0 - 1e-12)
     single = np.arange(m)
     try:
@@ -785,7 +790,7 @@ def _unpruned_solve(inst):
 def test_pruned_solve_matches_unpruned_reference(inst):
     ii, jj, live, pairs, top = _all_live_pairs(inst)
     bounds = _slice_bounds(pairs, top)
-    _, profit = _solve_slices(pairs, top, REFINE_TOL, bounds)
+    _, profit = _solve_slices(pairs, top, REFINE_TOL, np.full(len(top), -np.inf))
     # the bound holds in the kernel's own arithmetic, with no tolerance
     assert bounds.shape == (len(top), fluid._BOUND_PIECES)
     assert np.all(bounds.max(axis=1) >= profit)
@@ -818,44 +823,65 @@ def test_piece_bounds_cover_every_scan_weight_of_their_piece(inst):
 
 
 def test_pruning_keeps_slices_within_the_margin(monkeypatch):
-    # a slice is dropped only when its bound is below the best singleton by
-    # more than 1e-9 relative: rounding in the two profit arithmetics stays
-    # inside. The one-piece bound and the piece bounds are one function, so
-    # one patch sets both: gaps (one piece, pieces)
-    inst = canonical_instance()
+    # a slice, or every piece of it, is dropped by its floor only when its
+    # bound is below the best singleton by more than 1e-9 relative: rounding
+    # in the two profit arithmetics stays inside. The one-piece bound and the
+    # piece bounds are one function, so one patch sets both: gaps (one
+    # piece, pieces). The power variant's slices are not settled by their
+    # ends, so the kernel bounds their pieces
+    inst = power_variant_instance()
     best = optimal_fixed_wage(inst)[1].profit
-    ii, _, live, pairs, top = _all_live_pairs(inst)
-    # a NaN one-piece bound keeps its slice for the piece bounds
-    for gaps, kept in (((0.5e-9, 0.5e-9), len(live)), ((2e-9, 2e-9), 0), ((0.5e-9, 2e-9), 0),
-                       ((math.nan, 0.5e-9), len(live))):
+    _, _, live, pairs, top = _all_live_pairs(inst)
+    # (gaps, the screen keeps every slice, the floor drops every piece); a
+    # NaN bound keeps its slice or its piece
+    for gaps, screened, floored in (((0.5e-9, 0.5e-9), True, False), ((2e-9, 2e-9), False, True),
+                                    ((0.5e-9, 2e-9), True, True), ((math.nan, 0.5e-9), True, False),
+                                    ((0.5e-9, math.nan), True, False)):
         def bounds(p, t, pieces=fluid._BOUND_PIECES, gaps=gaps):
             return np.full((len(t), pieces), best - gaps[pieces > 1] * best)
 
         monkeypatch.setattr(fluid, "_slice_bounds", bounds)
-        assert len(fluid._beatable(fluid._Group([inst]), ii[live], pairs, top)[0]) == kept
+        with pytest.MonkeyPatch.context() as mp:
+            # the pieces that a kernel with no floor scans, of every live one
+            unfloored, every = _scanned_pieces(
+                mp, lambda: fluid._solve_slices(pairs, top, REFINE_TOL, np.full(len(top), -np.inf)))
+        with pytest.MonkeyPatch.context() as mp:
+            scanned, total = _scanned_pieces(mp, lambda: solve_fluid(inst))
+        assert 0 < unfloored <= every == len(live) * fluid._BOUND_PIECES
+        assert total == (every if screened else 0)
+        assert scanned == (0 if floored else unfloored)
 
 
 def test_pruning_drops_most_canonical_slices():
+    # the one-piece screen keeps 367 of the 1 035 live slices
     inst = canonical_instance()
     ii, _, live, pairs, top = _all_live_pairs(inst)
-    assert len(fluid._beatable(fluid._Group([inst]), ii[live], pairs, top)[0]) <= 215
+    rows, floors = fluid._beatable(fluid._Group([inst]), ii[live], pairs, top)
+    assert len(rows) <= 400 < len(live) and floors.shape == rows.shape
 
 
-def _beatable_by_blocks(group, ii, pairs, top):
-    """Reference: _beatable with no one-piece bound, every live slice's
-    piece bounds computed _BOUND_BLOCK slices at a time."""
-    single = np.arange(len(group.vals))
-    profit, _, _, ok = fluid._score(group, single, single, np.zeros(len(single)))
-    lb = np.maximum.reduceat(np.where(ok, profit, -np.inf), group.start)
-    floor = (lb - 1e-9 * np.maximum(1.0, np.abs(lb)))[group.owner[ii]]
-    rows, bounds = [np.zeros(0, int)], [np.zeros((0, fluid._BOUND_PIECES))]
-    for start in range(0, len(top), fluid._BOUND_BLOCK):
-        block = slice(start, start + fluid._BOUND_BLOCK)
-        b = _slice_bounds(pairs.take(block), top[block])
-        keep = ~(b.max(axis=1) < floor[block])
-        rows.append(start + np.flatnonzero(keep))
-        bounds.append(b[keep])
-    return np.concatenate(rows), np.concatenate(bounds)
+def _piece_bounded_rows(inst) -> int:
+    """Slices whose piece bounds solve_fluid(inst) computes."""
+    rows = [0]
+    bounds = fluid._slice_bounds
+
+    def counted(pairs, top, pieces=fluid._BOUND_PIECES):
+        rows[0] += len(top) if pieces > 1 else 0
+        return bounds(pairs, top, pieces)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fluid, "_slice_bounds", counted)
+        solve_fluid(inst)
+    return rows[0]
+
+
+def test_settled_slices_get_no_piece_bounds():
+    # the kernel bounds the pieces of the slices it scans only; every slice
+    # of these newsvendor markets is settled by its ends and kink
+    markets = _shipped_markets()
+    for name in ("canonical", "risk_10_0_0", "risk_8_1_1", "risk_1_8_1", "dense_61"):
+        assert _piece_bounded_rows(markets[name]) == 0, name
+    assert _piece_bounded_rows(markets["power_variant"]) > 0
 
 
 @settings(deadline=None, max_examples=60)
@@ -864,8 +890,8 @@ def _beatable_by_blocks(group, ii, pairs, top):
 @example([_GROUP_MATE, _NO_SINGLETON, _GROUP_MATE])
 def test_one_piece_bound_keeps_the_rows_of_the_piece_bounds(insts):
     # in the kernel's arithmetic, the bound of [0, top] as one piece is at
-    # least every piece's bound, so filtering by it first changes no kept
-    # row and no kept bound
+    # least every piece's bound, so the screen keeps every slice that some
+    # piece bound of it keeps, with that slice's floor
     groups = {}
     for inst in insts:
         groups.setdefault((inst.revenue, inst.K), []).append(inst)
@@ -873,12 +899,17 @@ def test_one_piece_bound_keeps_the_rows_of_the_piece_bounds(insts):
         group = fluid._Group(members)
         ii, jj = group.pairs()
         live, pairs, top = _live_pairs(group, ii, jj)
-        one = _slice_bounds(pairs, top, 1)
+        one, pieces = _slice_bounds(pairs, top, 1), _slice_bounds(pairs, top)
         assert one.shape == (len(top), 1)
-        assert np.all((one >= _slice_bounds(pairs, top)) | np.isnan(one))
-        rows, bounds = fluid._beatable(group, ii[live], pairs, top)
-        want_rows, want_bounds = _beatable_by_blocks(group, ii[live], pairs, top)
-        assert rows.tobytes() == want_rows.tobytes() and bounds.tobytes() == want_bounds.tobytes()
+        assert np.all((one >= pieces) | np.isnan(one))
+        rows, floors = fluid._beatable(group, ii[live], pairs, top)
+        with pytest.MonkeyPatch.context() as mp:
+            # a NaN screen keeps every slice, so it gives every slice's floor
+            mp.setattr(fluid, "_slice_bounds", lambda p, t, n: np.full((len(t), n), np.nan))
+            every, floor = fluid._beatable(group, ii[live], pairs, top)
+        assert every.tolist() == list(range(len(top)))
+        assert np.isin(np.flatnonzero(~(pieces.max(axis=1) < floor)), rows).all()
+        assert floors.tobytes() == floor[rows].tobytes()
 
 
 # --------------------------------------------------------------------------
