@@ -41,8 +41,9 @@ from .market import (
     RewardSet,
     Tabulated,
     WorkerType,
+    _match,
+    _mix,
     _require_number,
-    expected_departure,
     expected_reward,
 )
 from .noisy import (
@@ -104,7 +105,9 @@ _DEPARTURES = (
 
 def mixture_instance(lambdas: Sequence[float], revenue=None) -> MarketInstance:
     """Three-type market with the given arrival rates; zero-rate types are
-    dropped."""
+    dropped, and a negative or non-finite rate raises ValueError."""
+    for l in lambdas:
+        _require_number("arrival rate", l, "non-negative")
     types = tuple(
         WorkerType(lam=float(l), departure=dep)
         for l, dep in zip(lambdas, _DEPARTURES)
@@ -195,30 +198,33 @@ def double_threshold_instance(cap: float, eps: float = 1.0, alpha: float = 40.0)
 
 
 def normal_policy(mu: float, sigma: float, rewards) -> RewardDistribution:
-    """Normal(mu, sigma^2) pay discretized onto the grid.
+    """Normal(mu, sigma^2) pay discretized onto the grid, by _normal_weights.
 
     Cell boundaries are the midpoints between consecutive rewards and the
     outermost cells absorb the tails, so the weights always sum to one; a
     zero sigma degenerates to a point mass on the nearest reward.
     """
-    if isinstance(rewards, RewardSet):
-        rewards = rewards.values
-    rs = tuple(float(r) for r in rewards)
+    rs = tuple(float(r) for r in rewards)  # a RewardSet iterates over its values
     if sigma < 0.0:
         raise ValueError("sigma must be non-negative")
+    return RewardDistribution(rs, _normal_weights(mu, sigma, rs))
+
+
+def _normal_weights(mu: float, sigma: float, rs: tuple[float, ...]) -> list[float]:
+    """normal_policy's weights on the rewards rs at a sigma >= 0: the normal
+    cdf (math.erf) at the midpoint cuts, the largest cell forced to an exact
+    unit total; at sigma 0, all on the nearest reward, the smaller of two."""
     if sigma == 0.0:
-        nearest = min(rs, key=lambda r: (abs(r - mu), r))
-        return RewardDistribution.point_mass(rs, nearest)
-
-    def cdf(z: float) -> float:
-        return 0.5 * (1.0 + math.erf((z - mu) / (sigma * math.sqrt(2.0))))
-
-    cuts = [0.0] + [cdf(0.5 * (a + b)) for a, b in zip(rs, rs[1:])] + [1.0]
+        ws = [0.0] * len(rs)
+        ws[_match(rs, min(rs, key=lambda r: (abs(r - mu), r)))] = 1.0
+        return ws
+    scale = sigma * math.sqrt(2.0)
+    cuts = [0.0] + [0.5 * (1.0 + math.erf((0.5 * (a + b) - mu) / scale)) for a, b in zip(rs, rs[1:])] + [1.0]
     ws = [b - a for a, b in zip(cuts, cuts[1:])]
     top = max(range(len(ws)), key=ws.__getitem__)
     ws[top] = 0.0
     ws[top] = 1.0 - math.fsum(ws)  # force an exact unit total
-    return RewardDistribution.on(rs, ws)
+    return ws
 
 
 # --------------------------------------------------------------------------
@@ -270,16 +276,26 @@ def _supply(worker: WorkerType, rate: float, mu: float) -> float:
     return worker.lam / rate
 
 
+def _pay_rates(inst: MarketInstance, mus: Sequence[float], sigma: float):
+    """Per increasing mu, inst's first type's departure rate under a fixed wage,
+    a lottery and normal pay of mean mu and spread sigma: one rate call for all
+    wages, one for all lotteries (whose failures lead the rows), the grid's
+    rates from departure_matrix."""
+    rs, dep = inst.rewards.values, inst.types[0].departure
+    fixed = dep.rate(np.array(mus, dtype=float)).tolist()
+    lotteries = [lottery_distribution(rs[0], mu, sigma) for mu in mus]
+    high = dep.rate(np.array([x.rewards[1] for x in lotteries], dtype=float)).tolist()
+    grid_rates = inst.departure_matrix[0].tolist()
+    for mu, wage, lottery, h in zip(mus, fixed, lotteries, high):
+        normal = RewardDistribution(rs, _normal_weights(mu, sigma, rs))
+        yield wage, _mix((grid_rates[0], h), lottery.weights), _mix(grid_rates, normal.weights)
+
+
 def _run_example1(p: dict) -> dict[str, Panel]:
     inst = example1_instance(lam=p["lam"])
-    grid = inst.rewards
-    worker = inst.types[0]
-    rows = []
-    for mu in float_range(p["mu_lo"], p["mu_step"], p["mu_hi"], ("mu_lo", "mu_step", "mu_hi")):
-        rates = (float(worker.departure.rate(mu)),  # fixed wage, lottery, normal pay
-                 expected_departure(worker, lottery_distribution(grid.r_min, mu, p["sigma"])),
-                 expected_departure(worker, normal_policy(mu, p["sigma"], grid)))
-        rows.append([mu] + [_supply(worker, rate, mu) for rate in rates])
+    mus = float_range(p["mu_lo"], p["mu_step"], p["mu_hi"], ("mu_lo", "mu_step", "mu_hi"))
+    rows = [[mu] + [_supply(inst.types[0], rate, mu) for rate in rates]
+            for mu, rates in zip(mus, _pay_rates(inst, mus, p["sigma"]))]
     return {"data": (["mu", "fixed_wage", "lottery", "normal"], rows)}
 
 
@@ -392,14 +408,16 @@ def _check_risk(p: dict, panels: dict[str, Panel]) -> list[str]:
 
 def _run_normal_variance(p: dict) -> dict[str, Panel]:
     inst = example3_instance(lam=p["lam"], alpha=p["alpha"], cap=p["cap"])
+    rs = inst.rewards.values
+    grid_rates = inst.departure_matrix[0].tolist()
     sigmas = float_range(0.0, p["sigma_step"], p["sigma_max"], ("sigma start", "sigma_step", "sigma_max"))
     header = ["sigma"] + [f"profit_mu{int(mu)}" for mu in p["mus"]]
     rows = []
     for s in sigmas:
         line = [s]
         for mu in p["mus"]:
-            x = normal_policy(mu, s, inst.rewards)
-            n = _supply(inst.types[0], expected_departure(inst.types[0], x), mu)
+            x = RewardDistribution(rs, _normal_weights(mu, s, rs))
+            n = _supply(inst.types[0], _mix(grid_rates, x.weights), mu)
             line.append(float(inst.revenue.value(n)) - expected_reward(x) * n)
         rows.append(line)
     return {"data": (header, rows)}
@@ -645,10 +663,15 @@ def _shaped(default, value) -> bool:
 def _coerce(name: str, default, value):
     """value for the parameter name of this default, a string parsed (a
     tuple's as the JSON list of its elements). Raises ValueError naming the
-    parameter unless every element of a tuple is shaped as the default's."""
+    parameter unless a scalar string parses as the default's type and every
+    element of a tuple is shaped as the default's."""
     if isinstance(value, str):
         if not isinstance(default, tuple):
-            return type(default)(value)
+            try:
+                return type(default)(value)
+            except ValueError:
+                raise ValueError(f"{name} takes {'an integer' if isinstance(default, int) else 'a number'}, "
+                                 f"got {value!r}") from None
         try:
             value = json.loads(f"[{value}]")
         except ValueError:

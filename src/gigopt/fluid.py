@@ -88,10 +88,10 @@ any peak the kernel's bracket holds, so neither refinement could win or tie.
 The known candidates come from the slice alone, never from the scan or from
 another slice, so each slice with a piece bound at its floor gets the bits
 of a scalar scan that refines its first maximum.
-Slices are bounded _BOUND_BLOCK at a time and kept pieces scanned
-_TEMP_FLOATS points at a time, so those temporaries stay within 66 KB
-whatever the grid size; the kernel keeps one best scanned point per slice
-and two indices per kept piece (90 KB on the power variant), and the
+Slices are bounded _BOUND_BLOCK at a time and kept pieces scanned, as each
+block is bounded, _TEMP_FLOATS points at a time, so those temporaries stay
+within 66 KB whatever the grid size; the kernel keeps one best scanned point
+per slice and two indices per kept piece of one block (70 KB), and the
 one-piece bounds and the Newton steps below hold arrays the size of the
 batch's own rates, (K, live slices).
 
@@ -446,38 +446,40 @@ def _solve_slices(pairs: _PairBatch, top: np.ndarray, tol: float,
         settled = (pairs.dl <= 0.0).all(axis=0)
     known = np.fmax.reduce(profits[:3])
 
-    # (slice, piece) of the open slices' pieces that their bounds keep, in order
-    kept = [(np.zeros(0, int), np.zeros(0, int))]
+    # each slice's best scanned point, NaN read as -inf; index 0 (an end)
+    # while no scanned profit is above -inf
+    best_p, best_k = np.full(n, -np.inf), np.zeros(n, int)
+    chunk = _TEMP_FLOATS // (_PIECE + 1)
+    # (slice, piece) of the pieces that the bounds keep, in order, scanned chunk
+    # by chunk as each block is bounded; a partial chunk carries over
+    piece_rows, piece = np.zeros(0, int), np.zeros(0, int)
     open_rows = np.flatnonzero(~settled)
     for start in range(0, len(open_rows), _BOUND_BLOCK):
         block = open_rows[start:start + _BOUND_BLOCK]
         b = _slice_bounds(pairs.take(block), top[block])
         r, j = np.nonzero(~((b < known[block, None]) | (b.max(axis=1) < floor[block])[:, None]))
-        kept.append((block[r], j))
-    piece_rows, piece = map(np.concatenate, zip(*kept))
-    # each slice's best scanned point, NaN read as -inf; index 0 (an end)
-    # while no scanned profit is above -inf
-    best_p, best_k = np.full(n, -np.inf), np.zeros(n, int)
-    chunk = _TEMP_FLOATS // (_PIECE + 1)
-    for at in range(0, len(piece), chunk):
-        r, j = piece_rows[at:at + chunk], piece[at:at + chunk]
-        y = np.add.outer(_PIECE * j, np.arange(_PIECE + 1.0))
-        y *= step[r, None]
-        last = j == _BOUND_PIECES - 1
-        y[last, -1] = top[r[last]]
-        p = pairs.take(r).profit(y)
-        p[np.isnan(p)] = -np.inf
-        k = p.argmax(axis=1)
-        p = p[np.arange(len(k)), k]
-        k += _PIECE * j
-        # pieces come slice by slice in index order: a slice's first best
-        # point in the chunk replaces its best only with a higher profit
-        order = np.lexsort((k, -p, r))
-        first = order[np.diff(r[order], prepend=-1) != 0]
-        r, k, p = r[first], k[first], p[first]
-        up = p > best_p[r]
-        best_p[r[up]] = p[up]
-        best_k[r[up]] = k[up]
+        piece_rows, piece = np.concatenate((piece_rows, block[r])), np.concatenate((piece, j))
+        ready = len(piece) if start + _BOUND_BLOCK >= len(open_rows) else len(piece) - len(piece) % chunk
+        for at in range(0, ready, chunk):
+            r, j = piece_rows[at:at + chunk], piece[at:at + chunk]
+            y = np.add.outer(_PIECE * j, np.arange(_PIECE + 1.0))
+            y *= step[r, None]
+            last = j == _BOUND_PIECES - 1
+            y[last, -1] = top[r[last]]
+            p = pairs.take(r).profit(y)
+            p[np.isnan(p)] = -np.inf
+            k = p.argmax(axis=1)
+            p = p[np.arange(len(k)), k]
+            k += _PIECE * j
+            # pieces come slice by slice in index order: a slice's first best
+            # point in the chunk replaces its best only with a higher profit
+            order = np.lexsort((k, -p, r))
+            first = order[np.diff(r[order], prepend=-1) != 0]
+            r, k, p = r[first], k[first], p[first]
+            up = p > best_p[r]
+            best_p[r[up]] = p[up]
+            best_k[r[up]] = k[up]
+        piece_rows, piece = piece_rows[ready:], piece[ready:]
     inner = np.flatnonzero((best_k > 0) & (best_k < SCAN_POINTS - 1))
     k = best_k[inner]
     a = (k - 1) * step[inner]

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -10,10 +11,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gigopt
 
-from gigopt import RewardDistribution, expected_reward
+from gigopt import RewardDistribution, expected_departure, expected_reward
 from gigopt.experiments import (
     EXPERIMENT_IDS,
     ExperimentSpec,
@@ -22,14 +24,17 @@ from gigopt.experiments import (
     example1_instance,
     experiment_defaults,
     float_range,
+    mixture_instance,
     normal_policy,
     power_variant_instance,
     prop5_instance,
     run_experiment,
     canonical_instance,
+    single_type_instance,
 )
 from gigopt import cli, experiments, fluid, policies
 from gigopt.cli import _build_parser, main
+from gigopt.fluid import lottery_distribution
 from gigopt.market import Newsvendor, Power, instance_to_dict
 from gigopt.noisy import market_instance, noisy_to_dict
 from gigopt.experiments import noisy_newsvendor_instance, noisy_sqrt_instance
@@ -73,6 +78,40 @@ def test_normal_policy_zero_sigma_snaps_to_nearest():
     assert normal_policy(2.0, 0.0, grid).support_rewards() == (15.0,)
     with pytest.raises(ValueError, match="sigma"):
         normal_policy(35.0, -1.0, grid)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    family=st.sampled_from(range(len(experiments._DEPARTURES))),
+    mus=st.lists(st.floats(15.0, 60.0, exclude_min=True), min_size=1, max_size=8).map(sorted),
+    sigma=st.floats(1e-3, 60.0),
+)
+def test_pay_rates_match_the_per_distribution_path(family, mus, sigma):
+    # each row read from the rate table and two batched rate calls has the
+    # bits of pricing its own distribution, on every departure family
+    inst = single_type_instance(family)
+    worker, grid = inst.types[0], inst.rewards
+    rows = list(experiments._pay_rates(inst, mus, sigma))
+    assert len(rows) == len(mus)
+    for mu, (wage, lottery, normal) in zip(mus, rows):
+        assert wage == float(worker.departure.rate(mu))
+        assert lottery == expected_departure(worker, lottery_distribution(grid.r_min, mu, sigma))
+        assert normal == expected_departure(worker, normal_policy(mu, sigma, grid))
+
+
+def test_normal_variance_rows_match_the_per_distribution_path():
+    # the table path prices every (sigma, mu) cell, sigma 0 included, with
+    # the bits of normal_policy and expected_departure
+    p = experiment_defaults("fig_normal_variance")
+    p["mus"] = (15.0, 25.0, 30.0, 35.5, 47.3)
+    inst = experiments.example3_instance(lam=p["lam"], alpha=p["alpha"], cap=p["cap"])
+    worker = inst.types[0]
+    rows = experiments._run_normal_variance(p)["data"][1]
+    for row in rows:
+        for mu, got in zip(p["mus"], row[1:]):
+            x = normal_policy(mu, row[0], inst.rewards)
+            n = worker.lam / expected_departure(worker, x)
+            assert got == float(inst.revenue.value(n)) - expected_reward(x) * n
 
 
 # --------------------------------------------------------------------------
@@ -566,6 +605,37 @@ def test_cli_reproduce_rejects_misshapen_tuple_settings(tmp_path, capsys, experi
     assert main(["reproduce", experiment_id, "--set", setting, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert f"each element of {setting.split('=')[0]} must be shaped like" in err
+    assert "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("experiment_id, setting, message", [
+    ("fig_double_threshold", "n_eps=1.5", "n_eps takes an integer, got '1.5'"),
+    ("fig_double_threshold", "n_eps=abc", "n_eps takes an integer, got 'abc'"),
+    ("example1", "sigma=abc", "sigma takes a number, got 'abc'"),
+])
+def test_cli_reproduce_names_a_scalar_setting_that_does_not_parse(tmp_path, capsys, experiment_id, setting, message):
+    assert main(["reproduce", experiment_id, "--set", setting, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "invalid literal" not in err and "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("lam", [-1.0, -1e-300, math.nan, math.inf])
+def test_mixture_instance_refuses_a_negative_or_non_finite_arrival_rate(lam):
+    with pytest.raises(ValueError, match=re.escape(f"arrival rate must be finite and non-negative, got {lam!r}")):
+        mixture_instance((5.0, lam, 0.0))
+    # a zero rate still drops its type
+    (kept,) = mixture_instance((0.0, 5.0, 0.0)).types
+    assert (kept.lam, kept.departure) == (5.0, experiments._DEPARTURES[1])
+
+
+def test_cli_reproduce_fig_risk_refuses_a_negative_arrival_rate(tmp_path, capsys):
+    # a negative rate is refused, not read as a zero rate that drops its type
+    assert main(["reproduce", "fig_risk", "--set", "compositions=[-1,5,0]", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "arrival rate must be finite and non-negative, got -1" in err
     assert "Traceback" not in err
     assert not any(tmp_path.iterdir())
 

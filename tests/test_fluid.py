@@ -545,6 +545,32 @@ def test_canonical_kernel_scans_under_half_of_its_pieces(monkeypatch):
     assert 0 < scanned < total / 2
 
 
+@pytest.mark.parametrize("block, chunk", [(fluid._BOUND_BLOCK, None), (7, 5), (3, 64)])
+def test_bound_blocks_scan_the_chunks_of_one_block(monkeypatch, block, chunk):
+    # each bound block's kept pieces are scanned before the next block is
+    # bounded, a partial chunk carried over: the scan calls and every bit are
+    # those of bounding all slices as one block. Small blocks and chunks split
+    # slices and chunks across blocks
+    if chunk is not None:
+        monkeypatch.setattr(fluid, "_TEMP_FLOATS", chunk * (fluid._PIECE + 1))
+    calls, profit = [0], fluid._PairBatch.profit
+
+    def counted_profit(self, y):
+        calls[0] += y.ndim == 2
+        return profit(self, y)
+
+    monkeypatch.setattr(fluid._PairBatch, "profit", counted_profit)
+    for inst in (power_variant_instance(), dataclasses.replace(_flat_instance(30), revenue=LinearRev(60.0))):
+        _, _, _, pairs, top = _all_live_pairs(inst)
+        runs = []
+        for size in (len(top), block):
+            monkeypatch.setattr(fluid, "_BOUND_BLOCK", size)
+            calls[0] = 0
+            y, p = fluid._solve_slices(pairs, top, REFINE_TOL, np.full(len(top), -np.inf))
+            runs.append((y.tobytes(), p.tobytes(), calls[0]))
+        assert runs[0] == runs[1] and runs[0][2] > 0
+
+
 @settings(deadline=None, max_examples=30)
 @given(st.lists(_random_instances(), min_size=1, max_size=3))
 @example([_BELOW_SINGLETON])
