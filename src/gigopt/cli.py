@@ -126,7 +126,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep_theta(args) -> int:
-    thetas = [t for t in args.thetas.split(",") if t.strip()]
+    try:
+        thetas = [int(t) for t in args.thetas.split(",") if t.strip()]
+    except ValueError:
+        raise ValueError(f"--thetas takes comma-separated integer scales, got {args.thetas!r}") from None
     if not thetas:
         raise ValueError(f"--thetas needs at least one scale, got {args.thetas!r}")
     rows = _loss_study(load_instance(args.instance), {**vars(args), "thetas": thetas})

@@ -96,13 +96,13 @@ one-piece bounds and the Newton steps below hold arrays the size of the
 batch's own rates, (K, live slices).
 
 A newsvendor kink halves a bracket S(lo) < cap <= S(hi) of supply S until its
-ends are adjacent floats, from [0, top] when S(0) < cap < S(top). Where every
-rate falls along the slice, each step of S (dl * y, + lo, lambda / rate, the
-sum over types) is monotone, so every such bracket ends on the same floats:
-the first where S reaches the cap, and the one below. Such a slice starts
-instead 64 ulps either side of eight Newton steps on 1 / S, once S confirms
-that bracket and its low end is above top * 2^-140, where 200 halvings from
-[0, top] surely end on adjacent floats too.
+ends are adjacent floats, from [0, top]; the halving takes only the slices
+where S(0) < cap < S(top). Where every rate falls along the slice, each step
+of S (dl * y, + lo, lambda / rate, the sum over types) is monotone, so every
+such bracket ends on the same floats: the first where S reaches the cap, and
+the one below. Such a slice starts instead 64 ulps either side of eight
+Newton steps on 1 / S, once S confirms that bracket and its low end is above
+top * 2^-140, where 200 halvings from [0, top] surely end on adjacent floats.
 
 The brute-force oracle, the independent check of the two-support theorem,
 scores every weight vector with denominator G on instances of at most 5
@@ -114,14 +114,15 @@ product, so a point's profit does not depend on the block it is scored in.
 
 The budgeted variant (maximize supply subject to an expected-pay budget)
 prices the singletons with _score and reuses the slices, whose cost and
-supply rise with the weight on the higher reward: a slice fits the budget
-when its low-end singleton does, and its optimum is its largest weight
-within budget, found by one batched bisection. Support reduction is the
-same search run on a budget-tight distribution's own support.
+supply rise with the weight on the higher reward. A slice's optimum is its
+largest weight within budget: top where its top end fits, none where its
+low end overspends too, else a root, halved only on those slices. Support
+reduction runs the same search on a budget-tight distribution's own support.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -233,7 +234,7 @@ def _check_pairs(sizes: np.ndarray, width: int) -> None:
 
 
 def _kernel_width(K: int) -> int:
-    """The pair kernel's widest per-slice rows: K rates, or the kept piece indices."""
+    """Pair-cap entries per reward pair: K, or 32 so that K <= 32 admits 791 rewards."""
     return max(K, _BOUND_PIECES)
 
 
@@ -296,10 +297,10 @@ class _PairBatch:
                           self.r_low[rows], self.r_high[rows])
 
     def supply(self, y: np.ndarray) -> np.ndarray:
-        # summed type by type as a scalar loop would (a sum over axis 0 adds
-        # the rows in turn); dividing by a per-row rate gives its bits
+        # summed type by type as a scalar loop would (a sum over axis 0 pairs
+        # one column's terms from 8 types); dividing by a rate gives its bits
         if y.ndim == 1:
-            return (self.lam / (self.dl * y + self.lo)).sum(axis=0)
+            return functools.reduce(np.add, self.lam / (self.dl * y + self.lo))
         total = np.zeros(y.shape)
         for lam, lo, dl in zip(self.lam, self.lo, self.dl):
             lhat = dl[:, None] * y
@@ -352,17 +353,12 @@ def _golden_section(f, a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
     return 0.5 * (a + b)
 
 
-def _bisect_up(f, target, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _halve(f, target, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Root of f(y) = target in every bracket [lo[n], hi[n]] at once, for f
-    non-decreasing; NaN where the target is not strictly bracketed."""
-    return _halve(f, target, lo, hi, (f(lo) < target) & (target < f(hi)))
-
-
-def _halve(f, target, lo: np.ndarray, hi: np.ndarray, found: np.ndarray) -> np.ndarray:
-    """Root of f(y) = target in the brackets [lo[n], hi[n]] with found[n],
-    for f non-decreasing and f(lo) < target <= f(hi) there; NaN elsewhere.
-    Each halves at most 200 times, until its midpoint rounds onto an end."""
-    lo, hi, active = lo.copy(), hi.copy(), found.copy()
+    non-decreasing: callers pass only rows with f(lo) < target <= f(hi).
+    Each halves at most 200 times, until its midpoint rounds onto an end; f
+    evaluates every row alone, so no row's steps depend on the others."""
+    lo, hi, active = lo.copy(), hi.copy(), np.ones(len(lo), bool)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         active &= (mid != lo) & (mid != hi)
@@ -372,17 +368,18 @@ def _halve(f, target, lo: np.ndarray, hi: np.ndarray, found: np.ndarray) -> np.n
         below &= active
         np.copyto(lo, mid, where=below)
         np.copyto(hi, mid, where=below ^ active)
-    return np.where(found, 0.5 * (lo + hi), np.nan)
+    return 0.5 * (lo + hi)
 
 
 def _kink(pairs: _PairBatch, top: np.ndarray) -> np.ndarray:
-    """_bisect_up(pairs.supply, cap, 0, top) of a newsvendor batch, with
+    """Weight where supply reaches the cap on the newsvendor batch's slices
+    with S(0) < cap < S(top), NaN elsewhere; only those are halved, from
     Newton-seeded brackets where supply is monotone (module docstring)."""
-    cap = pairs.revenue.cap
-    lo, hi = np.zeros(len(top)), top.copy()
-    found = (pairs.supply(lo) < cap) & (cap < pairs.supply(hi))
-    seed = np.flatnonzero(found & (pairs.dl <= 0.0).all(axis=0))
-    near, t, y = pairs.take(seed), top[seed], np.zeros(len(seed))
+    cap, kink = pairs.revenue.cap, np.full(len(top), np.nan)
+    rows = np.flatnonzero((pairs.supply(np.zeros(len(top))) < cap) & (cap < pairs.supply(top)))
+    pairs, lo, hi = pairs.take(rows), np.zeros(len(rows)), top[rows]
+    seed = np.flatnonzero((pairs.dl <= 0.0).all(axis=0))
+    near, t, y = pairs.take(seed), hi[seed], np.zeros(len(seed))
     with np.errstate(all="ignore"):  # a step that fails yields a bracket the check refuses
         for _ in range(8):
             rate = near.dl * y + near.lo
@@ -393,7 +390,8 @@ def _kink(pairs: _PairBatch, top: np.ndarray) -> np.ndarray:
         a, b = y - ulps, np.minimum(y + ulps, t)
         ok = (a >= t * 2.0**-140) & (near.supply(a) < cap) & (cap <= near.supply(b))
     lo[seed[ok]], hi[seed[ok]] = a[ok], b[ok]
-    return _halve(pairs.supply, cap, lo, hi, found)
+    kink[rows] = _halve(pairs.supply, cap, lo, hi)
+    return kink
 
 
 def _live_pairs(group: _Group, ii: np.ndarray, jj: np.ndarray):
@@ -854,8 +852,10 @@ def solve_supply_opt(b: BudgetedInstance, tol: float = 1e-9) -> FluidOutcome:
     fits = rhat * total <= B + slack  # _best_outcome drops the degenerate ones
     ii, jj = group.pairs(b.inst.K)
     live, pairs, top = _live_pairs(group, ii, jj)
-    y = np.where(pairs.cost(top) <= B + slack, top, _bisect_up(pairs.cost, B, np.zeros(len(live)), top))
-    # a slice whose low end overspends has no root: its cost rises with the weight
+    cost = pairs.cost(top)
+    y = np.where(cost <= B + slack, top, np.nan)  # cost rises with the weight
+    root = np.flatnonzero((pairs.cost(np.zeros(len(top))) < B) & (cost > B + slack))
+    y[root] = _halve(pairs.take(root).cost, B, np.zeros(len(root)), top[root])
     pick = _interior(y)
     return _best_outcome(
         group,

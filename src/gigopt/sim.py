@@ -69,10 +69,12 @@ class SimConfig:
     record_trace: bool = False  # keep the full path of replication 0
 
     def __post_init__(self) -> None:
-        for name in ("theta", "burn_in", "periods", "replications"):
+        for name in ("theta", "burn_in", "periods", "replications", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         if self.theta < 1:
             raise ConfigError("theta must be a positive integer")
         if self.burn_in < 0 or self.periods <= self.burn_in:

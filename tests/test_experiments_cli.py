@@ -570,6 +570,29 @@ def test_cli_sweep_theta_rejects_an_empty_scale_list(canon_file, capsys, thetas)
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("thetas", ["1.5", "1e3", "2,abc"])
+def test_cli_sweep_theta_names_a_scale_that_is_not_an_integer(canon_file, capsys, thetas):
+    rc = main(["sweep-theta", "--instance", canon_file, "--thetas", thetas])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert f"--thetas takes comma-separated integer scales, got {thetas!r}" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep-theta", "reproduce"])
+def test_cli_refuses_a_negative_seed(tmp_path, canon_file, capsys, command):
+    inst, pol = _prop5_files(tmp_path, [[0.0, 1.0], [1.0, 0.0]])
+    argv = {
+        "simulate": ["simulate", "--instance", inst, "--policy", pol, "--periods", "10", "--reps", "2"],
+        "sweep-theta": ["sweep-theta", "--instance", canon_file, "--thetas", "1", "--reps", "2"],
+        "reproduce": ["reproduce", "fig_additive_loss", "--reps", "2", "--out", str(tmp_path / "out")],
+    }[command]
+    assert main([*argv, "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "seed must be a non-negative integer, got -1" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize("argv, mu", [
     (["fig_normal_variance", "--set", "mus=60"], "60"),
     (["example1", "--set", "mu_lo=20000", "--set", "mu_hi=20001"], "20000.0"),

@@ -1005,7 +1005,10 @@ _TINY_ROOT = (fluid._PairBatch(Newsvendor(30.0, 1.5), np.array([[1.0], [2.0**-17
 @example(_slices(canonical_instance()))
 def test_seeded_kink_matches_halving_from_zero(batch):
     pairs, top = batch
-    want = fluid._bisect_up(pairs.supply, pairs.revenue.cap, np.zeros(len(top)), top)
+    cap = pairs.revenue.cap
+    rows = np.flatnonzero((pairs.supply(np.zeros(len(top))) < cap) & (cap < pairs.supply(top)))
+    want = np.full(len(top), np.nan)
+    want[rows] = fluid._halve(pairs.take(rows).supply, cap, np.zeros(len(rows)), top[rows])
     assert fluid._kink(pairs, top).tobytes() == want.tobytes()
 
 
@@ -1055,6 +1058,24 @@ def test_canonical_kink_makes_at_most_12_supply_evaluations(monkeypatch):
     counts = _count_kink_evaluations(monkeypatch)
     solve_fluid(canonical_instance())
     assert len(counts) == 1 and 0 < counts[0] <= 12
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 16), st.integers(2, 5), st.integers(0, 2**32 - 1))
+def test_slice_supply_of_a_row_does_not_depend_on_its_batch(K, n, seed):
+    # a sum over axis 0 pairs up the terms of a lone column from 8 types on,
+    # so a row halved alone would get other bits than beside other rows
+    rng = np.random.default_rng(seed)
+    lam = rng.uniform(0.5, 5.0, (K, n)) * 10.0 ** rng.integers(-6, 7, (K, 1))
+    lo = rng.uniform(0.1, 1.0, (K, n))
+    pairs = fluid._PairBatch(Newsvendor(30.0, 10.0), lam, lo, lo * rng.uniform(0.2, 1.0, (K, n)),
+                             np.full(n, 10.0), np.full(n, 20.0))
+    y = rng.uniform(0.0, 1.0, n)
+    scalar = [sum(lam[k, r] / (pairs.dl[k, r] * y[r] + lo[k, r]) for k in range(K)) for r in range(n)]
+    assert pairs.supply(y).tolist() == scalar
+    assert pairs.supply(np.stack([y, y], axis=1)).tolist() == [[v, v] for v in scalar]
+    for r in range(n):
+        assert pairs.take([r]).supply(y[[r]]).tolist() == [scalar[r]]
 
 
 def _compositions_by_combinations(m, G):
@@ -1450,9 +1471,9 @@ def _wide_instance(m: int) -> MarketInstance:
 
 
 def test_solver_slice_tables_are_capped_before_allocation(monkeypatch):
-    # each pair slice holds up to 32 piece bounds: 791 rewards (312 445
-    # slices) is the largest grid that solves, and 792 is refused before its
-    # pair indices exist
+    # the cap counts 32 entries per pair slice for K <= 32: 791 rewards
+    # (312 445 slices) is the largest grid that solves, and 792 is refused
+    # before its pair indices exist
     assert len(solve_fluid(_wide_instance(791)).x.support()) == 2
     with pytest.raises(ValueError, match="reward pairs 313236 needs 313236 x 32 table entries"):
         solve_fluid(_wide_instance(792))
@@ -1474,6 +1495,104 @@ def test_supply_opt_monotone_in_budget():
     inst = _budget_instance()
     supplies = [solve_supply_opt(BudgetedInstance(inst, b)).total_supply for b in (300.0, 600.0, 1200.0, 2400.0)]
     assert all(b >= a - 1e-9 for a, b in zip(supplies, supplies[1:]))
+
+
+def _halve_every_slice(f, target, lo, hi):
+    """Roots of f(y) = target, halving every row of [lo, hi] together and
+    NaN where f(lo) < target < f(hi) fails."""
+    found = (f(lo) < target) & (target < f(hi))
+    lo, hi, active = lo.copy(), hi.copy(), found.copy()
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        active &= (mid != lo) & (mid != hi)
+        if not active.any():
+            break
+        below = (f(mid) < target) & active
+        np.copyto(lo, mid, where=below)
+        np.copyto(hi, mid, where=below ^ active)
+    return np.where(found, 0.5 * (lo + hi), np.nan)
+
+
+def _supply_opt_halving_every_slice(b, tol=1e-9):
+    """Reference: solve_supply_opt with its root search run on every live
+    slice, the root kept only where the top end overspends."""
+    B = b.budget
+    slack = tol * max(1.0, abs(B))
+    group = fluid._Group([b.inst])
+    single, point = np.arange(len(group.vals)), np.zeros(len(group.vals))
+    _, total, rhat, _ = fluid._score(group, single, single, point)
+    fits = rhat * total <= B + slack
+    ii, jj = group.pairs(b.inst.K)
+    live, pairs, top = fluid._live_pairs(group, ii, jj)
+    y = np.where(pairs.cost(top) <= B + slack, top, _halve_every_slice(pairs.cost, B, np.zeros(len(top)), top))
+    pick = fluid._interior(y)
+    return fluid._best_outcome(
+        group,
+        np.concatenate([single[fits], ii[live][pick]]),
+        np.concatenate([single[fits], jj[live][pick]]),
+        np.concatenate([point[fits], y[pick]]),
+        by="supply",
+        degenerate="no feasible non-degenerate distribution",
+    )[0]
+
+
+@st.composite
+def _budgeted_instances(draw):
+    """_random_instances with up to 4 types, in half of them one more
+    tabulated type whose rate falls to 0 or near the degeneracy floor, and a
+    budget of 0.5 to 3 times the pay at the profit optimum."""
+    inst = draw(_random_instances(max_m=12, max_types=4))
+    if draw(st.booleans()):
+        grid = inst.rewards.values
+        rates = sorted(draw(st.lists(_unit, min_size=len(grid), max_size=len(grid))), reverse=True)
+        rates[-1] = min(rates[-2], draw(st.sampled_from([0.0, 0.5e-12, 1e-12, 3e-12, 1e-9])))
+        types = inst.types + (WorkerType(draw(st.floats(1e-12, 5.0)), Tabulated(grid, tuple(rates))),)
+        inst = dataclasses.replace(inst, types=types)
+    try:
+        out = solve_fluid(inst)
+        return BudgetedInstance(inst, draw(st.floats(0.5, 3.0)) * out.expected_reward * out.total_supply)
+    except (DegenerateSupply, ValueError):  # no optimum, or a budget below the bottom reward's cost
+        assume(False)
+
+
+def _solved(solve, b):
+    """(weights, total supply, profit) as bytes, or the DegenerateSupply message."""
+    try:
+        out = solve(b)
+    except DegenerateSupply as exc:
+        return str(exc)
+    return np.array([*out.x.weights, out.total_supply, out.profit]).tobytes()
+
+
+@settings(deadline=None, max_examples=150)
+@given(_budgeted_instances())
+@example(BudgetedInstance(canonical_instance(), 8600.9606436657))
+@example(BudgetedInstance(power_variant_instance(), 2000.0))
+# the floor cuts the one slice at weight 0.75, whose pay of 73.5 is within
+# the slack above the budget: its optimum is that top end, not the root
+@example(BudgetedInstance(_FLOOR_CUT, 73.5 * (1.0 - 1e-10)))
+def test_supply_opt_halving_only_bracketed_slices_keeps_every_bit(b):
+    # a slice whose top end fits takes top whatever its root, so the roots
+    # of the other slices are the same bits whether or not it is halved too
+    assert _solved(solve_supply_opt, b) == _solved(_supply_opt_halving_every_slice, b)
+
+
+def test_canonical_halvings_take_only_the_bracketed_slices(monkeypatch):
+    # 129 of the canonical market's slices have a kink inside, and the same
+    # 129 are the ones whose budget binds inside at its profit optimum's
+    # pay: of the 367 slices the kernel gets and the 1035 live ones
+    rows, halve = [], fluid._halve
+
+    def counted(f, target, lo, hi):
+        rows.append(len(lo))
+        return halve(f, target, lo, hi)
+
+    monkeypatch.setattr(fluid, "_halve", counted)
+    canon = canonical_instance()
+    out = solve_fluid(canon)
+    assert rows == [129]
+    solve_supply_opt(BudgetedInstance(canon, out.expected_reward * out.total_supply))
+    assert rows == [129, 129]
 
 
 @settings(deadline=None, max_examples=60)

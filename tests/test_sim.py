@@ -51,7 +51,8 @@ def _fast_instance():
 
 @pytest.mark.parametrize("field, value", [
     ("theta", 2.5), ("theta", math.nan), ("theta", True), ("periods", 40.0),
-    ("burn_in", 5.0), ("replications", 3.0), ("replications", "3"),
+    ("burn_in", 5.0), ("replications", 3.0), ("replications", "3"), ("seed", 1.5), ("seed", True),
+    ("seed", "1"),
 ])
 def test_config_rejects_non_integer_counts(field, value):
     kw = dict(theta=2, periods=40, burn_in=5, replications=3, seed=1)
@@ -67,6 +68,15 @@ def test_config_validation():
         SimConfig(theta=1, periods=10, burn_in=10, replications=1, seed=1)
     with pytest.raises(ConfigError, match="replication"):
         SimConfig(theta=1, periods=10, burn_in=0, replications=0, seed=1)
+
+
+def test_config_refuses_a_negative_seed():
+    with pytest.raises(ConfigError, match="seed must be a non-negative integer, got -1"):
+        SimConfig(theta=1, periods=10, burn_in=0, replications=1, seed=-1)
+    with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+        occupancy_samples(_fast_instance(), RewardDistribution.two_point(10.0, 30.0, 0.5), theta=1,
+                          n_samples=2, burn_in=1, seed=np.int64(-3))
+    assert SimConfig(theta=1, periods=10, burn_in=0, replications=1, seed=0).seed == 0
 
 
 def test_belief_policies_are_rejected():
