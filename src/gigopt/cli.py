@@ -26,7 +26,7 @@ from .experiments import (
     float_range,
     run_experiment,
 )
-from .fluid import _oracle_with_lipschitz, classify_dispersion, solve_fluid
+from .fluid import REFINE_TOL, _oracle_with_lipschitz, classify_dispersion, solve_fluid
 from .market import MarketInstance, RewardDistribution, _require_number, float_field, json_object, load_instance
 from .noisy import detect_double_threshold, load_noisy, surplus_curve
 from .policies import (
@@ -255,7 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fluid-solve", help="solve the fluid relaxation of an instance")
     p.add_argument("--instance", required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=REFINE_TOL)
     p.add_argument("--oracle", type=int, default=None, metavar="G",
                    help="also run the exhaustive oracle at grid resolution G")
     p.set_defaults(func=_cmd_fluid_solve)

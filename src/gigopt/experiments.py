@@ -44,7 +44,7 @@ from .market import (
     _match,
     _mix,
     _require_number,
-    expected_reward,
+    _unit_weights,
 )
 from .noisy import (
     NoisyInstance,
@@ -287,8 +287,8 @@ def _pay_rates(inst: MarketInstance, mus: Sequence[float], sigma: float):
     high = dep.rate(np.array([x.rewards[1] for x in lotteries], dtype=float)).tolist()
     grid_rates = inst.departure_matrix[0].tolist()
     for mu, wage, lottery, h in zip(mus, fixed, lotteries, high):
-        normal = RewardDistribution(rs, _normal_weights(mu, sigma, rs))
-        yield wage, _mix((grid_rates[0], h), lottery.weights), _mix(grid_rates, normal.weights)
+        normal = _unit_weights(_normal_weights(mu, sigma, rs))
+        yield wage, _mix((grid_rates[0], h), lottery.weights), _mix(grid_rates, normal)
 
 
 def _run_example1(p: dict) -> dict[str, Panel]:
@@ -416,9 +416,9 @@ def _run_normal_variance(p: dict) -> dict[str, Panel]:
     for s in sigmas:
         line = [s]
         for mu in p["mus"]:
-            x = RewardDistribution(rs, _normal_weights(mu, s, rs))
-            n = _supply(inst.types[0], _mix(grid_rates, x.weights), mu)
-            line.append(float(inst.revenue.value(n)) - expected_reward(x) * n)
+            ws = _unit_weights(_normal_weights(mu, s, rs))
+            n = _supply(inst.types[0], _mix(grid_rates, ws), mu)
+            line.append(float(inst.revenue.value(n)) - math.fsum(r * w for r, w in zip(rs, ws)) * n)
         rows.append(line)
     return {"data": (header, rows)}
 
@@ -471,7 +471,12 @@ def _check_noisy_metrics(p: dict, panels: dict[str, Panel]) -> list[str]:
 
 
 def _run_double_threshold(p: dict) -> dict[str, Panel]:
-    eps = list(np.linspace(p["eps_lo"], p["eps_hi"], int(p["n_eps"])))
+    lo, hi, n = p["eps_lo"], p["eps_hi"], p["n_eps"]
+    if not (math.isfinite(hi) and 0.0 < lo < hi):
+        raise ValueError(f"eps_lo and eps_hi must be finite with 0 < eps_lo < eps_hi, got {lo!r} and {hi!r}")
+    if not (_shaped(0, n) and 2 <= n <= MAX_RANGE_POINTS):
+        raise ValueError(f"n_eps must be an integer from 2 to {MAX_RANGE_POINTS}, got {n!r}")
+    eps = list(np.linspace(lo, hi, int(n)))
     panels: dict[str, Panel] = {}
     cross_rows = []
     for cap in p["caps"]:

@@ -75,23 +75,23 @@ floor is its instance's best non-degenerate singleton's profit less 1e-9
 relative, which covers the rounding between the kernel's arithmetic and the
 winner's; a candidate below it scores strictly below a singleton that is
 itself a candidate, so it can neither win nor tie. solve_fluid_many drops the
-slices whose one-piece bound is below their floor. The kernel scores each
-slice's known candidates (both ends and the newsvendor kink) and, on a slice
-they do not settle, bounds its pieces and scans those whose bound is not
-below the best of them, none when every bound is below the floor (its ends
-and kink are then below it too); a NaN bound keeps its piece. A kept piece
-is scanned at its own _PIECE + 1 points. A skipped piece's points score
-below the best known candidate, so the kept pieces hold the full scan's best
-point whenever it reaches that candidate; when it does not, it lies in
-skipped pieces with its one-step bracket, and on a one-peak slice so does
-any peak the kernel's bracket holds, so neither refinement could win or tie.
-The known candidates come from the slice alone, never from the scan or from
-another slice, so each slice with a piece bound at its floor gets the bits
-of a scalar scan that refines its first maximum.
+slices whose one-piece bound is below their floor. A slice's threshold in
+the kernel is the larger of its floor and its best known candidate (both ends
+and the newsvendor kink). On a slice those do not settle, the kernel scans,
+each at its own _PIECE + 1 points, the pieces whose bound is not below the
+threshold (a NaN bound keeps its piece), from a best point at the 0 end, and
+offers the top end last; a point replaces the best only with a higher profit.
+Skipped points score below the threshold, so a full scan's first maximum that
+reaches it, and every earlier point that ties it, is an end or kept and found;
+as the threshold comes from the slice alone, the slice gets the bits of a
+scalar scan that refines its first maximum. Otherwise, on a one-peak slice, a
+refinement that reaches the threshold holds the peak, which shares a piece
+with the full scan's first maximum, so the kernel refines that one too; short
+of it, the slice returns a known candidate or a profit below its floor.
 Slices are bounded _BOUND_BLOCK at a time and kept pieces scanned, as each
 block is bounded, _TEMP_FLOATS points at a time, so those temporaries stay
 within 66 KB whatever the grid size; the kernel keeps one best scanned point
-per slice and two indices per kept piece of one block (70 KB), and the
+per slice and two indices per kept piece of one block (131 KB), and the
 one-piece bounds and the Newton steps below hold arrays the size of the
 batch's own rates, (K, live slices).
 
@@ -172,11 +172,11 @@ REFINE_TOL = 1e-12  # golden-section bracket width target
 # this many points, whatever the grid size.
 _TEMP_FLOATS = 8 * SCAN_POINTS
 # Pieces of each slice in its profit bound, each _PIECE scan steps long, and
-# slices bounded together: a bound temporary holds _BOUND_BLOCK x
-# (_BOUND_PIECES + 1) floats (34 KB).
+# slices bounded together: as many as keep a bound temporary of _BOUND_BLOCK x
+# (_BOUND_PIECES + 1) floats within the scan's budget (248 slices, 65 KB).
 _BOUND_PIECES = 32
 _PIECE = (SCAN_POINTS - 1) // _BOUND_PIECES
-_BOUND_BLOCK = 128
+_BOUND_BLOCK = _TEMP_FLOATS // (_BOUND_PIECES + 1)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -419,15 +419,15 @@ def _solve_slices(pairs: _PairBatch, top: np.ndarray, tol: float,
     Returns the weight on the higher reward and the profit there. Per slice:
     score the known candidates, the endpoints and (newsvendor revenue) the
     kink where supply crosses the cap; unless they settle the slice
-    (newsvendor revenue, every rate falling along the slice), scan the
-    SCAN_POINTS weights of every piece whose _slice_bounds bound is not
-    below the best of them, none if all are below floor, and golden-refine
-    one bracket, around the best scanned point (the highest profit, NaN read
-    as -inf, the smallest weight among ties) when it is interior; and keep
-    the best candidate, the smallest weight among ties. A slice with a bound
-    at its floor gets the bits a scalar scan of all SCAN_POINTS weights that
-    refines its first maximum by the same rule gives; the others, a profit
-    below floor (module docstring).
+    (newsvendor revenue, every rate falling along the slice), scan, from the
+    0 end to the top end, the SCAN_POINTS weights of every piece whose
+    _slice_bounds bound reaches the threshold, the larger of the best known
+    candidate and floor, and golden-refine one bracket, around the best
+    scanned point (the highest profit, NaN read as -inf, the smallest weight
+    among ties) when it is interior; and keep the best candidate, the
+    smallest weight among ties. A slice whose full scan reaches its threshold
+    gets that scan's bits; every other slice, a known candidate or, on a
+    one-peak slice, a profit below floor (module docstring).
     """
     n = len(top)
     step = top / (SCAN_POINTS - 1)  # np.linspace(0, top, SCAN_POINTS), row by row
@@ -439,14 +439,12 @@ def _solve_slices(pairs: _PairBatch, top: np.ndarray, tol: float,
     if isinstance(pairs.revenue, Newsvendor):
         # profit is kinked where total supply crosses the revenue cap
         ys[2] = _kink(pairs, top)
-        hit = np.flatnonzero(~np.isnan(ys[2]))
-        profits[2, hit] = pairs.take(hit).profit(ys[2, hit])
+        profits[2] = pairs.profit(ys[2])
         settled = (pairs.dl <= 0.0).all(axis=0)
-    known = np.fmax.reduce(profits[:3])
+    threshold = np.fmax(np.fmax.reduce(profits[:3]), floor)
 
-    # each slice's best scanned point, NaN read as -inf; index 0 (an end)
-    # while no scanned profit is above -inf
-    best_p, best_k = np.full(n, -np.inf), np.zeros(n, int)
+    # each slice's best scan point (NaN read as -inf), from its 0 end to its top end
+    best_p, best_k = np.fmax(profits[0], -np.inf), np.zeros(n, int)
     chunk = _TEMP_FLOATS // (_PIECE + 1)
     # (slice, piece) of the pieces that the bounds keep, in order, scanned chunk
     # by chunk as each block is bounded; a partial chunk carries over
@@ -455,7 +453,7 @@ def _solve_slices(pairs: _PairBatch, top: np.ndarray, tol: float,
     for start in range(0, len(open_rows), _BOUND_BLOCK):
         block = open_rows[start:start + _BOUND_BLOCK]
         b = _slice_bounds(pairs.take(block), top[block])
-        r, j = np.nonzero(~((b < known[block, None]) | (b.max(axis=1) < floor[block])[:, None]))
+        r, j = np.nonzero(~(b < threshold[block, None]))
         piece_rows, piece = np.concatenate((piece_rows, block[r])), np.concatenate((piece, j))
         ready = len(piece) if start + _BOUND_BLOCK >= len(open_rows) else len(piece) - len(piece) % chunk
         for at in range(0, ready, chunk):
@@ -478,6 +476,7 @@ def _solve_slices(pairs: _PairBatch, top: np.ndarray, tol: float,
             best_p[r[up]] = p[up]
             best_k[r[up]] = k[up]
         piece_rows, piece = piece_rows[ready:], piece[ready:]
+    best_k[profits[1] > best_p] = SCAN_POINTS - 1
     inner = np.flatnonzero((best_k > 0) & (best_k < SCAN_POINTS - 1))
     k = best_k[inner]
     a = (k - 1) * step[inner]

@@ -463,6 +463,20 @@ class MarketInstance:
         return float((self.lambdas / top).sum())
 
 
+def _unit_weights(weights) -> tuple[float, ...]:
+    """RewardDistribution's weights as floats, negative dust snapped to 0, or ValueError."""
+    ws = [float(w) for w in weights]
+    for k, w in enumerate(ws):
+        if w < -1e-12:
+            raise ValueError("weights must be non-negative")
+        if w < 0.0:
+            ws[k] = 0.0  # snap float dust
+    total = math.fsum(ws)
+    if abs(total - 1.0) > 1e-12:
+        raise ValueError(f"weights sum to {total!r}, not 1")
+    return tuple(ws)
+
+
 @dataclass(frozen=True)
 class RewardDistribution:
     """Probability distribution over a finite set of rewards.
@@ -476,23 +490,14 @@ class RewardDistribution:
 
     def __post_init__(self) -> None:
         rs = tuple(float(r) for r in self.rewards)
-        ws = [float(w) for w in self.weights]
-        if len(rs) != len(ws):
+        if len(rs) != len(self.weights):
             raise ValueError("rewards and weights must have equal length")
         if len(rs) == 0:
             raise ValueError("empty distribution")
         if any(b <= a for a, b in zip(rs, rs[1:])):
             raise ValueError("rewards must be strictly increasing")
-        for k, w in enumerate(ws):
-            if w < -1e-12:
-                raise ValueError("weights must be non-negative")
-            if w < 0.0:
-                ws[k] = 0.0  # snap float dust
-        total = math.fsum(ws)
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"weights sum to {total!r}, not 1")
         object.__setattr__(self, "rewards", rs)
-        object.__setattr__(self, "weights", tuple(ws))
+        object.__setattr__(self, "weights", _unit_weights(self.weights))
 
     @classmethod
     def on(cls, rewards, weights) -> "RewardDistribution":

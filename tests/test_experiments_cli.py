@@ -292,6 +292,17 @@ def test_cli_fluid_solve(canon_file, capsys):
     assert len(doc["supply"]) == 3
 
 
+def test_cli_fluid_solve_prints_what_solve_fluid_returns(tmp_path, capsys):
+    # the noisy sqrt market refines a bracket, so a CLI tol other than
+    # solve_fluid's default would move the weights
+    inst = market_instance(noisy_sqrt_instance())
+    assert main(["fluid-solve", "--instance", _write(tmp_path, "sqrt.json", instance_to_dict(inst))]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    out = gigopt.solve_fluid(inst)
+    assert doc["support"] == [{"r": r, "p": p} for r, p in out.x.support()]
+    assert doc["profit"] == out.profit
+
+
 def test_cli_fluid_solve_with_oracle(tmp_path, capsys):
     inst = _write(tmp_path, "small.json", {
         "rewards": [15, 60],
@@ -642,6 +653,28 @@ def test_cli_reproduce_names_a_scalar_setting_that_does_not_parse(tmp_path, caps
     err = capsys.readouterr().err
     assert message in err
     assert "invalid literal" not in err and "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("setting, message", [
+    # a billion levels once ended in a numpy allocation traceback
+    ("n_eps=1000000000", f"n_eps must be an integer from 2 to {experiments.MAX_RANGE_POINTS}, got 1000000000"),
+    ("n_eps=-3", "n_eps must be an integer from 2 to"),
+    ("n_eps=1", "n_eps must be an integer from 2 to"),
+    ("eps_lo=nan", "eps_lo and eps_hi must be finite with 0 < eps_lo < eps_hi, got nan and 25.0"),
+    ("eps_hi=inf", "eps_lo and eps_hi must be finite with 0 < eps_lo < eps_hi, got 0.25 and inf"),
+    ("eps_lo=0", "eps_lo and eps_hi must be finite with 0 < eps_lo < eps_hi, got 0.0 and 25.0"),
+    ("eps_lo=30", "eps_lo and eps_hi must be finite with 0 < eps_lo < eps_hi, got 30.0 and 25.0"),
+])
+def test_cli_reproduce_double_threshold_names_a_bad_noise_grid(tmp_path, capsys, monkeypatch, setting, message):
+    # checked before the grid is built or any level solved
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the grid was built")
+
+    monkeypatch.setattr(experiments.np, "linspace", no_grid)
+    assert main(["reproduce", "fig_double_threshold", "--set", setting, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
     assert not any(tmp_path.iterdir())
 
 

@@ -431,8 +431,10 @@ def _shipped_markets():
 
 @pytest.mark.parametrize("name, want", [
     ("canonical", 0), ("risk_10_0_0", 0), ("risk_8_1_1", 0), ("risk_1_8_1", 0), ("dense_61", 0),
-    # power revenue refines as it did before the kink rule
-    ("power_variant", 0), ("noisy_sqrt", 2),
+    # power revenue refines as it did before the kink rule; the noisy sqrt
+    # market's slice (20, 30) peaks (620.8) on a piece bounded below its
+    # floor (790.6), so that peak is neither scanned nor refined
+    ("power_variant", 0), ("noisy_sqrt", 1),
 ])
 def test_refined_brackets_of_the_shipped_markets(name, want):
     assert _refined_brackets(_shipped_markets()[name]) == want
@@ -936,6 +938,133 @@ def test_one_piece_bound_keeps_the_rows_of_the_piece_bounds(insts):
         assert every.tolist() == list(range(len(top)))
         assert np.isin(np.flatnonzero(~(pieces.max(axis=1) < floor)), rows).all()
         assert floors.tobytes() == floor[rows].tobytes()
+
+
+def _two_test_kernel(pairs, top, tol, floor):
+    """Reference: the kernel under the two-test keep rule it replaced, which
+    scanned a piece whose bound reached the best of its slice's ends and
+    kink unless every piece bound of the slice was below its floor, from a
+    best point at -inf, with no end offered. Returns (weights, profits,
+    kept (slice, piece) pairs, refined brackets); kept pieces are read off a
+    full scan, whose points have the piece scan's bits."""
+    n = len(top)
+    ys, profits = np.full((4, n), np.nan), np.full((4, n), np.nan)
+    ys[0], ys[1] = 0.0, top
+    profits[0], profits[1] = pairs.profit(ys[0]), pairs.profit(top)
+    settled = np.zeros(n, bool)
+    if isinstance(pairs.revenue, Newsvendor):
+        ys[2] = fluid._kink(pairs, top)
+        profits[2] = pairs.profit(ys[2])
+        settled = (pairs.dl <= 0.0).all(axis=0)
+    known = np.fmax.reduce(profits[:3])
+    b = np.full((n, fluid._BOUND_PIECES), -np.inf)
+    b[~settled] = _slice_bounds(pairs.take(~settled), top[~settled])
+    keep = ~((b < known[:, None]) | (b.max(axis=1) < floor)[:, None])
+    step = top / (SCAN_POINTS - 1)
+    y = np.arange(SCAN_POINTS) * step[:, None]
+    y[:, -1] = top
+    p = pairs.profit(y)
+    p[np.isnan(p)] = -np.inf
+    scanned = np.zeros(p.shape, bool)
+    for j in range(fluid._BOUND_PIECES):
+        scanned[:, fluid._PIECE * j:fluid._PIECE * (j + 1) + 1] |= keep[:, j:j + 1]
+    k = np.where(scanned, p, -np.inf).argmax(axis=1)
+    inner = np.flatnonzero((k > 0) & (k < SCAN_POINTS - 1))
+    k = k[inner]
+    a = (k - 1) * step[inner]
+    hi = np.where(k + 1 == SCAN_POINTS - 1, top[inner], (k + 1) * step[inner])
+    ys[3, inner] = fluid._golden_section(pairs.take(inner).profit, a, hi, tol)
+    profits[3, inner] = pairs.take(inner).profit(ys[3, inner])
+    first = np.lexsort((ys, -profits), axis=0)[0]
+    kept = set(zip(*(v.tolist() for v in np.nonzero(keep))))
+    return ys[first, np.arange(n)], profits[first, np.arange(n)], kept, len(inner)
+
+
+def _singleton_floors(group, ii, pairs, top):
+    """solve_fluid's floor of every live slice, _beatable's with no slice dropped."""
+    with mock.patch.object(fluid, "_slice_bounds", lambda p, t, n: np.full((len(t), n), np.nan)):
+        return fluid._beatable(group, ii, pairs, top)[1]
+
+
+def _power_variant_floored():
+    ii, _, live, pairs, top = _all_live_pairs(power_variant_instance())
+    return pairs, top, _singleton_floors(fluid._Group([power_variant_instance()]), ii[live], pairs, top)
+
+
+@st.composite
+def _floored_slices(draw):
+    """(slices, admissible maxima, floors) of a random instance of every
+    revenue family. The floors are solve_fluid's (the best singleton less
+    1e-9 relative), -inf, or near-floor: each slice's two-test optimum moved
+    by a few ulps or by 1e-9 relative, or a point between the slice's best
+    end and its optimum."""
+    inst = draw(_random_instances())
+    ii, jj = np.triu_indices(len(inst.rewards), 1)
+    group = fluid._Group([inst])
+    live, pairs, top = _live_pairs(group, ii, jj)
+    assume(len(top))
+    kind = draw(st.sampled_from(["singleton", "none", "ulps", "margin", "between"]))
+    if kind == "singleton":
+        return pairs, top, _singleton_floors(group, ii[live], pairs, top)
+    if kind == "none":
+        return pairs, top, np.full(len(top), -np.inf)
+    _, p, _, _ = _two_test_kernel(pairs, top, REFINE_TOL, np.full(len(top), -np.inf))
+    if kind == "ulps":
+        floor = p + draw(st.integers(-4, 4)) * np.spacing(np.abs(p))
+    elif kind == "margin":
+        floor = p * (1.0 + draw(st.sampled_from([-1e-9, 1e-9])) * np.sign(p))
+    else:
+        ends = np.fmax(pairs.profit(np.zeros(len(top))), pairs.profit(top))
+        floor = ends + draw(st.floats(0.0, 1.0)) * (p - ends)
+    return pairs, top, floor
+
+
+@settings(deadline=None, max_examples=80)
+@given(_floored_slices())
+@example(_power_variant_floored())
+def test_single_threshold_scans_a_subset_and_keeps_the_bits_that_reach_the_floor(batch):
+    # a piece is kept only when its bound reaches the larger of the slice's
+    # floor and its best known candidate, a subset of the two-test rule's
+    # pieces; the scan, seeded with both ends, refines no more brackets and
+    # gives the two-test bits on every slice whose profit reaches its floor
+    pairs, top, floor = batch
+    scanned, brackets = set(), [0]
+    take, profit, golden = fluid._PairBatch.take, fluid._PairBatch.profit, fluid._golden_section
+
+    def tracked_take(self, rows):
+        out = take(self, rows)
+        out.rows = getattr(self, "rows", np.arange(len(self.r_low)))[rows]
+        return out
+
+    def tracked_profit(self, y):
+        if y.ndim == 2:
+            # a piece is known by its slice and its first weight (all 0 when top is)
+            scanned.update(zip(getattr(self, "rows", np.arange(len(self.r_low))).tolist(), y[:, 0].tolist()))
+        return profit(self, y)
+
+    def counted_golden(f, a, b, tol):
+        brackets[0] += len(a)
+        return golden(f, a, b, tol)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fluid._PairBatch, "take", tracked_take)
+        mp.setattr(fluid._PairBatch, "profit", tracked_profit)
+        mp.setattr(fluid, "_golden_section", counted_golden)
+        y, p = _solve_slices(pairs, top, REFINE_TOL, floor)
+    y_ref, p_ref, kept, refined = _two_test_kernel(pairs, top, REFINE_TOL, floor)
+    step = top / (SCAN_POINTS - 1)
+    assert scanned <= {(r, fluid._PIECE * j * step[r]) for r, j in kept}
+    assert brackets[0] <= refined
+    reach = (p >= floor) | (p_ref >= floor)
+    assert y[reach].tobytes() == y_ref[reach].tobytes()
+    assert p[reach].tobytes() == p_ref[reach].tobytes()
+
+
+def test_power_variant_scans_the_pieces_that_reach_their_threshold(monkeypatch):
+    # 3 928 of the 30 976 pieces of the kernel's 968 slices; the two-test
+    # rule scanned 5 610
+    scanned, total = _scanned_pieces(monkeypatch, lambda: solve_fluid(power_variant_instance()))
+    assert (scanned, total) == (3928, 968 * fluid._BOUND_PIECES)
 
 
 # --------------------------------------------------------------------------

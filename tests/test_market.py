@@ -130,6 +130,15 @@ def test_distribution_validation():
         RewardDistribution((1.0, 2.0), (-0.1, 1.1))
 
 
+@pytest.mark.parametrize("ws", [(0.5, 0.5), [1, 0], (-1e-13, 1.0 + 1e-13), (-0.0, 1.0), (0.25, 0.75 + 9e-13)])
+def test_distribution_keeps_the_weight_rule_floats(ws):
+    # the one weight rule that the pay-spread rows apply without building a
+    # distribution: floats, negative dust snapped to 0, the sum within 1e-12
+    got = RewardDistribution((1.0, 2.0), ws).weights
+    assert got == market._unit_weights(ws) and all(type(w) is float for w in got)
+    assert min(got) >= 0.0
+
+
 def test_point_mass_and_two_point():
     rs = RewardSet((0.0, 1.0, 2.0))
     pm = RewardDistribution.point_mass(rs, 1.0)
